@@ -25,10 +25,8 @@ from .gaussian import (
 )
 from .fock import (
     FockDensityMatrix,
-    QuadratureConvergenceWarning,
     TruncationWarning,
     TwoQubitState,
-    beam_splitter_unitary,
     concurrence,
     displacement_matrix,
     linear_channel_apply,
@@ -68,11 +66,9 @@ __all__ = [
     "GaussianProtocolResult",
     "GaussianTwoModeState",
     "ProtocolConfig",
-    "QuadratureConvergenceWarning",
     "SweepSpec",
     "TruncationWarning",
     "TwoQubitState",
-    "beam_splitter_unitary",
     "channel_coefficients",
     "component_variance",
     "concurrence",

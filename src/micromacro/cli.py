@@ -55,9 +55,7 @@ def format_config(config):
     """Serialize a ProtocolConfig as flat key = value text (round-trip exact)."""
     lines = []
     for name, value in pr.config_to_mapping(config).items():
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             text = repr(value)
         else:
             text = str(value)

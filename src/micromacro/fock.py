@@ -1,11 +1,14 @@
 """Truncated Fock-space engine for the single-photon-level description.
 
 Works with explicit density matrices on a photon-number basis truncated at
-n_max = n_levels - 1 per mode (default 16 levels).  All Gaussian unitaries
-(displacements, beam splitters) are exponentials of anti-Hermitian truncated
-generators, so they remain exactly unitary at any cutoff; truncation shows up
-as distorted dynamics near the cutoff, never as trace loss.  Mode ordering for
-two-mode states is (A, C) with A the mode that enters the mechanical channel.
+n_max = n_levels - 1 per mode (default 16 levels).  Every channel is an exact
+single-mode map in the Fock basis: photon loss and quantum-limited
+amplification as Kraus sums, Gaussian dephasing as an elementwise kernel in
+the eigenbasis of the truncated X quadrature.  Loss and dephasing preserve the
+trace at any cutoff; the amplifier drops the weight it pushes past the
+cutoff, so the trace of its output measures the truncation.  Mode ordering
+for two-mode states is (A, C) with A the mode that enters the mechanical
+channel.
 """
 
 from __future__ import annotations
@@ -16,21 +19,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import comb
 
 
 class TruncationWarning(UserWarning):
     """Emitted when a state or channel leaks non-negligible weight past the cutoff."""
 
 
-class QuadratureConvergenceWarning(UserWarning):
-    """Emitted when the Gauss-Hermite phase-noise average has not converged."""
-
-
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-8
-PSD_TOL = 1e-8
 LEAKAGE_WARN = 1e-3
 
 
@@ -105,44 +100,33 @@ def number_matrix(n_levels):
 def displacement_matrix(alpha, n_levels):
     """Truncated displacement D(alpha) = exp(alpha a^dag - alpha* a).
 
-    Exactly unitary at any cutoff (anti-Hermitian generator); accurate as long
-    as the displaced support stays below the cutoff (|alpha|^2 well under
-    n_levels).
+    Computed from the eigendecomposition of the Hermitian i (alpha a^dag -
+    alpha* a), so it is exactly unitary at any cutoff; accurate as long as the
+    displaced support stays below the cutoff (|alpha|^2 well under n_levels).
     """
     a = annihilation_matrix(n_levels)
     alpha = complex(alpha)
-    return expm(alpha * a.conj().T - alpha.conjugate() * a)
+    w, v = np.linalg.eigh(1j * (alpha * a.T - alpha.conjugate() * a))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def beam_splitter_unitary(theta, phi, dims):
-    """Two-mode beam splitter exp(theta (e^{i phi} a b^dag - e^{-i phi} a^dag b)).
-
-    In the Heisenberg picture U^dag a U = cos(theta) a - e^{-i phi} sin(theta) b
-    and U^dag b U = cos(theta) b + e^{i phi} sin(theta) a.  The generator
-    conserves total photon number, so number sectors below the cutoff evolve
-    exactly.
-    """
-    da, db = dims
-    a = np.kron(annihilation_matrix(da), np.eye(db))
-    b = np.kron(np.eye(da), annihilation_matrix(db))
-    gen = np.exp(1j * phi) * (a @ b.conj().T) - np.exp(-1j * phi) * (a.conj().T @ b)
-    return expm(theta * gen)
-
-
-def thermal_leakage(n_mean, n_levels):
-    """Weight of a thermal state beyond the cutoff: (N/(N+1))^n_levels."""
-    if n_mean == 0:
-        return 0.0
-    return (n_mean / (n_mean + 1.0)) ** n_levels
+@lru_cache(maxsize=None)
+def position_eigensystem(n_levels):
+    """Eigenvalues and real orthogonal eigenvectors of the truncated X = (a + a^dag)/sqrt(2)."""
+    a = annihilation_matrix(n_levels)
+    x, v = np.linalg.eigh((a + a.T) / math.sqrt(2.0))
+    x.setflags(write=False)
+    v.setflags(write=False)
+    return x, v
 
 
 def thermal_weights(n_mean, n_levels, renormalize=True):
     """Diagonal Fock weights of a truncated thermal state with mean occupation n_mean.
 
     Geometric distribution p_n = N^n / (N+1)^{n+1}.  The weight lost past the
-    cutoff is reported through a TruncationWarning when it exceeds
-    LEAKAGE_WARN; with renormalize=True (default) the retained weights are
-    rescaled to unit sum.
+    cutoff, (N/(N+1))^n_levels, is reported through a TruncationWarning when
+    it exceeds LEAKAGE_WARN; with renormalize=True (default) the retained
+    weights are rescaled to unit sum.
     """
     if n_mean < 0:
         raise ValueError(f"thermal occupation {n_mean} must be >= 0")
@@ -153,7 +137,7 @@ def thermal_weights(n_mean, n_levels, renormalize=True):
         return p
     ratio = n_mean / (n_mean + 1.0)
     p = ratio**n / (n_mean + 1.0)
-    leak = thermal_leakage(n_mean, n_levels)
+    leak = ratio**n_levels
     if leak > LEAKAGE_WARN:
         warnings.warn(
             f"thermal state with N={n_mean} leaks {leak:.3g} of its weight past "
@@ -216,83 +200,61 @@ def _as_tensor(rho):
     return rho.data.reshape(da, dc, da, dc)
 
 
-def _apply_mode_matrix(rho, m, mode):
-    """Conjugate one mode of a two-mode state by a single-mode matrix m."""
-    r4 = _as_tensor(rho)
-    if mode == 0:
-        out = np.einsum("ab,bcde,fd->acfe", m, r4, m.conj(), optimize=True)
-    elif mode == 1:
-        out = np.einsum("ab,cbed,fd->caef", m, r4, m.conj(), optimize=True)
-    else:
-        raise ValueError(f"mode index {mode} out of range for a two-mode state")
-    n = rho.data.shape[0]
-    return FockDensityMatrix(rho.dims, out.reshape(n, n))
+def _apply_kraus(rho, kraus, mode):
+    """Apply rho -> sum_k K_k rho K_k^dag on one mode, with K_k = kraus[k].
 
-
-def _apply_transfer(rho, t, mode):
-    """Apply a one-mode channel given as transfer tensor t[a,f,b,d] = sum_k K[a,b] K*[f,d]."""
-    r4 = _as_tensor(rho)
-    if mode == 0:
-        out = np.einsum("afbd,bcde->acfe", t, r4, optimize=True)
-    elif mode == 1:
-        out = np.einsum("afbd,cbed->caef", t, r4, optimize=True)
-    else:
-        raise ValueError(f"mode index {mode} out of range for a two-mode state")
-    n = rho.data.shape[0]
-    return FockDensityMatrix(rho.dims, out.reshape(n, n))
-
-
-def _beam_splitter_env_transfer(theta, phi, d_sys, env_weights):
-    """Transfer tensor of 'mix with an environment mode, then trace it out'.
-
-    The environment enters diagonal in the Fock basis with the given weights
-    (thermal or vacuum), so the Kraus operators are E_{j,m} = sqrt(p_m) <j|U|m>
-    and the channel is fully described by
-        t[a,f,b,d] = sum_{j,m} p_m U[aj,bm] U*[fj,dm].
+    A stack of one matrix conjugates the mode by that matrix.
     """
-    de = len(env_weights)
-    u = beam_splitter_unitary(theta, phi, (d_sys, de))
-    u4 = u.reshape(d_sys, de, d_sys, de)
-    return np.einsum("ajbm,m,fjdm->afbd", u4, env_weights, u4.conj(), optimize=True)
+    r4 = _as_tensor(rho)
+    if mode == 0:
+        out = np.einsum("kab,bcde,kfd->acfe", kraus, r4, kraus.conj(), optimize=True)
+    elif mode == 1:
+        out = np.einsum("kab,cbed,kfd->caef", kraus, r4, kraus.conj(), optimize=True)
+    else:
+        raise ValueError(f"mode index {mode} out of range for a two-mode state")
+    n = rho.data.shape[0]
+    return FockDensityMatrix(rho.dims, out.reshape(n, n))
 
 
-def linear_channel_apply(rho, coeffs, n_initial, n_bath, env_levels=None):
+def _amplifier_kraus(gain, n_levels):
+    """Quantum-limited amplifier Kraus stack, truncated to n_levels.
+
+    <m+k|A_k|m> = sqrt(C(m+k, k)) ((G-1)/G)^{k/2} G^{-(m+1)/2}; entries that
+    would land past the cutoff are dropped, so the map loses trace there.
+    """
+    ratio = (gain - 1.0) / gain
+    kraus = np.zeros((n_levels, n_levels, n_levels))
+    for k in range(n_levels):
+        for m in range(n_levels - k):
+            kraus[k, m + k, m] = math.sqrt(math.comb(m + k, k) * ratio**k * gain ** -(m + 1))
+    return kraus
+
+
+def linear_channel_apply(rho, coeffs, n_initial, n_bath):
     """Storage/retrieval channel on mode A of a two-mode (A, C) state.
 
     Realizes the Heisenberg relation
         A_out = -c1 A - i c2_mag B_in + f1 dA + f2 dB
-    as a cascade of three beam splitters mixing A with B_in (thermal at
-    n_initial), dA (vacuum) and dB (thermal at n_bath) in that order, tracing
-    each environment mode out after it has interacted.  The cascade angles are
-    solved triangularly from the coefficient 4-vector; theta_1 also carries
-    the -1 phase on c1 (cos(theta_1) < 0), and the beam-splitter phases
-    (-pi/2, pi, pi) reproduce the -i rotation onto the mechanical quadratures
-    and the +f1/+f2 noise signs.
+    with B_in thermal at n_initial, dA vacuum and dB thermal at n_bath.  All
+    three inputs are phase symmetric, so the channel is the parity flip
+    a -> -a followed by a thermal attenuator with transmission c1^2 and
+    N_add = c2^2 n_initial + f2^2 n_bath added photons, as in the gaussian
+    engine.  The attenuator is pure loss with transmission c1^2 / G followed
+    by a quantum-limited amplifier of gain G = 1 + N_add (Caruso, Giovannetti
+    & Holevo, NJP 8, 310 (2006); Ivan, Sabapathy & Simon, PRA 84, 042311
+    (2011)), both exact Kraus maps.  The amplifier drops the weight it pushes
+    past the cutoff, so 1 - trace of the result is that truncation error.
     """
     if coeffs.closure_defect > 1e-10:
         raise ValueError(f"channel coefficients violate closure by {coeffs.closure_defect}")
     if n_initial < 0 or n_bath < 0:
         raise ValueError("thermal occupations must be >= 0")
-    d_sys = rho.dims[0]
-    de = d_sys if env_levels is None else int(env_levels)
-    c1, c2, f1, f2 = coeffs.c1, coeffs.c2_mag, coeffs.f1, coeffs.f2
-
-    sin3 = min(max(f2, 0.0), 1.0)
-    cos3 = math.sqrt(max(1.0 - sin3 * sin3, 0.0))
-    theta3 = math.asin(sin3)
-    sin2 = min(f1 / cos3, 1.0) if cos3 > 1e-12 else 0.0
-    theta2 = math.asin(sin2)
-    theta1 = math.atan2(c2, -c1)
-
-    steps = [
-        (theta1, -math.pi / 2.0, thermal_weights(n_initial, de)),
-        (theta2, math.pi, thermal_weights(0.0, de)),
-        (theta3, math.pi, thermal_weights(n_bath, de)),
-    ]
-    out = rho
-    for theta, phi, weights in steps:
-        t = _beam_splitter_env_transfer(theta, phi, d_sys, weights)
-        out = _apply_transfer(out, t, mode=0)
+    d = rho.dims[0]
+    gain = 1.0 + coeffs.c2_mag**2 * n_initial + coeffs.f2**2 * n_bath
+    out = _apply_kraus(rho, np.diag((-1.0) ** np.arange(d))[None], 0)
+    out = pure_loss_channel(out, 0, coeffs.c1**2 / gain)
+    if gain > 1.0:
+        out = _apply_kraus(out, _amplifier_kraus(gain, d), 0)
     return out
 
 
@@ -307,45 +269,44 @@ def pure_loss_channel(rho, mode, eta):
     if eta == 1.0:
         return rho
     d = rho.dims[mode]
-    n = np.arange(d)
-    t = np.zeros((d, d, d, d), dtype=complex)
+    kraus = np.zeros((d, d, d))
     for k in range(d):
-        kraus = np.zeros((d, d))
-        rows = n[k:] - k
-        kraus[rows, n[k:]] = np.sqrt(comb(n[k:], k) * eta ** (n[k:] - k) * (1.0 - eta) ** k)
-        t += np.einsum("ab,fd->afbd", kraus, kraus)
-    return _apply_transfer(rho, t.astype(complex), mode)
+        for n in range(k, d):
+            kraus[k, n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+    return _apply_kraus(rho, kraus, mode)
 
 
-def phase_noise_average(rho, variance, mode=0, n_nodes=21):
+def phase_noise_average(rho, variance, mode=0):
     """Average over Gaussian momentum kicks of the given variance on one mode.
 
     Phase noise on a bright displaced mode looks, in the displaced frame, like
     a random displacement along P with variance 2 |alpha|^2 (1-y^2)^2 sigma^2;
-    this routine averages D(i dp/sqrt(2)) rho D^dag over dp ~ N(0, variance)
-    by Gauss-Hermite quadrature (exact for moments up to degree 2 n_nodes - 1,
-    so second moments gain exactly `variance` up to truncation).
+    this routine averages D(i dp/sqrt(2)) rho D^dag over dp ~ N(0, variance).
+    The truncated D(i dp/sqrt(2)) = exp(i dp X) is diagonal in the eigenbasis
+    {x_k} of the truncated X, so the average is exact: the state's matrix
+    elements in that basis are multiplied by exp(-variance (x_k - x_l)^2 / 2).
+    Second moments gain exactly `variance` in P up to truncation.
     """
     if variance < 0:
         raise ValueError(f"variance {variance} must be >= 0")
     if variance == 0.0:
         return rho
-    if n_nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    weights = weights / math.sqrt(math.pi)
-    d = rho.dims[mode]
-    r4 = _as_tensor(rho)
-    out = np.zeros_like(r4)
-    for t, w in zip(nodes, weights):
-        dp = math.sqrt(2.0 * variance) * t
-        disp = displacement_matrix(1j * dp / math.sqrt(2.0), d)
-        if mode == 0:
-            out += w * np.einsum("ab,bcde,fd->acfe", disp, r4, disp.conj(), optimize=True)
-        else:
-            out += w * np.einsum("ab,cbed,fd->caef", disp, r4, disp.conj(), optimize=True)
+    x, v = position_eigensystem(rho.dims[mode])
+    kernel = np.exp(-0.5 * variance * np.subtract.outer(x, x) ** 2)
+    r4 = _as_tensor(_apply_kraus(rho, v.T[None], mode))
+    if mode == 0:
+        r4 = r4 * kernel[:, None, :, None]
+    else:
+        r4 = r4 * kernel[None, :, None, :]
     n = rho.data.shape[0]
-    return FockDensityMatrix(rho.dims, out.reshape(n, n))
+    return _apply_kraus(FockDensityMatrix(rho.dims, r4.reshape(n, n)), v[None], mode)
+
+
+def truncation_error(rho):
+    """Truncation error measured on a two-mode state: the trace missing from 1
+    plus the weight mode A holds in its top retained level."""
+    top = _as_tensor(rho)[-1, :, -1, :]
+    return 1.0 - rho.trace + float(np.real(np.trace(top)))
 
 
 def qubit_project(rho):

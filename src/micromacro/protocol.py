@@ -36,7 +36,6 @@ KB = 1.380649e-23  # J / K, exact
 ENGINES = ("gaussian", "fock")
 PHASE_NOISE_CONVENTIONS = ("paper_literal", "propagated_mean")
 ZERO_METRIC_TOL = 1e-12
-FOCK_THERMAL_LIMIT = 0.5
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,6 @@ class ProtocolConfig:
         :mod:`micromacro.gaussian` for the pipeline order.
     fock_dims : int
         Retained Fock levels per mode (fock engine only).
-    quadrature_nodes : int
-        Gauss-Hermite node count for the phase-noise average, odd >= 3.
-    fock_truncation_override : bool
-        The fock engine refuses N_th > 0.5 (thermal tail past the cutoff) by
-        default; set True to run anyway and rely on the leakage report.
     """
 
     r: float = 0.5
@@ -93,8 +87,6 @@ class ProtocolConfig:
     engine: str = "gaussian"
     phase_noise_convention: str = "propagated_mean"
     fock_dims: int = 16
-    quadrature_nodes: int = 21
-    fock_truncation_override: bool = False
 
     def __post_init__(self):
         if self.r < 0:
@@ -122,26 +114,14 @@ class ProtocolConfig:
             )
         if self.fock_dims < 2:
             raise ValueError(f"fock_dims={self.fock_dims} must be >= 2")
-        if self.quadrature_nodes < 3 or self.quadrature_nodes % 2 == 0:
-            raise ValueError(f"quadrature_nodes={self.quadrature_nodes} must be odd and >= 3")
-        if (
-            self.engine == "fock"
-            and self.N_th > FOCK_THERMAL_LIMIT
-            and not self.fock_truncation_override
-        ):
-            raise ValueError(
-                f"fock engine with N_th={self.N_th} > {FOCK_THERMAL_LIMIT} leaks "
-                "past the cutoff; set fock_truncation_override=True to run anyway"
-            )
 
 
 _FLOAT_FIELDS = (
     "r", "N_D", "y", "x", "N_in", "N_th", "sigma", "eta1", "eta2", "eta_c",
 )
-_INT_FIELDS = ("fock_dims", "quadrature_nodes")
+_INT_FIELDS = ("fock_dims",)
 _STR_FIELDS = ("engine", "phase_noise_convention")
-_BOOL_FIELDS = ("fock_truncation_override",)
-CONFIG_FIELDS = _FLOAT_FIELDS + _STR_FIELDS + _INT_FIELDS + _BOOL_FIELDS
+CONFIG_FIELDS = _FLOAT_FIELDS + _STR_FIELDS + _INT_FIELDS
 
 
 def config_to_mapping(config):
@@ -153,7 +133,7 @@ def config_from_mapping(mapping, base=None):
     """Build a ProtocolConfig from string-or-native values over an optional base.
 
     Unknown keys raise KeyError; numeric fields accept anything float()/int()
-    accepts, booleans accept true/false/1/0/yes/no (case-insensitive).
+    accepts.
     """
     values = config_to_mapping(base if base is not None else ProtocolConfig())
     for key, raw in mapping.items():
@@ -163,17 +143,6 @@ def config_from_mapping(mapping, base=None):
             values[key] = int(str(raw))
         elif key in _STR_FIELDS:
             values[key] = str(raw).strip()
-        elif key in _BOOL_FIELDS:
-            if isinstance(raw, bool):
-                values[key] = raw
-            else:
-                text = str(raw).strip().lower()
-                if text in ("true", "1", "yes", "on"):
-                    values[key] = True
-                elif text in ("false", "0", "no", "off"):
-                    values[key] = False
-                else:
-                    raise ValueError(f"cannot parse boolean field {key} from {raw!r}")
         else:
             raise KeyError(f"unknown config field {key!r}")
     return ProtocolConfig(**values)
@@ -256,7 +225,7 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
     )
 
 
-def run_fock_protocol(config, check_convergence=True):
+def run_fock_protocol(config):
     """Run the truncated density-matrix pipeline and compute the concurrence.
 
     Works in the displaced frame: the input is the alpha = 0 single-photon
@@ -264,42 +233,36 @@ def run_fock_protocol(config, check_convergence=True):
     2 |alpha_eff|^2 sigma^2.  Order matches the gaussian engine; the
     undisplacement is the identity in this frame.
 
-    With check_convergence=True (default) and nonzero noise, the average is
-    recomputed with quadrature_nodes + 10 nodes; a concurrence difference
-    above 1e-6 emits a QuadratureConvergenceWarning carrying both values.
+    ``leakage`` is the truncation error measured on the computed state after
+    the phase noise: the trace the storage channel's amplifier pushed past the
+    cutoff plus mode A's weight in its top level.  Above LEAKAGE_WARN it is
+    reported as a TruncationWarning.
     """
     if config.engine != "fock":
         raise ValueError(f"fock pipeline called with engine={config.engine!r}")
     dims = (config.fock_dims, config.fock_dims)
     coeffs = ga.channel_coefficients(config.x, config.y)
-    leakage = fk.thermal_leakage(config.N_th, config.fock_dims)
 
     rho = fk.single_photon_entangled_input(0.0, dims)
     rho = fk.pure_loss_channel(rho, 0, config.eta1)
     rho = fk.linear_channel_apply(rho, coeffs, config.N_in, config.N_th)
     variance = 2.0 * phase_noise_amplitude_sq(config, coeffs) * config.sigma**2
-
-    def finish(noisy):
-        out = fk.pure_loss_channel(noisy, 0, config.eta2)
-        out = fk.pure_loss_channel(out, 1, config.eta_c)
-        qubits = fk.qubit_project(out)
-        return fk.concurrence(qubits), qubits.projection_probability
-
-    value, prob = finish(fk.phase_noise_average(rho, variance, 0, config.quadrature_nodes))
-    if check_convergence and variance > 0.0:
-        refined, _ = finish(
-            fk.phase_noise_average(rho, variance, 0, config.quadrature_nodes + 10)
+    rho = fk.phase_noise_average(rho, variance, 0)
+    leakage = fk.truncation_error(rho)
+    if leakage > fk.LEAKAGE_WARN:
+        warnings.warn(
+            f"fock state loses {leakage:.3g} of its weight past "
+            f"{config.fock_dims} levels",
+            fk.TruncationWarning,
+            stacklevel=2,
         )
-        if abs(refined - value) > 1e-6:
-            warnings.warn(
-                f"phase-noise average not converged at {config.quadrature_nodes} "
-                f"nodes: concurrence {value:.9g} vs {refined:.9g} at "
-                f"{config.quadrature_nodes + 10} nodes",
-                fk.QuadratureConvergenceWarning,
-                stacklevel=2,
-            )
+    rho = fk.pure_loss_channel(rho, 0, config.eta2)
+    rho = fk.pure_loss_channel(rho, 1, config.eta_c)
+    qubits = fk.qubit_project(rho)
     return FockProtocolResult(
-        concurrence=value, projection_probability=prob, leakage=leakage
+        concurrence=fk.concurrence(qubits),
+        projection_probability=qubits.projection_probability,
+        leakage=leakage,
     )
 
 
@@ -311,7 +274,7 @@ def entanglement_metric(config):
     """
     if config.engine == "gaussian":
         return run_gaussian_protocol(config).log_negativity
-    return run_fock_protocol(config, check_convergence=False).concurrence
+    return run_fock_protocol(config).concurrence
 
 
 def find_threshold(config, parameter, bracket, tol=1e-5):

@@ -171,9 +171,7 @@ def preset_base(name):
     if name in ("fig2", "fig3", "fig4", "fig5"):
         return base
     if name == "figA1":
-        return dataclasses.replace(
-            base, engine="fock", eta_c=1.0, fock_truncation_override=True
-        )
+        return dataclasses.replace(base, engine="fock", eta_c=1.0)
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
@@ -190,7 +188,7 @@ def preset(name):
     Bounded parameters (y, eta1) sweep their full domain; unbounded ones (x,
     N_D) sweep [0 or 1, 1.5x the entanglement-vanishing threshold], which is
     discovered by bisection when the preset is built (instant for the gaussian
-    engine, a few seconds for figA1).
+    engine, under a second for figA1).
     """
     base = preset_base(name)
     if name == "fig2":

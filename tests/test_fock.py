@@ -2,10 +2,15 @@
 
 The covariance-matrix engine serves as the independent oracle for every
 channel: any Gaussian operation realized here on number-basis density
-matrices must reproduce its first and second quadrature moments.
+matrices must reproduce its first and second quadrature moments.  The
+storage channel is also checked against the three-beam-splitter cascade it
+replaced, kept below as a test-only reference.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +18,7 @@ import pytest
 
 from micromacro import fock as fk
 from micromacro import gaussian as ga
+from micromacro import protocol as pr
 
 # Frozen references (30-digit evaluation of the closed forms).
 TMSV_P00_R05 = 0.786447732965927  # 1 - tanh(0.5)^2
@@ -21,6 +27,58 @@ TMSV_P22_R05 = 0.0358656112834621
 THERMAL1_MEAN_16 = 0.9997558556496529  # renormalized over 16 levels
 THERMAL1_QUBIT_WEIGHT = 0.7500114442664225
 THERMAL10_LEAKAGE_16 = 0.2176291357901488  # (10/11)^16
+FOCK_BASE = dict(engine="fock", N_th=0.3, sigma=0.0, eta_c=1.0)
+
+
+def _expm_antihermitian(gen):
+    """exp(gen) for an anti-Hermitian gen, from the eigensystem of i gen."""
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def beam_splitter_unitary(theta, phi, dims):
+    """Two-mode beam splitter exp(theta (e^{i phi} a b^dag - e^{-i phi} a^dag b)).
+
+    In the Heisenberg picture U^dag a U = cos(theta) a - e^{-i phi} sin(theta) b
+    and U^dag b U = cos(theta) b + e^{i phi} sin(theta) a.  The generator
+    conserves total photon number, so number sectors below the cutoff evolve
+    exactly.
+    """
+    da, db = dims
+    a = np.kron(fk.annihilation_matrix(da), np.eye(db))
+    b = np.kron(np.eye(da), fk.annihilation_matrix(db))
+    gen = np.exp(1j * phi) * (a @ b.conj().T) - np.exp(-1j * phi) * (a.conj().T @ b)
+    return _expm_antihermitian(theta * gen)
+
+
+def cascade_linear_channel(rho, coeffs, n_initial, n_bath, env_levels=None):
+    """The storage channel as three beam splitters into truncated environments.
+
+    Mixes mode A with B_in (thermal at n_initial), dA (vacuum) and dB
+    (thermal at n_bath) in turn, tracing each environment out after it has
+    interacted; the angles are solved triangularly from the coefficients,
+    theta_1 carries the -1 on c1 and the phases (-pi/2, pi, pi) give the -i
+    rotation and the +f1/+f2 signs.  Converges to the exact channel only as
+    both cutoffs grow.
+    """
+    d_sys = rho.dims[0]
+    de = d_sys if env_levels is None else int(env_levels)
+    c1, c2, f1, f2 = coeffs.c1, coeffs.c2_mag, coeffs.f1, coeffs.f2
+    sin3 = min(max(f2, 0.0), 1.0)
+    cos3 = math.sqrt(max(1.0 - sin3 * sin3, 0.0))
+    sin2 = min(f1 / cos3, 1.0) if cos3 > 1e-12 else 0.0
+    steps = [
+        (math.atan2(c2, -c1), -math.pi / 2.0, fk.thermal_weights(n_initial, de)),
+        (math.asin(sin2), math.pi, fk.thermal_weights(0.0, de)),
+        (math.asin(sin3), math.pi, fk.thermal_weights(n_bath, de)),
+    ]
+    r4 = rho.data.reshape(rho.dims * 2)
+    for theta, phi, weights in steps:
+        u4 = beam_splitter_unitary(theta, phi, (d_sys, de)).reshape(d_sys, de, d_sys, de)
+        t = np.einsum("ajbm,m,fjdm->afbd", u4, weights, u4.conj(), optimize=True)
+        r4 = np.einsum("afbd,bcde->acfe", t, r4, optimize=True)
+    n = rho.data.shape[0]
+    return fk.FockDensityMatrix(rho.dims, r4.reshape(n, n))
 
 
 def test_annihilation_matrix_entries():
@@ -51,9 +109,9 @@ def test_displacement_matrix_is_unitary_and_coherent():
 
 
 def test_beam_splitter_identity_and_swap():
-    u0 = fk.beam_splitter_unitary(0.0, 0.3, (5, 5))
+    u0 = beam_splitter_unitary(0.0, 0.3, (5, 5))
     assert np.allclose(u0, np.eye(25), atol=1e-12)
-    swap = fk.beam_splitter_unitary(math.pi / 2.0, 0.0, (5, 5))
+    swap = beam_splitter_unitary(math.pi / 2.0, 0.0, (5, 5))
     ket10 = np.zeros(25)
     ket10[5] = 1.0  # |1, 0>
     out = swap @ ket10
@@ -63,7 +121,7 @@ def test_beam_splitter_identity_and_swap():
 
 def test_beam_splitter_5050_amplitudes():
     for phi in (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi):
-        u = fk.beam_splitter_unitary(math.pi / 4.0, phi, (4, 4))
+        u = beam_splitter_unitary(math.pi / 4.0, phi, (4, 4))
         ket10 = np.zeros(16)
         ket10[4] = 1.0
         out = u @ ket10
@@ -75,7 +133,7 @@ def test_beam_splitter_conserves_total_photon_number():
     rng = np.random.default_rng(5)
     n_tot = np.kron(fk.number_matrix(6), np.eye(6)) + np.kron(np.eye(6), fk.number_matrix(6))
     for _ in range(5):
-        u = fk.beam_splitter_unitary(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi), (6, 6))
+        u = beam_splitter_unitary(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi), (6, 6))
         assert np.max(np.abs(u @ n_tot - n_tot @ u)) < 1e-12
         assert np.max(np.abs(u @ u.conj().T - np.eye(36))) < 1e-12
 
@@ -90,7 +148,9 @@ def test_thermal_state_vacuum_and_mean():
 
 
 def test_thermal_state_truncation_warning_and_leakage():
-    assert abs(fk.thermal_leakage(10.0, 16) - THERMAL10_LEAKAGE_16) < 1e-15
+    with pytest.warns(fk.TruncationWarning):
+        kept = fk.thermal_weights(10.0, 16, renormalize=False)
+    assert abs((1.0 - kept.sum()) - THERMAL10_LEAKAGE_16) < 1e-15
     with pytest.warns(fk.TruncationWarning):
         fk.thermal_state(10.0, 16)
     with warnings.catch_warnings():
@@ -175,6 +235,40 @@ def test_linear_channel_moments_match_gaussian():
         assert np.max(np.abs(cov - ref.cov)) < 1e-4
 
 
+def test_linear_channel_vacuum_gives_thermal_state():
+    # Vacuum through the storage channel is the thermal state with the added
+    # noise N = c2^2 N_in + f2^2 N_th; the truncated amplifier keeps the
+    # untruncated weights below the cutoff, so the renormalized thermal state
+    # differs only by the trace it reports lost.
+    d = 12
+    vac = np.zeros((d * d, d * d), dtype=complex)
+    vac[0, 0] = 1.0
+    for x, y, n_in, n_th in ((0.1, 0.3, 1.0, 5.0), (0.01, 0.1, 0.5, 0.3), (0.05, 0.6, 0.0, 20.0)):
+        coeffs = ga.channel_coefficients(x, y)
+        out = fk.linear_channel_apply(fk.FockDensityMatrix((d, d), vac), coeffs, n_in, n_th)
+        n_add = coeffs.c2_mag**2 * n_in + coeffs.f2**2 * n_th
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fk.TruncationWarning)
+            thermal = fk.thermal_state(n_add, d).data
+            untruncated = np.diag(fk.thermal_weights(n_add, d, renormalize=False))
+        vac_c = np.zeros((d, d))
+        vac_c[0, 0] = 1.0
+        lost = fk.truncation_error(out)
+        assert np.max(np.abs(out.data - np.kron(thermal, vac_c))) <= lost + 1e-15
+        assert np.max(np.abs(out.data - np.kron(untruncated, vac_c))) < 1e-15
+        assert lost >= 1.0 - out.trace
+
+
+def test_linear_channel_matches_beam_splitter_cascade(monkeypatch):
+    # The cascade approximates the same channel with truncated environments;
+    # at the regression configuration it sits 6.8e-7 below the exact channel.
+    config = pr.ProtocolConfig(**FOCK_BASE)
+    exact = pr.run_fock_protocol(config).concurrence
+    monkeypatch.setattr(fk, "linear_channel_apply", cascade_linear_channel)
+    cascade = pr.run_fock_protocol(config).concurrence
+    assert abs(exact - cascade) < 1e-6
+
+
 def test_linear_channel_rejects_closure_violation():
     broken = ga.ChannelCoefficients(x=0.0, y=0.1, c1=0.9, c2_mag=0.9, f1=0.9, f2=0.9)
     rho = fk.single_photon_entangled_input(0.0, (8, 8))
@@ -188,19 +282,43 @@ def test_phase_noise_average_zero_variance_is_identity():
 
 
 def test_phase_noise_average_adds_momentum_variance():
-    # On a (small) coherent state the average adds exactly `variance` to <P^2>
-    # (Gauss-Hermite is exact for second moments); 32 levels keep the kicked
-    # states far from the cutoff.
+    # On a (small) coherent state the average adds exactly `variance` to <P^2>;
+    # 32 levels keep the kicked states far from the cutoff.
     d = fk.displacement_matrix(0.3, 32)
     ket = np.kron(d[:, 0], np.eye(4)[0])
     rho = fk.FockDensityMatrix((32, 4), np.outer(ket, ket.conj()))
-    noisy = fk.phase_noise_average(rho, 0.8, mode=0, n_nodes=21)
+    noisy = fk.phase_noise_average(rho, 0.8, mode=0)
     _, cov0 = fk.quadrature_moments(rho)
     mean1, cov1 = fk.quadrature_moments(noisy)
     assert abs((cov1[1, 1] - cov0[1, 1]) - 0.8) < 1e-6
     assert abs(cov1[0, 0] - cov0[0, 0]) < 1e-6
     assert abs(mean1[0] - 0.3 * math.sqrt(2)) < 1e-6
     assert abs(noisy.trace - 1.0) < 1e-8
+
+
+def test_phase_noise_kernel_matches_quadrature():
+    # The eigenbasis kernel is the exact Gaussian average of the truncated
+    # displacements, so an 81-node Gauss-Hermite average of them agrees.
+    rng = np.random.default_rng(11)
+    dims = (10, 3)
+    ket = rng.normal(size=30) + 1j * rng.normal(size=30)
+    ket /= np.linalg.norm(ket)
+    rho = fk.FockDensityMatrix(dims, np.outer(ket, ket.conj()))
+    variance = 0.7
+    nodes, weights = np.polynomial.hermite.hermgauss(81)
+    weights = weights / math.sqrt(math.pi)
+    for mode in (0, 1):
+        d = dims[mode]
+        r4 = rho.data.reshape(dims * 2)
+        avg = np.zeros_like(r4)
+        for t, w in zip(nodes, weights):
+            disp = fk.displacement_matrix(1j * math.sqrt(variance) * t, d)
+            if mode == 0:
+                avg += w * np.einsum("ab,bcde,fd->acfe", disp, r4, disp.conj())
+            else:
+                avg += w * np.einsum("ab,cbed,fd->caef", disp, r4, disp.conj())
+        exact = fk.phase_noise_average(rho, variance, mode=mode)
+        assert np.max(np.abs(exact.data - avg.reshape(30, 30))) < 1e-12
 
 
 def test_phase_noise_average_mixes_pure_states():
@@ -319,3 +437,14 @@ def test_density_matrix_validation():
     bad[0, 1] = 0.5  # not Hermitian
     with pytest.raises(ValueError):
         fk.FockDensityMatrix((4, 4), bad)
+
+
+def test_import_does_not_load_scipy():
+    # A fresh interpreter, pointed at the package under test, imports NumPy only.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, micromacro; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"

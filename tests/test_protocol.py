@@ -16,8 +16,9 @@ EN_DEFAULT_PROPAGATED = 0.11930577440575094
 EN_DEFAULT_LITERAL = 0.08653035316830768
 NOMINAL_RESIDUAL_DEFAULT = 20.584158415841586
 FOCK_BASE = dict(engine="fock", N_th=0.3, sigma=0.0, eta_c=1.0)
-FOCK_BASE_CONCURRENCE = 0.7021971910755308
-FOCK_BASE_PROJECTION = 0.9925549052711509
+# Converged in the cutoff: the same to 16 digits at 12, 16 and 24 levels.
+FOCK_BASE_CONCURRENCE = 0.7021978740339806
+FOCK_BASE_PROJECTION = 0.9925585247989921
 
 IDEAL = dict(
     N_D=0.0, y=1e-9, x=0.0, N_in=0.0, N_th=0.0, sigma=0.0,
@@ -35,18 +36,9 @@ def test_config_defaults_and_validation():
         dict(r=-1.0), dict(N_D=-1.0), dict(y=0.0), dict(y=1.2), dict(x=-0.1),
         dict(N_in=-1.0), dict(sigma=-0.1), dict(eta1=1.5), dict(engine="other"),
         dict(phase_noise_convention="guess"), dict(fock_dims=1),
-        dict(quadrature_nodes=4), dict(quadrature_nodes=1),
     ):
         with pytest.raises(ValueError):
             pr.ProtocolConfig(**bad)
-
-
-def test_fock_engine_thermal_truncation_guard():
-    with pytest.raises(ValueError):
-        pr.ProtocolConfig(engine="fock", N_th=10.0)
-    config = pr.ProtocolConfig(engine="fock", N_th=10.0, fock_truncation_override=True)
-    assert config.N_th == 10.0
-    pr.ProtocolConfig(engine="fock", N_th=0.5)  # at the limit, no override needed
 
 
 def test_config_mapping_round_trip():
@@ -56,9 +48,6 @@ def test_config_mapping_round_trip():
     assert rebuilt == config
     with pytest.raises(KeyError):
         pr.config_from_mapping({"unknown_field": "1"})
-    assert pr.config_from_mapping({"fock_truncation_override": "true"}).fock_truncation_override
-    with pytest.raises(ValueError):
-        pr.config_from_mapping({"fock_truncation_override": "maybe"})
 
 
 def test_phase_noise_amplitude_conventions():
@@ -125,7 +114,7 @@ def test_fock_pipeline_regression_and_leakage():
     result = pr.run_fock_protocol(config)
     assert abs(result.concurrence - FOCK_BASE_CONCURRENCE) < 1e-12
     assert abs(result.projection_probability - FOCK_BASE_PROJECTION) < 1e-12
-    assert abs(result.leakage - (0.3 / 1.3) ** 16) < 1e-20
+    assert abs(result.leakage) < 1e-14
 
 
 def test_fock_ideal_concurrence():
@@ -148,17 +137,21 @@ def test_fock_concurrence_non_increasing_in_sigma():
     values = []
     for sigma in (0.0, 0.002, 0.005, 0.01):
         probe = dataclasses.replace(config, sigma=sigma)
-        values.append(pr.run_fock_protocol(probe, check_convergence=False).concurrence)
+        values.append(pr.run_fock_protocol(probe).concurrence)
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), values
 
 
 def test_fock_convergence_warning_fires_past_validity():
-    # Far past the threshold the kicked states leave the truncated space and
-    # the node-count cross-check must flag the average as unconverged.
+    # Far past the threshold the kicked states reach the cutoff: mode A holds
+    # 0.062 of its weight in the top level, reported as a TruncationWarning.
     config = pr.ProtocolConfig(**FOCK_BASE)
     config = dataclasses.replace(config, sigma=0.05, N_D=10000.0)
-    with pytest.warns(fk.QuadratureConvergenceWarning):
-        pr.run_fock_protocol(config)
+    with pytest.warns(fk.TruncationWarning):
+        result = pr.run_fock_protocol(config)
+    assert 0.05 < result.leakage < 0.08
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pr.run_fock_protocol(dataclasses.replace(config, sigma=0.005))
 
 
 def test_entanglement_metric_dispatch():

@@ -91,19 +91,20 @@ def test_run_sweep_deterministic_across_workers():
 def test_run_sweep_reports_failing_coordinates():
     spec = sw.SweepSpec(
         base=pr.ProtocolConfig(engine="fock", N_th=0.3, sigma=0.0, eta_c=1.0),
-        axis1=sw.AxisSpec("N_th", (0.1, 5.0)),  # 5.0 trips the truncation guard
+        axis1=sw.AxisSpec("fock_dims", (1.0, 8.0)),  # one level is rejected
     )
-    with pytest.raises(RuntimeError, match="N_th=5"):
+    with pytest.raises(RuntimeError, match="fock_dims=1"):
         sw.run_sweep(spec)
 
 
 def test_run_sweep_collects_truncation_warnings():
     spec = sw.SweepSpec(
+        # A hot bath: the storage channel's amplifier pushes 0.81 of the
+        # trace past the cutoff at y = 0.5.
         base=pr.ProtocolConfig(
-            engine="fock", N_th=10.0, sigma=0.0, eta_c=1.0,
-            fock_truncation_override=True,
+            engine="fock", N_th=1000.0, x=0.1, sigma=0.0, eta_c=1.0,
         ),
-        axis1=sw.AxisSpec("y", (0.1, 0.2)),
+        axis1=sw.AxisSpec("y", (0.1, 0.5)),
     )
     csv_text, sidecar = sw.run_sweep(spec)
     assert len(csv_text.splitlines()) == 3
@@ -169,7 +170,6 @@ def test_preset_figA1_structure():
     spec = sw.preset("figA1")
     assert spec.base.engine == "fock"
     assert spec.base.eta_c == 1.0
-    assert spec.base.fock_truncation_override
     assert spec.axis1.parameter == "N_D"
     assert spec.series.values == (0.005, 0.01, 0.02)
 
@@ -246,9 +246,9 @@ def test_cli_sweep_writes_sidecar_log(tmp_path):
     out = tmp_path / "fock.csv"
     code = cli.main([
         "sweep", "--config", "/dev/null",
-        "--set", "engine=fock", "--set", "N_th=10", "--set", "sigma=0",
-        "--set", "fock_truncation_override=true", "--set", "eta_c=1.0",
-        "--set", "axis1=y", "--set", "axis1_values=0.1",
+        "--set", "engine=fock", "--set", "N_th=1000", "--set", "x=0.1",
+        "--set", "sigma=0", "--set", "eta_c=1.0",
+        "--set", "axis1=y", "--set", "axis1_values=0.5",
         "--out", str(out),
     ])
     assert code == 0
