@@ -1,14 +1,14 @@
 """Truncated Fock-space engine for the single-photon-level description.
 
 Works with explicit density matrices on a photon-number basis truncated at
-n_max = n_levels - 1 per mode (default 16 levels).  Every channel is an exact
-single-mode map in the Fock basis: photon loss and quantum-limited
-amplification as Kraus sums, Gaussian dephasing as an elementwise kernel in
-the eigenbasis of the truncated X quadrature.  Loss and dephasing preserve the
-trace at any cutoff; the amplifier drops the weight it pushes past the
-cutoff, so the trace of its output measures the truncation.  Mode ordering
-for two-mode states is (A, C) with A the mode that enters the mechanical
-channel.
+n_max = n_levels - 1 per mode (default 16 levels).  Every channel acts on one
+mode: photon loss and quantum-limited amplification as photon-shift Kraus
+sums, whose Kraus operators each move the photon number by a fixed k, and
+Gaussian dephasing as an elementwise kernel in the eigenbasis of the
+truncated X quadrature.  Loss and dephasing preserve the trace at any cutoff;
+the amplifier drops the weight it pushes past the cutoff, so the trace of its
+output measures the truncation.  Mode ordering for two-mode states is (A, C)
+with A the mode that enters the mechanical channel.
 """
 
 from __future__ import annotations
@@ -183,51 +183,49 @@ def single_photon_entangled_input(alpha, dims):
     """
     da, dc = dims
     d = displacement_matrix(alpha, da) if alpha != 0 else np.eye(da, dtype=complex)
-    one = np.zeros(da, dtype=complex)
-    one[1] = 1.0
-    zero = np.zeros(da, dtype=complex)
-    zero[0] = 1.0
-    c0 = np.zeros(dc, dtype=complex)
-    c0[0] = 1.0
-    c1 = np.zeros(dc, dtype=complex)
-    c1[1] = 1.0
-    vec = (np.kron(d @ one, c0) + np.kron(d @ zero, c1)) / math.sqrt(2.0)
+    c = np.eye(dc)
+    # D|1>_A |0>_C + D|0>_A |1>_C, with D|n> the n-th column of D
+    vec = (np.kron(d[:, 1], c[0]) + np.kron(d[:, 0], c[1])) / math.sqrt(2.0)
     return FockDensityMatrix(dims, np.outer(vec, vec.conj()))
 
 
 def _as_tensor(rho):
-    da, dc = rho.dims
-    return rho.data.reshape(da, dc, da, dc)
+    return rho.data.reshape(rho.dims * 2)
 
 
-def _apply_kraus(rho, kraus, mode):
-    """Apply rho -> sum_k K_k rho K_k^dag on one mode, with K_k = kraus[k].
+def _on_mode(rho, mode, fn):
+    """Apply `fn` to one mode of a two-mode state and wrap the result.
 
-    A stack of one matrix conjugates the mode by that matrix.
+    `fn` receives the state as a (d_other, d_other, d, d) array, the mode's
+    row and column axes last, and returns an array of the same shape.
     """
-    r4 = _as_tensor(rho)
-    if mode == 0:
-        out = np.einsum("kab,bcde,kfd->acfe", kraus, r4, kraus.conj(), optimize=True)
-    elif mode == 1:
-        out = np.einsum("kab,cbed,kfd->caef", kraus, r4, kraus.conj(), optimize=True)
-    else:
+    if mode not in (0, 1):
         raise ValueError(f"mode index {mode} out of range for a two-mode state")
-    n = rho.data.shape[0]
-    return FockDensityMatrix(rho.dims, out.reshape(n, n))
+    t = np.moveaxis(_as_tensor(rho), (mode, mode + 2), (2, 3))
+    out = np.moveaxis(fn(t), (2, 3), (mode, mode + 2))
+    return FockDensityMatrix(rho.dims, out.reshape(rho.data.shape))
 
 
-def _amplifier_kraus(gain, n_levels):
-    """Quantum-limited amplifier Kraus stack, truncated to n_levels.
+def _shift_kraus_sum(t, step, term):
+    """sum_k K_k t K_k^dag on the last two axes for photon-shift Kraus operators.
 
-    <m+k|A_k|m> = sqrt(C(m+k, k)) ((G-1)/G)^{k/2} G^{-(m+1)/2}; entries that
-    would land past the cutoff are dropped, so the map loses trace there.
+    K_k moves |m + k> to |m> (step -1) or |m> to |m + k> (step +1) with
+    amplitude sqrt(C(m+k, k) term(k, m)).  Each K_k is a single off-diagonal,
+    so its term is one scaled slice of `t`; shifts past the cutoff are dropped.
     """
-    ratio = (gain - 1.0) / gain
-    kraus = np.zeros((n_levels, n_levels, n_levels))
-    for k in range(n_levels):
-        for m in range(n_levels - k):
-            kraus[k, m + k, m] = math.sqrt(math.comb(m + k, k) * ratio**k * gain ** -(m + 1))
-    return kraus
+    d = t.shape[-1]
+    out = np.zeros_like(t)
+    for k in range(d):
+        w = np.array([math.sqrt(math.comb(m + k, k) * term(k, m)) for m in range(d - k)])
+        lo, hi = slice(0, d - k), slice(k, d)
+        src, dst = (hi, lo) if step < 0 else (lo, hi)
+        out[..., dst, dst] += np.multiply.outer(w, w) * t[..., src, src]
+    return out
+
+
+def _loss(t, eta):
+    """Photon loss with transmission eta on the last two axes of `t`."""
+    return _shift_kraus_sum(t, -1, lambda k, m: eta**m * (1.0 - eta) ** k)
 
 
 def linear_channel_apply(rho, coeffs, n_initial, n_bath):
@@ -240,22 +238,28 @@ def linear_channel_apply(rho, coeffs, n_initial, n_bath):
     a -> -a followed by a thermal attenuator with transmission c1^2 and
     N_add = c2^2 n_initial + f2^2 n_bath added photons, as in the gaussian
     engine.  The attenuator is pure loss with transmission c1^2 / G followed
-    by a quantum-limited amplifier of gain G = 1 + N_add (Caruso, Giovannetti
-    & Holevo, NJP 8, 310 (2006); Ivan, Sabapathy & Simon, PRA 84, 042311
-    (2011)), both exact Kraus maps.  The amplifier drops the weight it pushes
-    past the cutoff, so 1 - trace of the result is that truncation error.
+    by a quantum-limited amplifier of gain G = 1 + N_add, <m+k|A_k|m> =
+    sqrt(C(m+k, k)) ((G-1)/G)^{k/2} G^{-(m+1)/2} (Caruso, Giovannetti & Holevo,
+    NJP 8, 310 (2006); Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)).  The
+    amplifier drops the weight it pushes past the cutoff, so 1 - trace of the
+    result is that truncation error.
     """
     if coeffs.closure_defect > 1e-10:
         raise ValueError(f"channel coefficients violate closure by {coeffs.closure_defect}")
     if n_initial < 0 or n_bath < 0:
         raise ValueError("thermal occupations must be >= 0")
-    d = rho.dims[0]
     gain = 1.0 + coeffs.c2_mag**2 * n_initial + coeffs.f2**2 * n_bath
-    out = _apply_kraus(rho, np.diag((-1.0) ** np.arange(d))[None], 0)
-    out = pure_loss_channel(out, 0, coeffs.c1**2 / gain)
-    if gain > 1.0:
-        out = _apply_kraus(out, _amplifier_kraus(gain, d), 0)
-    return out
+    ratio = (gain - 1.0) / gain
+
+    def storage(t):
+        n = np.arange(t.shape[-1])
+        t = t * (-1.0) ** np.add.outer(n, n)  # the parity flip a -> -a
+        t = _loss(t, coeffs.c1**2 / gain)
+        if gain > 1.0:
+            t = _shift_kraus_sum(t, +1, lambda k, m: ratio**k * gain ** -(m + 1))
+        return t
+
+    return _on_mode(rho, 0, storage)
 
 
 def pure_loss_channel(rho, mode, eta):
@@ -268,12 +272,7 @@ def pure_loss_channel(rho, mode, eta):
         raise ValueError(f"transmission eta={eta} outside [0, 1]")
     if eta == 1.0:
         return rho
-    d = rho.dims[mode]
-    kraus = np.zeros((d, d, d))
-    for k in range(d):
-        for n in range(k, d):
-            kraus[k, n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
-    return _apply_kraus(rho, kraus, mode)
+    return _on_mode(rho, mode, lambda t: _loss(t, eta))
 
 
 def phase_noise_average(rho, variance, mode=0):
@@ -291,15 +290,13 @@ def phase_noise_average(rho, variance, mode=0):
         raise ValueError(f"variance {variance} must be >= 0")
     if variance == 0.0:
         return rho
-    x, v = position_eigensystem(rho.dims[mode])
-    kernel = np.exp(-0.5 * variance * np.subtract.outer(x, x) ** 2)
-    r4 = _as_tensor(_apply_kraus(rho, v.T[None], mode))
-    if mode == 0:
-        r4 = r4 * kernel[:, None, :, None]
-    else:
-        r4 = r4 * kernel[None, :, None, :]
-    n = rho.data.shape[0]
-    return _apply_kraus(FockDensityMatrix(rho.dims, r4.reshape(n, n)), v[None], mode)
+
+    def dephase(t):
+        x, v = position_eigensystem(t.shape[-1])
+        kernel = np.exp(-0.5 * variance * np.subtract.outer(x, x) ** 2)
+        return v @ ((v.T @ t @ v) * kernel) @ v.T
+
+    return _on_mode(rho, mode, dephase)
 
 
 def truncation_error(rho):
@@ -355,17 +352,13 @@ def quadrature_moments(rho):
     1/2), ordering (X_A, P_A, X_C, P_C) — directly comparable with the
     Gaussian engine.
     """
-    da, dc = rho.dims
     ops = []
-    for mode, d in ((0, da), (1, dc)):
-        a = annihilation_matrix(d)
-        x = (a + a.conj().T) / math.sqrt(2.0)
-        p = -1j * (a - a.conj().T) / math.sqrt(2.0)
-        for op in (x, p):
-            if mode == 0:
-                ops.append(np.kron(op, np.eye(dc)))
-            else:
-                ops.append(np.kron(np.eye(da), op))
+    for mode in (0, 1):
+        a = annihilation_matrix(rho.dims[mode])
+        for op in ((a + a.T) / math.sqrt(2.0), -1j * (a - a.T) / math.sqrt(2.0)):
+            factors = [np.eye(d) for d in rho.dims]
+            factors[mode] = op
+            ops.append(np.kron(*factors))
     mean = np.array([np.real(np.trace(rho.data @ o)) for o in ops])
     cov = np.zeros((4, 4))
     for i in range(4):

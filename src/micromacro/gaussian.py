@@ -22,12 +22,13 @@ VACUUM_VARIANCE = 0.5
 SYMMETRY_TOL = 1e-12
 RADICAND_CLAMP = 1e-9
 
-_MODE_INDEX = {"A": 0, "C": 1}
+# each mode's (own, other) slices of the (X_A, P_A, X_C, P_C) ordering
+_MODE_SLICES = {"A": (slice(0, 2), slice(2, 4)), "C": (slice(2, 4), slice(0, 2))}
 
 
-def _mode_index(mode):
+def _mode_slices(mode):
     try:
-        return _MODE_INDEX[mode]
+        return _MODE_SLICES[mode]
     except KeyError:
         raise ValueError(f"unknown mode {mode!r}, expected 'A' or 'C'") from None
 
@@ -97,12 +98,25 @@ def displace(state, mode, alpha):
     Shifts the mean of the chosen mode by (sqrt(2) Re alpha, sqrt(2) Im alpha)
     and leaves the covariance matrix untouched.
     """
-    i = 2 * _mode_index(mode)
+    x = _mode_slices(mode)[0].start  # the mode's X quadrature, P follows it
     alpha = complex(alpha)
     mean = state.mean.copy()
-    mean[i] += math.sqrt(2.0) * alpha.real
-    mean[i + 1] += math.sqrt(2.0) * alpha.imag
+    mean[x] += math.sqrt(2.0) * alpha.real
+    mean[x + 1] += math.sqrt(2.0) * alpha.imag
     return GaussianTwoModeState(mean, state.cov)
+
+
+def _update_mode(state, mode, amplitude, power, noise):
+    """One mode's mean and cross-blocks scale by `amplitude`; its own 2x2
+    block maps to power * block + noise."""
+    own, other = _mode_slices(mode)
+    mean = state.mean.copy()
+    mean[own] *= amplitude
+    cov = state.cov.copy()
+    cov[own, own] = power * cov[own, own] + noise
+    cov[own, other] *= amplitude
+    cov[other, own] *= amplitude
+    return GaussianTwoModeState(mean, cov)
 
 
 def component_variance(n, n_displaced):
@@ -130,18 +144,8 @@ def loss_channel(state, mode, eta):
         raise ValueError(f"transmission eta={eta} outside [0, 1]")
     if eta == 1.0:
         return state
-    i = 2 * _mode_index(mode)
-    j = 2 - i  # the other mode's offset
-    root = math.sqrt(eta)
-    mean = state.mean.copy()
-    mean[i : i + 2] *= root
-    cov = state.cov.copy()
-    cov[i : i + 2, i : i + 2] = eta * cov[i : i + 2, i : i + 2] + (1.0 - eta) * (
-        VACUUM_VARIANCE * np.eye(2)
-    )
-    cov[i : i + 2, j : j + 2] *= root
-    cov[j : j + 2, i : i + 2] *= root
-    return GaussianTwoModeState(mean, cov)
+    noise = (1.0 - eta) * (VACUUM_VARIANCE * np.eye(2))
+    return _update_mode(state, mode, math.sqrt(eta), eta, noise)
 
 
 @dataclass(frozen=True)
@@ -235,21 +239,13 @@ def storage_retrieval_channel(state, coeffs, n_initial, n_bath, mode="A"):
         raise ValueError("thermal occupations must be >= 0")
     if coeffs.closure_defect > 1e-10:
         raise ValueError(f"channel coefficients violate closure by {coeffs.closure_defect}")
-    i = 2 * _mode_index(mode)
-    j = 2 - i
     c1 = coeffs.c1
     added = (
         coeffs.c2_mag**2 * (n_initial + VACUUM_VARIANCE)
         + coeffs.f1**2 * VACUUM_VARIANCE
         + coeffs.f2**2 * (n_bath + VACUUM_VARIANCE)
     )
-    mean = state.mean.copy()
-    mean[i : i + 2] *= -c1
-    cov = state.cov.copy()
-    cov[i : i + 2, i : i + 2] = c1 * c1 * cov[i : i + 2, i : i + 2] + added * np.eye(2)
-    cov[i : i + 2, j : j + 2] *= -c1
-    cov[j : j + 2, i : i + 2] *= -c1
-    return GaussianTwoModeState(mean, cov)
+    return _update_mode(state, mode, -c1, c1 * c1, added * np.eye(2))
 
 
 def phase_noise(state, sigma, amp_sq, mode="A"):
@@ -268,7 +264,7 @@ def phase_noise(state, sigma, amp_sq, mode="A"):
     added = 2.0 * amp_sq * sigma * sigma
     if added == 0.0:
         return state
-    p = 2 * _mode_index(mode) + 1
+    p = _mode_slices(mode)[0].start + 1  # the mode's P quadrature
     cov = state.cov.copy()
     cov[p, p] += added
     return GaussianTwoModeState(state.mean, cov)

@@ -112,8 +112,16 @@ class ProtocolConfig:
                 f"phase_noise_convention {self.phase_noise_convention!r} "
                 f"not one of {PHASE_NOISE_CONVENTIONS}"
             )
+        object.__setattr__(self, "fock_dims", _integer("fock_dims", self.fock_dims))
         if self.fock_dims < 2:
             raise ValueError(f"fock_dims={self.fock_dims} must be >= 2")
+
+
+def _integer(name, value):
+    """`value` as an int; ValueError if it is not integral."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name}={value} must be an integer")
+    return int(value)
 
 
 _FLOAT_FIELDS = (

@@ -35,7 +35,10 @@ class AxisSpec:
             raise ValueError(
                 f"parameter {self.parameter!r} is not a sweepable config field"
             )
-        values = tuple(float(v) for v in self.values)
+        if self.parameter in pr._INT_FIELDS:
+            values = tuple(pr._integer(self.parameter, v) for v in self.values)
+        else:
+            values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError(f"axis {self.parameter!r} has an empty grid")
         if any(b <= a for a, b in zip(values, values[1:])):

@@ -4,7 +4,8 @@ The covariance-matrix engine serves as the independent oracle for every
 channel: any Gaussian operation realized here on number-basis density
 matrices must reproduce its first and second quadrature moments.  The
 storage channel is also checked against the three-beam-splitter cascade it
-replaced, kept below as a test-only reference.
+replaced, and the photon-shift Kraus sums against the dense (d, d, d) Kraus
+stacks they replaced; both are kept below as test-only references.
 """
 
 import math
@@ -79,6 +80,49 @@ def cascade_linear_channel(rho, coeffs, n_initial, n_bath, env_levels=None):
         r4 = np.einsum("afbd,bcde->acfe", t, r4, optimize=True)
     n = rho.data.shape[0]
     return fk.FockDensityMatrix(rho.dims, r4.reshape(n, n))
+
+
+def kraus_stack_apply(rho, kraus, mode):
+    """rho -> sum_k K_k rho K_k^dag on one mode, contracting the dense stack kraus[k]."""
+    r4 = rho.data.reshape(rho.dims * 2)
+    if mode == 0:
+        out = np.einsum("kab,bcde,kfd->acfe", kraus, r4, kraus.conj(), optimize=True)
+    else:
+        out = np.einsum("kab,cbed,kfd->caef", kraus, r4, kraus.conj(), optimize=True)
+    return fk.FockDensityMatrix(rho.dims, out.reshape(rho.data.shape))
+
+
+def loss_kraus_stack(eta, d):
+    """<n-k|K_k|n> = sqrt(C(n,k) eta^{n-k} (1-eta)^k) as a dense (d, d, d) stack."""
+    kraus = np.zeros((d, d, d))
+    for k in range(d):
+        for n in range(k, d):
+            kraus[k, n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+    return kraus
+
+
+def dense_linear_channel(rho, coeffs, n_initial, n_bath):
+    """The storage channel from dense Kraus stacks: parity flip, loss c1^2/G,
+    then the amplifier <m+k|A_k|m> = sqrt(C(m+k, k)) ((G-1)/G)^{k/2} G^{-(m+1)/2}."""
+    d = rho.dims[0]
+    gain = 1.0 + coeffs.c2_mag**2 * n_initial + coeffs.f2**2 * n_bath
+    ratio = (gain - 1.0) / gain
+    amplifier = np.zeros((d, d, d))
+    for k in range(d):
+        for m in range(d - k):
+            amplifier[k, m + k, m] = math.sqrt(math.comb(m + k, k) * ratio**k * gain ** -(m + 1))
+    out = kraus_stack_apply(rho, np.diag((-1.0) ** np.arange(d))[None], 0)
+    out = kraus_stack_apply(out, loss_kraus_stack(coeffs.c1**2 / gain, d), 0)
+    return kraus_stack_apply(out, amplifier, 0)
+
+
+def random_state(dims, seed):
+    """A full-rank random density matrix on the given dims."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(dims))
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = g @ g.conj().T
+    return fk.FockDensityMatrix(dims, rho / np.trace(rho).real)
 
 
 def test_annihilation_matrix_entries():
@@ -267,6 +311,53 @@ def test_linear_channel_matches_beam_splitter_cascade(monkeypatch):
     monkeypatch.setattr(fk, "linear_channel_apply", cascade_linear_channel)
     cascade = pr.run_fock_protocol(config).concurrence
     assert abs(exact - cascade) < 1e-6
+
+
+@pytest.mark.parametrize("dims", [(5, 7), (7, 5)], ids=["5x7", "7x5"])
+def test_channels_match_dense_kraus_stacks_on_non_square_dims(dims):
+    # Unequal cutoffs catch a mix-up of the two modes' axes.
+    rho = random_state(dims, seed=31)
+    for mode in (0, 1):
+        for eta in (0.0, 0.35, 0.9):
+            exact = fk.pure_loss_channel(rho, mode, eta)
+            reference = kraus_stack_apply(rho, loss_kraus_stack(eta, dims[mode]), mode)
+            assert np.max(np.abs(exact.data - reference.data)) < 1e-13, (mode, eta)
+    for x, y, n_in, n_th in ((0.01, 0.1, 1.0, 0.3), (0.1, 0.5, 0.0, 2.0), (0.0, 0.3, 0.0, 0.0)):
+        coeffs = ga.channel_coefficients(x, y)
+        exact = fk.linear_channel_apply(rho, coeffs, n_in, n_th)
+        reference = dense_linear_channel(rho, coeffs, n_in, n_th)
+        assert np.max(np.abs(exact.data - reference.data)) < 1e-13, (x, y, n_in, n_th)
+
+
+@pytest.mark.parametrize("mode", [2, -1])
+def test_channels_reject_bad_mode(mode):
+    rho = fk.single_photon_entangled_input(0.0, (6, 6))
+    with pytest.raises(ValueError, match="mode index"):
+        fk.pure_loss_channel(rho, mode, 0.5)
+    with pytest.raises(ValueError, match="mode index"):
+        fk.phase_noise_average(rho, 0.5, mode=mode)
+
+
+def test_each_channel_builds_one_density_matrix(monkeypatch):
+    built = []
+    original = fk.FockDensityMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(fk.FockDensityMatrix, "__post_init__", counting)
+    rho = random_state((6, 6), seed=3)
+    coeffs = ga.channel_coefficients(0.01, 0.1)
+    calls = (
+        lambda: fk.pure_loss_channel(rho, 1, 0.5),
+        lambda: fk.linear_channel_apply(rho, coeffs, 1.0, 0.3),
+        lambda: fk.phase_noise_average(rho, 0.5, mode=0),
+    )
+    for call in calls:
+        built.clear()
+        call()
+        assert len(built) == 1
 
 
 def test_linear_channel_rejects_closure_violation():

@@ -35,10 +35,11 @@ def test_config_defaults_and_validation():
     for bad in (
         dict(r=-1.0), dict(N_D=-1.0), dict(y=0.0), dict(y=1.2), dict(x=-0.1),
         dict(N_in=-1.0), dict(sigma=-0.1), dict(eta1=1.5), dict(engine="other"),
-        dict(phase_noise_convention="guess"), dict(fock_dims=1),
+        dict(phase_noise_convention="guess"), dict(fock_dims=1), dict(fock_dims=8.5),
     ):
         with pytest.raises(ValueError):
             pr.ProtocolConfig(**bad)
+    assert type(pr.ProtocolConfig(fock_dims=12.0).fock_dims) is int
 
 
 def test_config_mapping_round_trip():

@@ -1,6 +1,7 @@
 """Tests for the sweep engine, figure presets, config parsing and the CLI."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from micromacro import cli
 from micromacro import protocol as pr
 from micromacro import sweep as sw
+
+DATA = Path(__file__).parent / "data"
+FOCK_BASE = dict(engine="fock", N_th=0.3, sigma=0.0, eta_c=1.0)
 
 
 def test_axis_spec_validation():
@@ -21,6 +25,11 @@ def test_axis_spec_validation():
         sw.AxisSpec("y", (0.2, 0.2))
     axis = sw.AxisSpec("y", [0.1, 0.5])
     assert axis.values == (0.1, 0.5)
+    with pytest.raises(ValueError, match="integer"):
+        sw.AxisSpec("fock_dims", (8, 8.5))
+    axis = sw.AxisSpec("fock_dims", (8.0, 12))
+    assert axis.values == (8, 12)
+    assert all(type(v) is int for v in axis.values)
 
 
 def test_grids():
@@ -95,6 +104,33 @@ def test_run_sweep_reports_failing_coordinates():
     )
     with pytest.raises(RuntimeError, match="fock_dims=1"):
         sw.run_sweep(spec)
+
+
+def test_run_sweep_over_fock_cutoff_converges():
+    # FOCK_BASE has converged by 8 levels: every cutoff prints the same
+    # 12-digit concurrence (the values agree to ~3e-14 from 8 to 24 levels).
+    spec = sw.SweepSpec(
+        base=pr.ProtocolConfig(**FOCK_BASE),
+        axis1=sw.AxisSpec("fock_dims", (8, 12, 16)),
+    )
+    csv_text, sidecar = sw.run_sweep(spec)
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    assert rows[0] == ["fock_dims", "concurrence"]
+    assert [row[0] for row in rows[1:]] == ["8", "12", "16"]
+    assert len({row[1] for row in rows[1:]}) == 1, rows
+    assert sidecar == ()
+
+
+def test_cli_sweep_over_fock_cutoff(tmp_path):
+    out = tmp_path / "cutoff.csv"
+    code = cli.main([
+        "sweep", "--config", "/dev/null",
+        "--set", "engine=fock", "--set", "axis1=fock_dims", "--set", "axis1_values=8,12",
+        "--out", str(out),
+    ])
+    assert code == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in lines] == ["fock_dims", "8", "12"]
 
 
 def test_run_sweep_collects_truncation_warnings():
@@ -172,6 +208,24 @@ def test_preset_figA1_structure():
     assert spec.base.eta_c == 1.0
     assert spec.axis1.parameter == "N_D"
     assert spec.series.values == (0.005, 0.01, 0.02)
+
+
+def _csv_cells(lines):
+    return np.array([[float(cell) for cell in line.split(",")] for line in lines])
+
+
+@pytest.mark.filterwarnings("ignore::micromacro.fock.TruncationWarning")
+@pytest.mark.parametrize("name", sw.PRESET_NAMES)
+def test_preset_output_matches_pinned_csv(name):
+    # tests/data holds `micromacro sweep --preset NAME` output.  The header
+    # must match as text; axis and metric cells within 1e-10 relative, so that
+    # other NumPy/BLAS builds pass.
+    expected = (DATA / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+    csv_text, _ = sw.run_sweep(sw.preset(name))
+    lines = csv_text.splitlines()
+    assert lines[0] == expected[0]
+    assert len(lines) == len(expected)
+    np.testing.assert_allclose(_csv_cells(lines[1:]), _csv_cells(expected[1:]), rtol=1e-10, atol=0)
 
 
 def test_preset_unknown_name():
