@@ -265,15 +265,25 @@ def _selftest_cases():
         return f"concurrence {value:.9f}"
 
     def sweep_determinism():
-        spec = sw.SweepSpec(
+        # Gaussian sweeps run as one batch; Fock points go to the thread pool.
+        gaussian = sw.SweepSpec(
             base=pr.ProtocolConfig(),
             axis1=sw.AxisSpec("y", sw.linear_grid(0.05, 0.5, 5)),
             series=sw.AxisSpec("N_in", (0.0, 1.0)),
         )
-        serial, _ = sw.run_sweep(spec, workers=1)
-        parallel, _ = sw.run_sweep(spec, workers=4)
-        assert serial == parallel, "worker count changed the CSV"
-        return f"{len(serial.splitlines())} identical lines"
+        fock = sw.SweepSpec(
+            base=pr.ProtocolConfig(engine="fock", sigma=0.0, eta_c=1.0, fock_dims=6),
+            axis1=sw.AxisSpec("y", (0.1, 0.3)),
+            series=sw.AxisSpec("N_th", (0.3, 20.0)),
+        )
+        lines = 0
+        for spec in (gaussian, fock):
+            serial = sw.run_sweep(spec, workers=1)
+            for workers in (2, 8):
+                parallel = sw.run_sweep(spec, workers=workers)
+                assert parallel == serial, f"{workers} workers changed the CSV or sidecar"
+            lines += len(serial[0].splitlines())
+        return f"{lines} identical lines at 1, 2 and 8 workers"
 
     return (
         ("channel coefficient closure (1000 random points)", closure),

@@ -193,14 +193,18 @@ def _as_tensor(rho):
     return rho.data.reshape(rho.dims * 2)
 
 
+def _check_mode(mode):
+    if mode not in (0, 1):
+        raise ValueError(f"mode index {mode} out of range for a two-mode state")
+
+
 def _on_mode(rho, mode, fn):
     """Apply `fn` to one mode of a two-mode state and wrap the result.
 
     `fn` receives the state as a (d_other, d_other, d, d) array, the mode's
     row and column axes last, and returns an array of the same shape.
     """
-    if mode not in (0, 1):
-        raise ValueError(f"mode index {mode} out of range for a two-mode state")
+    _check_mode(mode)
     t = np.moveaxis(_as_tensor(rho), (mode, mode + 2), (2, 3))
     out = np.moveaxis(fn(t), (2, 3), (mode, mode + 2))
     return FockDensityMatrix(rho.dims, out.reshape(rho.data.shape))
@@ -270,6 +274,7 @@ def pure_loss_channel(rho, mode, eta):
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"transmission eta={eta} outside [0, 1]")
+    _check_mode(mode)
     if eta == 1.0:
         return rho
     return _on_mode(rho, mode, lambda t: _loss(t, eta))
@@ -288,6 +293,7 @@ def phase_noise_average(rho, variance, mode=0):
     """
     if variance < 0:
         raise ValueError(f"variance {variance} must be >= 0")
+    _check_mode(mode)
     if variance == 0.0:
         return rho
 

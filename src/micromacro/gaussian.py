@@ -7,6 +7,17 @@ vacuum variance is 1/2 and [X, P] = i.  A two-mode state is described by the
 mean vector (X_A, P_A, X_C, P_C) and the symmetrized 4x4 covariance matrix in
 the same ordering.  Mode A is the bright/stored mode, mode C is the companion
 mode that never enters the mechanical channel.
+
+Batches
+-------
+Every operation also acts on a batch of states: means of shape (..., 4) and
+covariances of shape (..., 4, 4), the leading axes being the batch shape.
+A per-point parameter is then one value for every point or an array of the
+batch shape.  The 4x4 arithmetic runs on the whole batch in NumPy with the
+same operations, in the same order, as for one state, so each point of a
+batch is bit-identical to the same point evaluated alone.  Per-point scalars
+that NumPy and the math module may round differently (sinh, powers, log)
+are computed point by point with the math module.
 """
 
 from __future__ import annotations
@@ -22,6 +33,17 @@ VACUUM_VARIANCE = 0.5
 SYMMETRY_TOL = 1e-12
 RADICAND_CLAMP = 1e-9
 
+# the two-mode squeezed vacuum's covariance is d * _TMSV_VARIANCES + c * _TMSV_CORRELATIONS
+_TMSV_VARIANCES = np.eye(4)
+_TMSV_CORRELATIONS = np.array(
+    [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]
+)
+_IDENTITY_BLOCK = np.eye(2)
+_VACUUM_BLOCK = VACUUM_VARIANCE * np.eye(2)
+# cov[..., _BLOCK_ROWS, _BLOCK_COLUMNS] stacks the 2x2 blocks A, B and C
+_BLOCK_ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
+_BLOCK_COLUMNS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
+
 # each mode's (own, other) slices of the (X_A, P_A, X_C, P_C) ordering
 _MODE_SLICES = {"A": (slice(0, 2), slice(2, 4)), "C": (slice(2, 4), slice(0, 2))}
 
@@ -33,16 +55,53 @@ def _mode_slices(mode):
         raise ValueError(f"unknown mode {mode!r}, expected 'A' or 'C'") from None
 
 
+def _per_point(fn, nout, *args):
+    """`fn` applied at every point to Python floats (and other per-point objects).
+
+    Arguments broadcast as in NumPy.  Returns float arrays of the broadcast
+    shape, a tuple of `nout` of them when `nout` > 1; 0-d for scalar arguments.
+    An exception raised by `fn` propagates from the first failing point.
+    """
+    out = np.frompyfunc(fn, len(args), nout)(*args)
+    if nout == 1:
+        return np.asarray(out, dtype=float)
+    return tuple(np.asarray(o, dtype=float) for o in out)
+
+
+def _require(values, ok, message):
+    """`values` as a float array; ValueError naming the first value where `ok` is False."""
+    values = np.asarray(values, dtype=float)
+    good = ok(values)
+    if not good.all():
+        raise ValueError(message.format(values[~good].flat[0]))
+    return values
+
+
+def _in_unit_interval(values):
+    return (0.0 <= values) & (values <= 1.0)
+
+
+def _finite_non_negative(values):
+    return np.isfinite(values) & (values >= 0)
+
+
+def _scalar(values):
+    """A 0-d result as a Python float; a batch result as it is."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 @dataclass(frozen=True)
 class GaussianTwoModeState:
-    """Mean vector and covariance matrix of a two-mode Gaussian state.
+    """Mean vector and covariance matrix of a two-mode Gaussian state, or a batch.
 
     Attributes
     ----------
-    mean : ndarray, shape (4,)
+    mean : ndarray, shape (..., 4)
         First moments (X_A, P_A, X_C, P_C).
-    cov : ndarray, shape (4, 4)
+    cov : ndarray, shape (..., 4, 4)
         Symmetrized covariance matrix, vacuum variance 1/2 on the diagonal.
+
+    The leading axes are the batch shape, () for a single state.
     """
 
     mean: np.ndarray
@@ -51,23 +110,51 @@ class GaussianTwoModeState:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.cov, dtype=float)
-        if mean.shape != (4,):
-            raise ValueError(f"mean must have shape (4,), got {mean.shape}")
-        if cov.shape != (4, 4):
-            raise ValueError(f"cov must have shape (4, 4), got {cov.shape}")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+        if mean.ndim < 1 or mean.shape[-1] != 4:
+            raise ValueError(f"mean must have shape (..., 4), got {mean.shape}")
+        if cov.shape != mean.shape[:-1] + (4, 4):
+            raise ValueError(f"cov must have shape {mean.shape[:-1] + (4, 4)}, got {cov.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("non-finite entry in mean or cov")
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
+        if cov.size and np.abs(cov - cov.swapaxes(-1, -2)).max() > SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    def point(self, index):
+        """The state at `index` of a batch, sharing this batch's arrays."""
+        return _frozen(self.mean[index], self.cov[index])
+
+
+def _frozen(mean, cov):
+    """A state on arrays an operation built from a valid state: frozen in place,
+    not copied.  The operations keep the covariance symmetric entry by entry."""
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    state = object.__new__(GaussianTwoModeState)
+    object.__setattr__(state, "mean", mean)
+    object.__setattr__(state, "cov", cov)
+    return state
+
+
+def _finite(state):
+    """`state`, after checking that an operation that adds to it did not overflow."""
+    if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
+        raise ValueError("non-finite entry in mean or cov")
+    return state
+
 
 def vacuum_state():
     """Two-mode vacuum: zero mean, cov = (1/2) * identity."""
     return GaussianTwoModeState(np.zeros(4), VACUUM_VARIANCE * np.eye(4))
+
+
+def _tmsv_entries(r):
+    if not (0 <= r < 20):
+        raise ValueError(f"squeezing parameter r={r} outside [0, 20)")
+    return math.sinh(r) ** 2 + VACUUM_VARIANCE, math.sinh(r) * math.cosh(r)
 
 
 def tmsv_state(r):
@@ -76,47 +163,42 @@ def tmsv_state(r):
     All four diagonal variances equal sinh(r)^2 + 1/2; the correlations are
     <X_A X_C> = +sinh(r)cosh(r) and <P_A P_C> = -sinh(r)cosh(r), so the state
     approaches an ideal EPR pair for large r and is exactly vacuum at r = 0.
+    An array of r gives the batch of states of that shape.
     """
-    if not (0 <= r < 20):
-        raise ValueError(f"squeezing parameter r={r} outside [0, 20)")
-    d = math.sinh(r) ** 2 + VACUUM_VARIANCE
-    c = math.sinh(r) * math.cosh(r)
-    cov = np.array(
-        [
-            [d, 0.0, c, 0.0],
-            [0.0, d, 0.0, -c],
-            [c, 0.0, d, 0.0],
-            [0.0, -c, 0.0, d],
-        ]
-    )
-    return GaussianTwoModeState(np.zeros(4), cov)
+    d, c = _per_point(_tmsv_entries, 2, r)
+    # exact: each entry is d, c or -c plus products with zero
+    cov = d[..., None, None] * _TMSV_VARIANCES + c[..., None, None] * _TMSV_CORRELATIONS
+    return _frozen(np.zeros(d.shape + (4,)), cov)  # finite for r < 20
 
 
 def displace(state, mode, alpha):
     """Apply a phase-space displacement D(alpha) to one mode.
 
     Shifts the mean of the chosen mode by (sqrt(2) Re alpha, sqrt(2) Im alpha)
-    and leaves the covariance matrix untouched.
+    and leaves the covariance matrix untouched.  `alpha` may be an array of
+    the batch shape.
     """
     x = _mode_slices(mode)[0].start  # the mode's X quadrature, P follows it
-    alpha = complex(alpha)
+    alpha = np.asarray(alpha, dtype=complex)
     mean = state.mean.copy()
-    mean[x] += math.sqrt(2.0) * alpha.real
-    mean[x + 1] += math.sqrt(2.0) * alpha.imag
-    return GaussianTwoModeState(mean, state.cov)
+    mean[..., x] += math.sqrt(2.0) * alpha.real
+    mean[..., x + 1] += math.sqrt(2.0) * alpha.imag
+    return _finite(_frozen(mean, state.cov))
 
 
 def _update_mode(state, mode, amplitude, power, noise):
     """One mode's mean and cross-blocks scale by `amplitude`; its own 2x2
-    block maps to power * block + noise."""
-    own, other = _mode_slices(mode)
-    mean = state.mean.copy()
-    mean[own] *= amplitude
-    cov = state.cov.copy()
-    cov[own, own] = power * cov[own, own] + noise
-    cov[own, other] *= amplitude
-    cov[other, own] *= amplitude
-    return GaussianTwoModeState(mean, cov)
+    block maps to power * block + noise.  `amplitude` and `power` are per
+    point, `noise` is a (..., 2, 2) block."""
+    own = _mode_slices(mode)[0]
+    scale = np.ones(np.shape(amplitude) + (4,))
+    scale[..., own] = np.asarray(amplitude)[..., None]
+    mean = state.mean * scale
+    # the other mode's block gains 1 * 1, its cross-blocks amplitude * 1; the
+    # own block is then overwritten
+    cov = state.cov * (scale[..., :, None] * scale[..., None, :])
+    cov[..., own, own] = np.asarray(power)[..., None, None] * state.cov[..., own, own] + noise
+    return _frozen(mean, cov)
 
 
 def component_variance(n, n_displaced):
@@ -139,13 +221,15 @@ def loss_channel(state, mode, eta):
     Mean scales by sqrt(eta); the mode's 2x2 covariance block maps to
     eta*block + (1 - eta)*(1/2)*I and the cross-correlation block scales by
     sqrt(eta).  eta = 1 is the identity, eta = 0 replaces the mode by vacuum.
+    `eta` may be an array of the batch shape.
     """
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"transmission eta={eta} outside [0, 1]")
-    if eta == 1.0:
+    eta = _require(eta, _in_unit_interval, "transmission eta={} outside [0, 1]")
+    _mode_slices(mode)  # a bad mode fails even where eta = 1 leaves the state alone
+    if (eta == 1.0).all():
         return state
-    noise = (1.0 - eta) * (VACUUM_VARIANCE * np.eye(2))
-    return _update_mode(state, mode, math.sqrt(eta), eta, noise)
+    noise = (1.0 - eta[..., None, None]) * _VACUUM_BLOCK
+    # a mix of a finite state and vacuum: finite
+    return _update_mode(state, mode, np.sqrt(eta), eta, noise)
 
 
 @dataclass(frozen=True)
@@ -234,7 +318,17 @@ def storage_retrieval_channel(state, coeffs, n_initial, n_bath, mode="A"):
 
     The treated mode's mean maps to -c1 * mean, cross-correlations with the
     untouched mode scale by -c1, and the untouched mode is unchanged.
+
+    For a batch, `coeffs` may be a sequence of ChannelCoefficients and the
+    occupations arrays, one entry per point.
     """
+    amplitude, power, added = _per_point(_storage_terms, 3, coeffs, n_initial, n_bath)
+    noise = added[..., None, None] * _IDENTITY_BLOCK
+    return _finite(_update_mode(state, mode, amplitude, power, noise))
+
+
+def _storage_terms(coeffs, n_initial, n_bath):
+    """One point's (amplitude, power, added noise) of the storage channel."""
     if n_initial < 0 or n_bath < 0:
         raise ValueError("thermal occupations must be >= 0")
     if coeffs.closure_defect > 1e-10:
@@ -245,7 +339,7 @@ def storage_retrieval_channel(state, coeffs, n_initial, n_bath, mode="A"):
         + coeffs.f1**2 * VACUUM_VARIANCE
         + coeffs.f2**2 * (n_bath + VACUUM_VARIANCE)
     )
-    return _update_mode(state, mode, -c1, c1 * c1, added * np.eye(2))
+    return -c1, c1 * c1, added
 
 
 def phase_noise(state, sigma, amp_sq, mode="A"):
@@ -255,33 +349,33 @@ def phase_noise(state, sigma, amp_sq, mode="A"):
     on a mode with mean photon number `amp_sq` adds 2 * amp_sq * sigma^2 to the
     P-quadrature variance (the noise enhancement is quadratic in the bright
     amplitude; the non-enhanced O(sigma^2) corrections are dropped).  The mean
-    and every other covariance entry are unchanged.
+    and every other covariance entry are unchanged.  `sigma` and `amp_sq` may
+    be arrays of the batch shape.
     """
-    if sigma < 0 or not np.isfinite(sigma):
-        raise ValueError(f"phase jitter sigma={sigma} must be finite and >= 0")
-    if amp_sq < 0 or not np.isfinite(amp_sq):
-        raise ValueError(f"amplitude photon number {amp_sq} must be finite and >= 0")
-    added = 2.0 * amp_sq * sigma * sigma
-    if added == 0.0:
-        return state
+    sigma = _require(sigma, _finite_non_negative, "phase jitter sigma={} must be finite and >= 0")
+    amp_sq = _require(
+        amp_sq, _finite_non_negative, "amplitude photon number {} must be finite and >= 0"
+    )
     p = _mode_slices(mode)[0].start + 1  # the mode's P quadrature
+    added = 2.0 * amp_sq * sigma * sigma
+    if not added.any():
+        return state
     cov = state.cov.copy()
-    cov[p, p] += added
-    return GaussianTwoModeState(state.mean, cov)
+    cov[..., p, p] += added
+    return _finite(_frozen(state.mean, cov))
 
 
 def _minors(cov):
-    a = np.linalg.det(cov[0:2, 0:2])
-    b = np.linalg.det(cov[2:4, 2:4])
-    c = np.linalg.det(cov[0:2, 2:4])
-    v = np.linalg.det(cov)
-    return a, b, c, v
+    """det A, det B, det C and det V of the covariance's 2x2 blocks and the whole."""
+    blocks = np.linalg.det(cov[..., _BLOCK_ROWS, _BLOCK_COLUMNS])
+    return blocks[..., 0], blocks[..., 1], blocks[..., 2], np.linalg.det(cov)
 
 
 def _clamped_sqrt(value, scale):
-    if value < -RADICAND_CLAMP * max(scale, 1.0):
-        raise ArithmeticError(f"radicand {value} below clamp band")
-    return math.sqrt(max(value, 0.0))
+    below = value < -RADICAND_CLAMP * np.maximum(scale, 1.0)
+    if below.any():
+        raise ArithmeticError(f"radicand {np.asarray(value)[below].flat[0]} below clamp band")
+    return np.sqrt(np.maximum(value, 0.0))
 
 
 def symplectic_eigenvalues(state):
@@ -296,7 +390,7 @@ def symplectic_eigenvalues(state):
     root = _clamped_sqrt(delta * delta - 4.0 * v, delta * delta)
     lo = _clamped_sqrt(0.5 * (delta - root), delta)
     hi = _clamped_sqrt(0.5 * (delta + root), delta)
-    return lo, hi
+    return _scalar(lo), _scalar(hi)
 
 
 def physicality_check(state, tol=1e-9):
@@ -319,8 +413,9 @@ def ppt_minimum_eigenvalue(state):
     """
     a, b, c, v = _minors(state.cov)
     sigma = a + b - 2.0 * c
-    root = _clamped_sqrt(sigma * sigma - 4.0 * v, sigma * sigma)
-    return _clamped_sqrt(0.5 * (sigma - root), sigma)
+    square = sigma * sigma
+    root = _clamped_sqrt(square - 4.0 * v, square)
+    return _scalar(_clamped_sqrt(0.5 * (sigma - root), sigma))
 
 
 def log_negativity(state):
@@ -329,7 +424,16 @@ def log_negativity(state):
     For a pure two-mode squeezed state with squeezing r this evaluates to
     exactly 2r (nu_min = exp(-2r)/2).
     """
-    nu = ppt_minimum_eigenvalue(state)
+    return negativity_from_nu(ppt_minimum_eigenvalue(state))
+
+
+def _negativity(nu):
     if nu <= 0.0:
         raise ArithmeticError(f"degenerate PPT symplectic eigenvalue {nu}")
     return max(0.0, -math.log(2.0 * nu))
+
+
+def negativity_from_nu(nu):
+    """E_N = max(0, -ln(2 nu)) of PPT minimum symplectic eigenvalues `nu`,
+    a float or an array (the logarithm is taken point by point)."""
+    return _scalar(_per_point(_negativity, 1, nu))

@@ -172,7 +172,11 @@ def phase_noise_amplitude_sq(config, coeffs):
 
 @dataclass(frozen=True)
 class GaussianProtocolResult:
-    """Outcome of one gaussian-engine pipeline run."""
+    """Outcome of one gaussian-engine pipeline run, or of a batch of runs.
+
+    For a batch every field is an array with one entry per config, and
+    ``output_state`` is the batch of output states.
+    """
 
     log_negativity: float
     nu_min: float
@@ -198,39 +202,57 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
 
     Parameters
     ----------
-    config : ProtocolConfig
-        Must have engine == "gaussian".
+    config : ProtocolConfig or sequence of ProtocolConfig
+        Each must have engine == "gaussian".  A sequence runs as one batch
+        through the batched Gaussian operations and gives a result whose
+        fields are arrays, one entry per config; each entry is bit-identical
+        to that config run alone, which is the batch of size 1.
     undisplacement : str
         "propagated" (default) removes the exact propagated mean, so
         mean_residual == 0 by construction; "nominal" displaces back by the
         loss-free retrieved amplitude (1 - y^2) sqrt(N_D), leaving the
         residual caused by eta1, eta2 and mechanical damping visible.
     """
-    if config.engine != "gaussian":
-        raise ValueError(f"gaussian pipeline called with engine={config.engine!r}")
+    single = isinstance(config, ProtocolConfig)
+    configs = [config] if single else list(config)
+    if not configs:
+        raise ValueError("no configs to evaluate")
+    for c in configs:
+        if c.engine != "gaussian":
+            raise ValueError(f"gaussian pipeline called with engine={c.engine!r}")
     if undisplacement not in ("propagated", "nominal"):
         raise ValueError(f"unknown undisplacement mode {undisplacement!r}")
-    coeffs = ga.channel_coefficients(config.x, config.y)
-    state = ga.tmsv_state(config.r)
-    state = ga.displace(state, "A", math.sqrt(config.N_D))
-    state = ga.loss_channel(state, "A", config.eta1)
-    state = ga.storage_retrieval_channel(state, coeffs, config.N_in, config.N_th)
-    amp_sq = phase_noise_amplitude_sq(config, coeffs)
-    state = ga.phase_noise(state, config.sigma, amp_sq, mode="A")
-    state = ga.loss_channel(state, "A", config.eta2)
+
+    r, n_d, eta1, n_in, n_th, sigma, eta2, eta_c = np.array(
+        [(c.r, c.N_D, c.eta1, c.N_in, c.N_th, c.sigma, c.eta2, c.eta_c) for c in configs]
+    ).T
+    coeffs = [ga.channel_coefficients(c.x, c.y) for c in configs]
+    state = ga.tmsv_state(r)
+    state = ga.displace(state, "A", np.sqrt(n_d))
+    state = ga.loss_channel(state, "A", eta1)
+    state = ga.storage_retrieval_channel(state, coeffs, n_in, n_th)
+    amp_sq = [phase_noise_amplitude_sq(c, k) for c, k in zip(configs, coeffs)]
+    state = ga.phase_noise(state, sigma, amp_sq, mode="A")
+    state = ga.loss_channel(state, "A", eta2)
     if undisplacement == "propagated":
-        back = -complex(state.mean[0], state.mean[1]) / math.sqrt(2.0)
+        # real division per quadrature (NumPy's complex division multiplies
+        # by the reciprocal, which rounds differently)
+        back = (-state.mean[:, 0:2] / math.sqrt(2.0)).view(complex)[:, 0]
     else:
-        back = complex((1.0 - config.y**2) * math.sqrt(config.N_D), 0.0)
+        back = np.array([(1.0 - c.y**2) * math.sqrt(c.N_D) for c in configs])
     state = ga.displace(state, "A", back)
-    state = ga.loss_channel(state, "C", config.eta_c)
+    state = ga.loss_channel(state, "C", eta_c)
     nu_min = ga.ppt_minimum_eigenvalue(state)
-    return GaussianProtocolResult(
-        log_negativity=ga.log_negativity(state),
-        nu_min=nu_min,
-        output_state=state,
-        mean_residual=float(np.hypot(state.mean[0], state.mean[1])),
-    )
+    log_negativity = ga.negativity_from_nu(nu_min)
+    mean_residual = np.hypot(state.mean[:, 0], state.mean[:, 1])
+    if single:
+        return GaussianProtocolResult(
+            log_negativity=float(log_negativity[0]),
+            nu_min=float(nu_min[0]),
+            output_state=state.point(0),
+            mean_residual=float(mean_residual[0]),
+        )
+    return GaussianProtocolResult(log_negativity, nu_min, state, mean_residual)
 
 
 def run_fock_protocol(config):

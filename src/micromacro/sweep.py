@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +90,17 @@ def run_sweep(spec, workers=1):
     Returns (csv_text, warnings): the CSV document (LF line endings, header
     row, 12-significant-digit values) and a sorted, de-duplicated tuple of
     warning strings emitted by the evaluations (truncation reports and the
-    like), suitable for a sidecar log.  Points are pure and independent;
-    `workers` > 1 evaluates them in a thread pool with order-preserving
-    collection, so output is identical for any worker count.
+    like), suitable for a sidecar log.
 
-    A point that raises is re-raised with its sweep coordinates prepended.
+    A gaussian sweep runs as one batch through ``run_gaussian_protocol`` and
+    ignores `workers`.  Fock points are pure and independent; `workers` > 1
+    evaluates them in a thread pool (NumPy releases the GIL in their array
+    work) with order-preserving collection.  Output is identical for any
+    worker count.
+
+    A point that raises is re-raised with its sweep coordinates prepended;
+    where a batch fails, its points are re-run one at a time to name the
+    first failing point in sweep order.
     """
     if workers < 1:
         raise ValueError(f"workers={workers} must be >= 1")
@@ -121,12 +126,26 @@ def run_sweep(spec, workers=1):
             coords = ", ".join(f"{k}={_format(v)}" for k, v in override.items())
             raise RuntimeError(f"sweep point ({coords}) failed: {exc}") from exc
 
+    def evaluate_batch():
+        try:
+            configs = [dataclasses.replace(spec.base, **override) for override in points]
+            return pr.run_gaussian_protocol(configs).log_negativity.tolist()
+        except Exception:
+            for override in points:
+                evaluate(override)
+            raise
+
     collected = []
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        if workers == 1:
+        if spec.base.engine == "gaussian":
+            results = evaluate_batch()
+        elif workers == 1:
             results = [evaluate(p) for p in points]
         else:
+            # imported here: only Fock sweeps use threads
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(evaluate, points))
         collected = sorted({f"{w.category.__name__}: {w.message}" for w in caught})

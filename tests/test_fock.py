@@ -332,10 +332,15 @@ def test_channels_match_dense_kraus_stacks_on_non_square_dims(dims):
 @pytest.mark.parametrize("mode", [2, -1])
 def test_channels_reject_bad_mode(mode):
     rho = fk.single_photon_entangled_input(0.0, (6, 6))
-    with pytest.raises(ValueError, match="mode index"):
-        fk.pure_loss_channel(rho, mode, 0.5)
-    with pytest.raises(ValueError, match="mode index"):
-        fk.phase_noise_average(rho, 0.5, mode=mode)
+    # eta = 1 and variance = 0 leave a state alone, but not with a bad mode
+    for eta in (0.5, 1.0):
+        with pytest.raises(ValueError, match="mode index"):
+            fk.pure_loss_channel(rho, mode, eta)
+    for variance in (0.5, 0.0):
+        with pytest.raises(ValueError, match="mode index"):
+            fk.phase_noise_average(rho, variance, mode=mode)
+    assert fk.pure_loss_channel(rho, 1, 1.0) is rho
+    assert fk.phase_noise_average(rho, 0.0, mode=1) is rho
 
 
 def test_each_channel_builds_one_density_matrix(monkeypatch):

@@ -68,6 +68,21 @@ def test_displace_rejects_unknown_mode():
         ga.displace(ga.vacuum_state(), "B", 1.0)
 
 
+@pytest.mark.parametrize("mode", ["Z", "B", 0])
+def test_channels_reject_bad_mode(mode):
+    # eta = 1 and zero added variance leave a state alone, but not with a bad mode
+    state = ga.tmsv_state(0.5)
+    coeffs = ga.channel_coefficients(0.01, 0.1)
+    for eta in (0.5, 1.0):
+        with pytest.raises(ValueError, match="unknown mode"):
+            ga.loss_channel(state, mode, eta)
+    for sigma in (0.01, 0.0):
+        with pytest.raises(ValueError, match="unknown mode"):
+            ga.phase_noise(state, sigma, 5000.0, mode=mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        ga.storage_retrieval_channel(state, coeffs, 1.0, 10.0, mode=mode)
+
+
 def test_component_variance_macroscopicity():
     # Photon-number variance of a displaced number state: (2n + 1) |alpha|^2.
     assert ga.component_variance(0, 5000.0) == 5000.0

@@ -108,6 +108,113 @@ def test_engine_dispatch_errors():
         pr.run_gaussian_protocol(pr.ProtocolConfig(engine="fock", N_th=0.1))
     with pytest.raises(ValueError):
         pr.run_fock_protocol(pr.ProtocolConfig())
+    with pytest.raises(ValueError, match="engine='fock'"):
+        pr.run_gaussian_protocol([pr.ProtocolConfig(), pr.ProtocolConfig(engine="fock")])
+    with pytest.raises(ValueError, match="no configs"):
+        pr.run_gaussian_protocol([])
+
+
+def random_gaussian_configs(n, seed):
+    """Seeded configs over the whole domain, with the edges where a channel
+    is the identity or degenerate drawn often: eta1/eta2/eta_c = 1, sigma = 0,
+    y = 1, N_D = 0, x = 0, r = 0, and both phase-noise conventions."""
+    rng = np.random.default_rng(seed)
+
+    def draw(edge, lo, hi):
+        return edge if rng.random() < 0.2 else float(rng.uniform(lo, hi))
+
+    return [
+        pr.ProtocolConfig(
+            r=draw(0.0, 0.0, 2.0),
+            N_D=draw(0.0, 0.0, 1e5),
+            y=draw(1.0, 1e-3, 1.0),
+            x=draw(0.0, 0.0, 0.3),
+            N_in=float(rng.uniform(0.0, 3.0)),
+            N_th=float(rng.uniform(0.0, 30.0)),
+            sigma=draw(0.0, 0.0, 0.02),
+            eta1=draw(1.0, 0.0, 1.0),
+            eta2=draw(1.0, 0.0, 1.0),
+            eta_c=draw(1.0, 0.0, 1.0),
+            phase_noise_convention=pr.PHASE_NOISE_CONVENTIONS[int(rng.integers(2))],
+        )
+        for _ in range(n)
+    ]
+
+
+
+def test_gaussian_batch_is_bit_identical_to_single_points():
+    configs = random_gaussian_configs(1200, seed=20261018)
+    for edge in (
+        lambda c: c.eta1 == 1.0, lambda c: c.eta2 == 1.0, lambda c: c.eta_c == 1.0,
+        lambda c: c.sigma == 0.0, lambda c: c.y == 1.0,
+        lambda c: c.phase_noise_convention == "paper_literal",
+    ):
+        assert sum(map(edge, configs)) >= 100
+    for undisplacement in ("propagated", "nominal"):
+        batch = pr.run_gaussian_protocol(configs, undisplacement=undisplacement)
+        assert batch.log_negativity.shape == batch.nu_min.shape == (len(configs),)
+        assert batch.output_state.cov.shape == (len(configs), 4, 4)
+        for i, config in enumerate(configs):
+            single = pr.run_gaussian_protocol(config, undisplacement=undisplacement)
+            assert single.log_negativity == batch.log_negativity[i], config
+            assert single.nu_min == batch.nu_min[i], config
+            assert np.array_equal(single.output_state.cov, batch.output_state.cov[i]), config
+            assert np.array_equal(single.output_state.mean, batch.output_state.mean[i]), config
+            assert single.mean_residual == batch.mean_residual[i], config
+        # both entangled and separable outputs are covered
+        assert 100 < np.count_nonzero(batch.log_negativity) < len(configs) - 100
+
+
+def scalar_reference(config):
+    """(E_N, nu_min, output covariance) from the single-point pipeline that
+    preceded batching, kept as a test-only reference: Python floats and math
+    for every per-point scalar, one 4x4 covariance, the same operations in
+    the same order."""
+    a_, c_ = slice(0, 2), slice(2, 4)
+
+    def update(cov, own, other, amplitude, power, noise):
+        cov = cov.copy()
+        cov[own, own] = power * cov[own, own] + noise
+        cov[own, other] *= amplitude
+        cov[other, own] *= amplitude
+        return cov
+
+    def loss(cov, own, other, eta):
+        if eta == 1.0:
+            return cov
+        return update(cov, own, other, math.sqrt(eta), eta, (1.0 - eta) * (0.5 * np.eye(2)))
+
+    coeffs = ga.channel_coefficients(config.x, config.y)
+    d = math.sinh(config.r) ** 2 + 0.5
+    c = math.sinh(config.r) * math.cosh(config.r)
+    cov = np.array([[d, 0.0, c, 0.0], [0.0, d, 0.0, -c], [c, 0.0, d, 0.0], [0.0, -c, 0.0, d]])
+    cov = loss(cov, a_, c_, config.eta1)
+    added = (
+        coeffs.c2_mag**2 * (config.N_in + 0.5)
+        + coeffs.f1**2 * 0.5
+        + coeffs.f2**2 * (config.N_th + 0.5)
+    )
+    cov = update(cov, a_, c_, -coeffs.c1, coeffs.c1 * coeffs.c1, added * np.eye(2))
+    added = 2.0 * pr.phase_noise_amplitude_sq(config, coeffs) * config.sigma * config.sigma
+    cov[1, 1] += added
+    cov = loss(cov, a_, c_, config.eta2)
+    cov = loss(cov, c_, a_, config.eta_c)
+    a, b = np.linalg.det(cov[a_, a_]), np.linalg.det(cov[c_, c_])
+    v, cross = np.linalg.det(cov), np.linalg.det(cov[a_, c_])
+    sigma = a + b - 2.0 * cross
+    root = math.sqrt(max(sigma * sigma - 4.0 * v, 0.0))
+    nu = math.sqrt(max(0.5 * (sigma - root), 0.0))
+    return max(0.0, -math.log(2.0 * nu)), nu, cov
+
+
+def test_gaussian_batch_is_bit_identical_to_scalar_reference():
+    configs = random_gaussian_configs(3000, seed=7)
+    batch = pr.run_gaussian_protocol(configs)
+    for i, config in enumerate(configs):
+        log_negativity, nu, cov = scalar_reference(config)
+        assert batch.log_negativity[i] == log_negativity, config
+        assert batch.nu_min[i] == nu, config
+        assert np.array_equal(batch.output_state.cov[i], cov), config
 
 
 def test_fock_pipeline_regression_and_leakage():

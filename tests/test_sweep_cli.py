@@ -84,17 +84,25 @@ def test_run_sweep_layout_and_ordering():
 
 
 def test_run_sweep_deterministic_across_workers():
-    spec = sw.SweepSpec(
+    gaussian = sw.SweepSpec(
         base=pr.ProtocolConfig(),
         axis1=sw.AxisSpec("y", sw.linear_grid(0.05, 0.6, 8)),
         series=sw.AxisSpec("N_in", (0.0, 1.0, 10.0)),
     )
-    serial, _ = sw.run_sweep(spec, workers=1)
-    for workers in (2, 8):
-        parallel, _ = sw.run_sweep(spec, workers=workers)
-        assert parallel == serial
-    with pytest.raises(ValueError):
-        sw.run_sweep(spec, workers=0)
+    # Gaussian sweeps run as one batch; the thread pool serves Fock points,
+    # and 6 levels at N_th = 20 make the sidecar report truncation.
+    fock = sw.SweepSpec(
+        base=pr.ProtocolConfig(**dict(FOCK_BASE, fock_dims=6)),
+        axis1=sw.AxisSpec("y", (0.1, 0.3)),
+        series=sw.AxisSpec("N_th", (0.3, 20.0)),
+    )
+    for spec in (gaussian, fock):
+        serial = sw.run_sweep(spec, workers=1)
+        for workers in (2, 8):
+            assert sw.run_sweep(spec, workers=workers) == serial
+        with pytest.raises(ValueError):
+            sw.run_sweep(spec, workers=0)
+    assert sw.run_sweep(fock)[1], "expected truncation warnings in the sidecar"
 
 
 def test_run_sweep_reports_failing_coordinates():
@@ -104,6 +112,42 @@ def test_run_sweep_reports_failing_coordinates():
     )
     with pytest.raises(RuntimeError, match="fock_dims=1"):
         sw.run_sweep(spec)
+
+
+def test_gaussian_batch_reports_first_failing_coordinates():
+    # tmsv_state rejects r >= 20 inside the batch; the error names the first
+    # failing point in sweep order, with the single-point message as cause.
+    spec = sw.SweepSpec(base=pr.ProtocolConfig(), axis1=sw.AxisSpec("r", (0.5, 25.0)))
+    with pytest.raises(RuntimeError, match=r"\(r=25\) failed: squeezing parameter r=25"):
+        sw.run_sweep(spec)
+    spec = sw.SweepSpec(
+        base=pr.ProtocolConfig(),
+        axis1=sw.AxisSpec("y", (0.1, 0.5)),
+        series=sw.AxisSpec("r", (0.5, 21.0, 25.0)),
+    )
+    with pytest.raises(RuntimeError, match=r"\(y=0.1, r=21\) failed") as caught:
+        sw.run_sweep(spec)
+    assert isinstance(caught.value.__cause__, ValueError)
+
+
+def test_gaussian_sweep_cells_equal_single_point_metrics():
+    base = pr.ProtocolConfig(phase_noise_convention="paper_literal", eta2=1.0)
+    spec = sw.SweepSpec(
+        base=base,
+        axis1=sw.AxisSpec("y", sw.linear_grid(0.05, 1.0, 7)),
+        axis2=sw.AxisSpec("x", (0.0, 0.02, 0.05)),
+        series=sw.AxisSpec("sigma", (0.0, 0.005, 0.01)),
+    )
+    rows = [line.split(",") for line in sw.run_sweep(spec)[0].splitlines()[1:]]
+    expected = [
+        [
+            f"{pr.entanglement_metric(dataclasses.replace(base, x=x, y=y, sigma=s)):.12g}"
+            for s in spec.series.values
+        ]
+        for x in spec.axis2.values
+        for y in spec.axis1.values
+    ]
+    assert [row[2:] for row in rows] == expected
 
 
 def test_run_sweep_over_fock_cutoff_converges():
