@@ -156,8 +156,13 @@ def _file_mapping(path):
 
 
 def _cmd_sweep(ns):
-    spec = _assemble_sweep_spec(ns)
+    # a preset's threshold axis runs the engine while the spec is assembled;
+    # its warnings join the sweep's own in the sidecar
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = _assemble_sweep_spec(ns)
     csv_text, sidecar = sw.run_sweep(spec, workers=ns.parallel)
+    sidecar = tuple(sorted(set(sidecar + sw.warning_lines(caught))))
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(csv_text)

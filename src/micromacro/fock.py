@@ -1,9 +1,11 @@
 """Truncated Fock-space engine for the single-photon-level description.
 
 Works with explicit density matrices on a photon-number basis truncated at
-n_max = n_levels - 1 per mode (default 16 levels).  Every channel acts on one
-mode: photon loss and quantum-limited amplification as photon-shift Kraus
-sums, whose Kraus operators each move the photon number by a fixed k, and
+n_max = n_levels - 1 per mode; the protocol keeps 16 levels of mode A by
+default and two of mode C, which only ever loses its photon.  Every channel
+acts on one mode: photon loss and quantum-limited amplification as
+photon-shift Kraus sums, whose Kraus operators each move the photon number
+by a fixed k and whose weights come from a cached binomial table, and
 Gaussian dephasing as an elementwise kernel in the eigenbasis of the
 truncated X quadrature.  Loss and dephasing preserve the trace at any cutoff;
 the amplifier drops the weight it pushes past the cutoff, so the trace of its
@@ -210,17 +212,33 @@ def _on_mode(rho, mode, fn):
     return FockDensityMatrix(rho.dims, out.reshape(rho.data.shape))
 
 
-def _shift_kraus_sum(t, step, term):
+@lru_cache(maxsize=None)
+def _binomial_table(d):
+    """Read-only d x d float table of C(m + k, k), rows k and columns m.
+
+    Only m + k < d is ever used; the rest of the table is 0.
+    """
+    table = np.array(
+        [[float(math.comb(m + k, k)) if m + k < d else 0.0 for m in range(d)] for k in range(d)]
+    )
+    table.setflags(write=False)
+    return table
+
+
+def _shift_kraus_sum(t, step, k_powers, m_powers):
     """sum_k K_k t K_k^dag on the last two axes for photon-shift Kraus operators.
 
     K_k moves |m + k> to |m> (step -1) or |m> to |m + k> (step +1) with
-    amplitude sqrt(C(m+k, k) term(k, m)).  Each K_k is a single off-diagonal,
-    so its term is one scaled slice of `t`; shifts past the cutoff are dropped.
+    amplitude sqrt(C(m+k, k) m_powers[m] k_powers[k]).  The powers come in as
+    Python floats, so every weight is the same double as the per-element
+    product.  Each K_k is a single off-diagonal, so its term is one scaled
+    slice of `t`; shifts past the cutoff are dropped.
     """
     d = t.shape[-1]
+    weights = np.sqrt(_binomial_table(d) * np.multiply.outer(k_powers, m_powers))
     out = np.zeros_like(t)
     for k in range(d):
-        w = np.array([math.sqrt(math.comb(m + k, k) * term(k, m)) for m in range(d - k)])
+        w = weights[k, : d - k]
         lo, hi = slice(0, d - k), slice(k, d)
         src, dst = (hi, lo) if step < 0 else (lo, hi)
         out[..., dst, dst] += np.multiply.outer(w, w) * t[..., src, src]
@@ -229,7 +247,10 @@ def _shift_kraus_sum(t, step, term):
 
 def _loss(t, eta):
     """Photon loss with transmission eta on the last two axes of `t`."""
-    return _shift_kraus_sum(t, -1, lambda k, m: eta**m * (1.0 - eta) ** k)
+    d = t.shape[-1]
+    return _shift_kraus_sum(
+        t, -1, [(1.0 - eta) ** k for k in range(d)], [eta**m for m in range(d)]
+    )
 
 
 def linear_channel_apply(rho, coeffs, n_initial, n_bath):
@@ -260,7 +281,10 @@ def linear_channel_apply(rho, coeffs, n_initial, n_bath):
         t = t * (-1.0) ** np.add.outer(n, n)  # the parity flip a -> -a
         t = _loss(t, coeffs.c1**2 / gain)
         if gain > 1.0:
-            t = _shift_kraus_sum(t, +1, lambda k, m: ratio**k * gain ** -(m + 1))
+            d = t.shape[-1]
+            t = _shift_kraus_sum(
+                t, +1, [ratio**k for k in range(d)], [gain ** -(m + 1) for m in range(d)]
+            )
         return t
 
     return _on_mode(rho, 0, storage)

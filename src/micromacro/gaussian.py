@@ -32,6 +32,8 @@ VACUUM_VARIANCE = 0.5
 # numerical guard bands (see physicality_check / log_negativity)
 SYMMETRY_TOL = 1e-12
 RADICAND_CLAMP = 1e-9
+# channel_coefficients takes f2^2 from its series where 1 - y^2 is below this
+SERIES_BELOW = 1e-2
 
 # the two-mode squeezed vacuum's covariance is d * _TMSV_VARIANCES + c * _TMSV_CORRELATIONS
 _TMSV_VARIANCES = np.eye(4)
@@ -279,7 +281,9 @@ def channel_coefficients(x, y):
         f2     = sqrt(x(1 + y^2) + x(1 - y^2)^2 + 4 x y^2 ln(y)/(1 - y^2)) / (1 + x)
 
     The closure identity holds exactly in exact arithmetic; floating point
-    leaves a defect below 1e-12 over the whole admissible domain.
+    leaves a defect below 1e-12 over the whole admissible domain.  Where
+    u = 1 - y^2 < SERIES_BELOW, f2's radicand comes from its series in u,
+    because the closed form cancels terms of order x down to x u^2.
     """
     if x < 0 or not np.isfinite(x):
         raise ValueError(f"noise parameter x={x} must be finite and >= 0")
@@ -294,7 +298,13 @@ def channel_coefficients(x, y):
     c2 = y * math.sqrt(one / (1.0 + x))
     log_term = 4.0 * x * y2 * math.log(y) / one  # <= 0 for y in (0, 1)
     rad1 = x * x + y2 - log_term
-    rad2 = x * (1.0 + y2) + x * one * one + log_term
+    if one < SERIES_BELOW:
+        # rad2 = x u^2 (1 + sum_{n>=2} 2 u^(n-2) / (n (n+1))); ten terms
+        # leave a remainder below 1e-21 relative
+        series = sum(2.0 * one ** (n - 2) / (n * (n + 1)) for n in range(2, 12))
+        rad2 = x * one * one * (1.0 + series)
+    else:
+        rad2 = x * (1.0 + y2) + x * one * one + log_term
     for rad in (rad1, rad2):
         if rad < -RADICAND_CLAMP:
             raise ArithmeticError(f"negative radicand {rad} in channel coefficients")

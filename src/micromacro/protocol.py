@@ -71,7 +71,8 @@ class ProtocolConfig:
         noise acts, eta1 c1^2 N_D.  See the module docstring of
         :mod:`micromacro.gaussian` for the pipeline order.
     fock_dims : int
-        Retained Fock levels per mode (fock engine only).
+        Retained Fock levels of mode A (fock engine only).  Mode C keeps two
+        levels: only loss acts on it, so it never holds more than one photon.
     """
 
     r: float = 0.5
@@ -261,7 +262,10 @@ def run_fock_protocol(config):
     Works in the displaced frame: the input is the alpha = 0 single-photon
     path-entangled state and N_D enters only through the phase-noise variance
     2 |alpha_eff|^2 sigma^2.  Order matches the gaussian engine; the
-    undisplacement is the identity in this frame.
+    undisplacement is the identity in this frame.  Mode A keeps
+    ``config.fock_dims`` levels and mode C two: only loss acts on C, so it
+    never holds more than the input's one photon; concurrence and projection
+    probability are bit for bit those of a square cutoff.
 
     ``leakage`` is the truncation error measured on the computed state after
     the phase noise: the trace the storage channel's amplifier pushed past the
@@ -270,7 +274,7 @@ def run_fock_protocol(config):
     """
     if config.engine != "fock":
         raise ValueError(f"fock pipeline called with engine={config.engine!r}")
-    dims = (config.fock_dims, config.fock_dims)
+    dims = (config.fock_dims, 2)
     coeffs = ga.channel_coefficients(config.x, config.y)
 
     rho = fk.single_photon_entangled_input(0.0, dims)

@@ -84,6 +84,11 @@ def _format(value):
     return f"{value:.12g}"
 
 
+def warning_lines(caught):
+    """Sorted, de-duplicated "Category: message" lines of recorded warnings."""
+    return tuple(sorted({f"{w.category.__name__}: {w.message}" for w in caught}))
+
+
 def run_sweep(spec, workers=1):
     """Evaluate a sweep and render it as CSV.
 
@@ -135,7 +140,6 @@ def run_sweep(spec, workers=1):
                 evaluate(override)
             raise
 
-    collected = []
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         if spec.base.engine == "gaussian":
@@ -148,7 +152,6 @@ def run_sweep(spec, workers=1):
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(evaluate, points))
-        collected = sorted({f"{w.category.__name__}: {w.message}" for w in caught})
 
     metric = _metric_name(spec.base)
     header = []
@@ -174,7 +177,7 @@ def run_sweep(spec, workers=1):
             row.extend(_format(results[idx + k]) for k in range(n_series))
             idx += n_series
             lines.append(",".join(row))
-    return "\n".join(lines) + "\n", tuple(collected)
+    return "\n".join(lines) + "\n", warning_lines(caught)
 
 
 def _threshold_axis(base, parameter, bracket, n, scale="linear", tol=None):

@@ -329,6 +329,47 @@ def test_channels_match_dense_kraus_stacks_on_non_square_dims(dims):
         assert np.max(np.abs(exact.data - reference.data)) < 1e-13, (x, y, n_in, n_th)
 
 
+def per_element_shift_sum(t, step, term):
+    """The photon-shift Kraus sum with each weight sqrt(C(m+k, k) term(k, m))
+    computed element by element in Python."""
+    d = t.shape[-1]
+    out = np.zeros_like(t)
+    for k in range(d):
+        w = np.array([math.sqrt(math.comb(m + k, k) * term(k, m)) for m in range(d - k)])
+        lo, hi = slice(0, d - k), slice(k, d)
+        src, dst = (hi, lo) if step < 0 else (lo, hi)
+        out[..., dst, dst] += np.multiply.outer(w, w) * t[..., src, src]
+    return out
+
+
+def test_kraus_weights_are_the_per_element_doubles():
+    # The channels build their Kraus weights from a cached C(m+k, k) table
+    # and two vectors of powers; every output bit must match the element by
+    # element weights, so that no pin can move with the table.
+    dims = (11, 3)
+    rho = random_state(dims, seed=5)
+
+    def on_a(data):
+        return data.reshape(dims * 2).transpose(1, 3, 0, 2)
+
+    for eta in (0.0, 0.37, 0.9):
+        expected = per_element_shift_sum(
+            on_a(rho.data), -1, lambda k, m: eta**m * (1.0 - eta) ** k
+        )
+        assert np.array_equal(on_a(fk.pure_loss_channel(rho, 0, eta).data), expected)
+    for x, y, n_in, n_th in ((0.01, 0.1, 1.0, 0.3), (0.1, 0.5, 0.4, 2.0)):
+        coeffs = ga.channel_coefficients(x, y)
+        gain = 1.0 + coeffs.c2_mag**2 * n_in + coeffs.f2**2 * n_th
+        ratio = (gain - 1.0) / gain
+        n = np.arange(dims[0])
+        t = on_a(rho.data) * (-1.0) ** np.add.outer(n, n)
+        eta = coeffs.c1**2 / gain
+        t = per_element_shift_sum(t, -1, lambda k, m: eta**m * (1.0 - eta) ** k)
+        t = per_element_shift_sum(t, +1, lambda k, m: ratio**k * gain ** -(m + 1))
+        out = fk.linear_channel_apply(rho, coeffs, n_in, n_th)
+        assert np.array_equal(on_a(out.data), t), (x, y)
+
+
 @pytest.mark.parametrize("mode", [2, -1])
 def test_channels_reject_bad_mode(mode):
     rho = fk.single_photon_entangled_input(0.0, (6, 6))

@@ -225,6 +225,44 @@ def test_fock_pipeline_regression_and_leakage():
     assert abs(result.leakage) < 1e-14
 
 
+def _square_companion_pipeline(config, d):
+    """run_fock_protocol composed from the public channels at dims (d, d)."""
+    coeffs = ga.channel_coefficients(config.x, config.y)
+    rho = fk.single_photon_entangled_input(0.0, (d, d))
+    rho = fk.pure_loss_channel(rho, 0, config.eta1)
+    rho = fk.linear_channel_apply(rho, coeffs, config.N_in, config.N_th)
+    variance = 2.0 * pr.phase_noise_amplitude_sq(config, coeffs) * config.sigma**2
+    rho = fk.phase_noise_average(rho, variance, 0)
+    leakage = fk.truncation_error(rho)
+    rho = fk.pure_loss_channel(rho, 0, config.eta2)
+    rho = fk.pure_loss_channel(rho, 1, config.eta_c)
+    qubits = fk.qubit_project(rho)
+    return fk.concurrence(qubits), qubits.projection_probability, leakage
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_fock_two_level_companion_is_bit_identical(d):
+    # Only loss acts on mode C, so it never leaves {0, 1}: the pipeline on
+    # dims (d, 2) gives the same bits as on (d, d).  leakage sums a shorter
+    # trace, so it may differ in the last bit.
+    rng = np.random.default_rng(1000 + d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fk.TruncationWarning)
+        for _ in range(12):
+            config = pr.ProtocolConfig(
+                engine="fock", fock_dims=d, N_D=10 ** rng.uniform(0, 4),
+                y=rng.uniform(0.01, 0.9), x=rng.uniform(0, 0.05), N_in=rng.uniform(0, 1),
+                N_th=rng.uniform(0, 5), sigma=rng.uniform(0, 0.01),
+                eta1=rng.uniform(0.5, 1), eta2=rng.uniform(0.5, 1), eta_c=rng.uniform(0.5, 1),
+                phase_noise_convention=pr.PHASE_NOISE_CONVENTIONS[rng.integers(2)],
+            )
+            concurrence, projection, leakage = _square_companion_pipeline(config, d)
+            result = pr.run_fock_protocol(config)
+            assert result.concurrence == concurrence, config
+            assert result.projection_probability == projection, config
+            assert abs(result.leakage - leakage) <= 1e-15, config
+
+
 def test_fock_ideal_concurrence():
     result = pr.run_fock_protocol(pr.ProtocolConfig(engine="fock", **IDEAL))
     assert abs(result.concurrence - 1.0) < 1e-6

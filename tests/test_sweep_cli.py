@@ -1,6 +1,7 @@
 """Tests for the sweep engine, figure presets, config parsing and the CLI."""
 
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,25 @@ def test_cli_sweep_writes_sidecar_log(tmp_path):
     log = tmp_path / "fock.csv.log"
     assert log.exists()
     assert "TruncationWarning" in log.read_text(encoding="utf-8")
+
+
+def test_cli_preset_threshold_warnings_go_to_sidecar(tmp_path, capsys):
+    # figA1 bisects its N_D axis while the spec is assembled, before the
+    # sweep runs; those warnings belong in the sidecar too, never on stderr.
+    out = tmp_path / "figA1.csv"
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        assert cli.main(["sweep", "--preset", "figA1", "--out", str(out)]) == 0
+    assert leaked == []
+    assert capsys.readouterr().err == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        csv_text, sweep_lines = sw.run_sweep(sw.preset("figA1"))
+    assert out.read_bytes() == csv_text.encode("utf-8")
+    log = (tmp_path / "figA1.csv.log").read_text(encoding="utf-8").splitlines()
+    assert log == sorted(set(log))
+    assert set(sweep_lines) < set(log)
+    assert all(line.startswith("TruncationWarning: ") for line in log)
 
 
 def test_cli_sweep_determinism_across_workers(tmp_path):
