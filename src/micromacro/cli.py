@@ -270,7 +270,7 @@ def _selftest_cases():
         return f"concurrence {value:.9f}"
 
     def sweep_determinism():
-        # Gaussian sweeps run as one batch; Fock points go to the thread pool.
+        # One thread, one order: the unused worker count cannot change output.
         gaussian = sw.SweepSpec(
             base=pr.ProtocolConfig(),
             axis1=sw.AxisSpec("y", sw.linear_grid(0.05, 0.5, 5)),
@@ -332,7 +332,7 @@ def build_parser():
         "--set", action="append", metavar="KEY=VALUE", help="override a single key"
     )
     p_sweep.add_argument("--out", metavar="FILE", help="CSV output path (default stdout)")
-    p_sweep.add_argument("--parallel", type=int, default=1, metavar="N", help="worker count")
+    p_sweep.add_argument("--parallel", type=int, default=1, metavar="N", help="no effect (N >= 1)")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_thr = sub.add_parser("threshold", help="find where entanglement vanishes")

@@ -388,6 +388,13 @@ def _clamped_sqrt(value, scale):
     return np.sqrt(np.maximum(value, 0.0))
 
 
+def _nu_pair(total, det_v):
+    """nu_-+ = sqrt((total -+ sqrt(total^2 - 4 det V)) / 2), radicands clamped."""
+    square = total * total
+    root = _clamped_sqrt(square - 4.0 * det_v, square)
+    return _clamped_sqrt(0.5 * (total - root), total), _clamped_sqrt(0.5 * (total + root), total)
+
+
 def symplectic_eigenvalues(state):
     """Both symplectic eigenvalues of the covariance matrix (nu_-, nu_+).
 
@@ -396,10 +403,7 @@ def symplectic_eigenvalues(state):
     iff nu_- >= 1/2 (uncertainty principle) and pure iff both equal 1/2.
     """
     a, b, c, v = _minors(state.cov)
-    delta = a + b + 2.0 * c
-    root = _clamped_sqrt(delta * delta - 4.0 * v, delta * delta)
-    lo = _clamped_sqrt(0.5 * (delta - root), delta)
-    hi = _clamped_sqrt(0.5 * (delta + root), delta)
+    lo, hi = _nu_pair(a + b + 2.0 * c, v)
     return _scalar(lo), _scalar(hi)
 
 
@@ -422,10 +426,7 @@ def ppt_minimum_eigenvalue(state):
     is entangled iff nu_min < 1/2.
     """
     a, b, c, v = _minors(state.cov)
-    sigma = a + b - 2.0 * c
-    square = sigma * sigma
-    root = _clamped_sqrt(square - 4.0 * v, square)
-    return _scalar(_clamped_sqrt(0.5 * (sigma - root), sigma))
+    return _scalar(_nu_pair(a + b - 2.0 * c, v)[0])
 
 
 def log_negativity(state):

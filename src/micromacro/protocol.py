@@ -45,20 +45,20 @@ class ProtocolConfig:
     Attributes
     ----------
     r : float
-        Input squeezing (gaussian engine input strength), >= 0.
+        Input squeezing (gaussian engine input strength), finite, >= 0.
     N_D : float
-        Macroscopic displacement photon number |alpha|^2, >= 0.
+        Macroscopic displacement photon number |alpha|^2, finite, >= 0.
     y : float
         Storage/retrieval coupling parameter e^{-G' tau}, in (0, 1]; small y
         means (nearly) complete write-in and read-out.
     x : float
-        Mechanical damping ratio gamma/G, >= 0.
+        Mechanical damping ratio gamma/G, finite, >= 0.
     N_in : float
-        Initial mechanical occupation, >= 0.
+        Initial mechanical occupation, finite, >= 0.
     N_th : float
-        Mechanical bath occupation, >= 0.
+        Mechanical bath occupation, finite, >= 0.
     sigma : float
-        Phase-noise standard deviation in radians, >= 0.
+        Phase-noise standard deviation in radians, finite, >= 0.
     eta1, eta2, eta_c : float
         Transmission before storage, after retrieval, and on the companion
         mode, each in [0, 1].
@@ -90,18 +90,21 @@ class ProtocolConfig:
     fock_dims: int = 16
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"squeezing r={self.r} must be >= 0")
-        if self.N_D < 0:
-            raise ValueError(f"displacement photon number N_D={self.N_D} must be >= 0")
+        # chained comparisons: NaN fails every one of them, so it is rejected too
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"squeezing r={self.r} must be finite and >= 0")
+        if not 0.0 <= self.N_D < math.inf:
+            raise ValueError(f"displacement photon number N_D={self.N_D} must be finite and >= 0")
         if not 0.0 < self.y <= 1.0:
             raise ValueError(f"coupling parameter y={self.y} outside (0, 1]")
-        if self.x < 0:
-            raise ValueError(f"damping ratio x={self.x} must be >= 0")
-        if self.N_in < 0 or self.N_th < 0:
-            raise ValueError("occupations N_in, N_th must be >= 0")
-        if self.sigma < 0:
-            raise ValueError(f"phase-noise sigma={self.sigma} must be >= 0")
+        if not 0.0 <= self.x < math.inf:
+            raise ValueError(f"damping ratio x={self.x} must be finite and >= 0")
+        if not 0.0 <= self.N_in < math.inf:
+            raise ValueError(f"initial occupation N_in={self.N_in} must be finite and >= 0")
+        if not 0.0 <= self.N_th < math.inf:
+            raise ValueError(f"bath occupation N_th={self.N_th} must be finite and >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"phase-noise sigma={self.sigma} must be finite and >= 0")
         for name in ("eta1", "eta2", "eta_c"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -141,17 +144,15 @@ def config_to_mapping(config):
 def config_from_mapping(mapping, base=None):
     """Build a ProtocolConfig from string-or-native values over an optional base.
 
-    Unknown keys raise KeyError; numeric fields accept anything float()/int()
-    accepts.
+    Unknown keys raise KeyError; numeric fields accept anything float()
+    accepts, and ProtocolConfig rejects a non-integral ``fock_dims``.
     """
     values = config_to_mapping(base if base is not None else ProtocolConfig())
     for key, raw in mapping.items():
-        if key in _FLOAT_FIELDS:
-            values[key] = float(raw)
-        elif key in _INT_FIELDS:
-            values[key] = int(str(raw))
-        elif key in _STR_FIELDS:
+        if key in _STR_FIELDS:
             values[key] = str(raw).strip()
+        elif key in CONFIG_FIELDS:
+            values[key] = float(raw)
         else:
             raise KeyError(f"unknown config field {key!r}")
     return ProtocolConfig(**values)

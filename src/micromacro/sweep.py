@@ -2,9 +2,9 @@
 
 A sweep evaluates the engine's entanglement metric over a 1-D or 2-D grid of
 config parameters, optionally fanning out into one column per value of a
-"series" parameter.  Evaluation order, parallel scheduling and number
-formatting are all fixed, so the CSV output is byte-identical across runs and
-worker counts.
+"series" parameter.  Points are evaluated in one fixed order on the calling
+thread and numbers are formatted one fixed way, so the CSV output is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -97,11 +97,10 @@ def run_sweep(spec, workers=1):
     warning strings emitted by the evaluations (truncation reports and the
     like), suitable for a sidecar log.
 
-    A gaussian sweep runs as one batch through ``run_gaussian_protocol`` and
-    ignores `workers`.  Fock points are pure and independent; `workers` > 1
-    evaluates them in a thread pool (NumPy releases the GIL in their array
-    work) with order-preserving collection.  Output is identical for any
-    worker count.
+    A gaussian sweep runs as one batch through ``run_gaussian_protocol``; a
+    fock sweep evaluates its points one at a time in sweep order.  Both run on
+    the calling thread.  `workers` is accepted for compatibility and must be
+    >= 1, but has no effect, so output cannot depend on it.
 
     A point that raises is re-raised with its sweep coordinates prepended;
     where a batch fails, its points are re-run one at a time to name the
@@ -144,14 +143,8 @@ def run_sweep(spec, workers=1):
         _warnings.simplefilter("always")
         if spec.base.engine == "gaussian":
             results = evaluate_batch()
-        elif workers == 1:
-            results = [evaluate(p) for p in points]
         else:
-            # imported here: only Fock sweeps use threads
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(evaluate, points))
+            results = [evaluate(p) for p in points]
 
     metric = _metric_name(spec.base)
     header = []

@@ -577,11 +577,19 @@ def test_density_matrix_validation():
 
 
 def test_import_does_not_load_scipy():
-    # A fresh interpreter, pointed at the package under test, imports NumPy only.
+    # A fresh interpreter, pointed at the package under test, imports NumPy
+    # only, and a Fock sweep asked for 8 workers still starts no thread pool.
     src = os.path.dirname(os.path.dirname(os.path.abspath(fk.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, micromacro; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, micromacro\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "from micromacro import protocol as pr, sweep as sw\n"
+        "base = pr.ProtocolConfig(engine='fock', fock_dims=4)\n"
+        "sw.run_sweep(sw.SweepSpec(base, sw.AxisSpec('y', (0.1, 0.3))), workers=8)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "False"]

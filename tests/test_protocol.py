@@ -36,8 +36,13 @@ def test_config_defaults_and_validation():
         dict(r=-1.0), dict(N_D=-1.0), dict(y=0.0), dict(y=1.2), dict(x=-0.1),
         dict(N_in=-1.0), dict(sigma=-0.1), dict(eta1=1.5), dict(engine="other"),
         dict(phase_noise_convention="guess"), dict(fock_dims=1), dict(fock_dims=8.5),
+        *(
+            {name: value}
+            for name in ("r", "N_D", "x", "N_in", "N_th", "sigma")
+            for value in (math.nan, math.inf)
+        ),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             pr.ProtocolConfig(**bad)
     assert type(pr.ProtocolConfig(fock_dims=12.0).fock_dims) is int
 
@@ -49,6 +54,10 @@ def test_config_mapping_round_trip():
     assert rebuilt == config
     with pytest.raises(KeyError):
         pr.config_from_mapping({"unknown_field": "1"})
+    # Integer fields parse like ProtocolConfig(fock_dims=8.0) and an axis value.
+    assert pr.config_from_mapping({"fock_dims": "8.0"}).fock_dims == 8
+    with pytest.raises(ValueError, match="fock_dims=8.5 must be an integer"):
+        pr.config_from_mapping({"fock_dims": "8.5"})
 
 
 def test_phase_noise_amplitude_conventions():
@@ -327,6 +336,27 @@ def test_find_threshold_handles_zero_low_edge():
     above = dataclasses.replace(config, eta1=critical + 0.01)
     assert pr.entanglement_metric(below) == 0.0
     assert pr.entanglement_metric(above) > 0.0
+
+
+@pytest.mark.parametrize("convention", pr.PHASE_NOISE_CONVENTIONS)
+def test_find_threshold_matches_closed_form_displacement_root(convention):
+    # Phase noise adds delta proportional to N_D to one diagonal entry of the
+    # output covariance, so f = det V - Sigma/4 + 1/16 (zero where the PPT
+    # eigenvalue nu_min reaches 1/2) is linear in N_D, and its root is N_D*.
+    def margin(config):
+        cov = pr.run_gaussian_protocol(config).output_state.cov
+        a, b, c, v = (np.linalg.det(m) for m in (cov[:2, :2], cov[2:, 2:], cov[:2, 2:], cov))
+        return v - (a + b - 2.0 * c) / 4.0 + 1.0 / 16.0
+
+    for sigma in (0.005, 0.01, 0.02):
+        config = pr.ProtocolConfig(sigma=sigma, phase_noise_convention=convention)
+        f0 = margin(dataclasses.replace(config, N_D=0.0))
+        slope = margin(dataclasses.replace(config, N_D=1.0)) - f0
+        root = -f0 / slope
+        f_root = margin(dataclasses.replace(config, N_D=root))
+        assert abs(f_root) < 1e-9 * abs(f0), f"margin not linear in N_D at sigma={sigma}"
+        critical = pr.find_threshold(config, "N_D", (1.0, 1e7), tol=1.0)
+        assert abs(critical - root) <= 0.5, f"sigma={sigma}: {critical} vs {root}"
 
 
 def test_find_threshold_bracket_errors():
