@@ -3,7 +3,7 @@
 Subcommands
 -----------
 sweep        evaluate a figure preset or a config-file-defined sweep to CSV
-threshold    bisect for the parameter value where entanglement vanishes
+threshold    find the parameter value where entanglement vanishes (Brent search)
 feasibility  derive the channel operating point from platform parameters
 selftest     run the built-in invariant suite
 
@@ -97,9 +97,11 @@ def _build_axis(prefix, mapping):
     try:
         lo = float(mapping[f"{prefix}_lo"])
         hi = float(mapping[f"{prefix}_hi"])
-        n = int(str(mapping[f"{prefix}_n"]))
+        n = pr._integer(f"{prefix}_n", float(mapping[f"{prefix}_n"]))
     except KeyError as missing:
         raise ValueError(f"axis '{prefix}' needs {prefix}_values or {missing} ") from None
+    if n < 1:
+        raise ValueError(f"{prefix}_n={n} must be >= 1")
     scale = str(mapping.get(f"{prefix}_scale", "linear"))
     if scale == "log":
         return sw.AxisSpec(parameter, sw.log_grid(lo, hi, n))
@@ -339,7 +341,7 @@ def build_parser():
     p_thr.add_argument("--preset", choices=sw.PRESET_NAMES, help="base config preset")
     p_thr.add_argument("--config", metavar="FILE", help="base config file")
     p_thr.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_thr.add_argument("--param", required=True, help="config field to bisect")
+    p_thr.add_argument("--param", required=True, help="config field to search")
     p_thr.add_argument("--lo", required=True, type=float, help="bracket lower edge")
     p_thr.add_argument("--hi", required=True, type=float, help="bracket upper edge")
     p_thr.add_argument("--tol", type=float, default=1e-5, help="bracket width target")

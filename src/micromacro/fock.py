@@ -355,13 +355,12 @@ _Y_Y = np.kron(
 ).real  # (sigma_y x sigma_y) is real in this basis
 
 
-def concurrence(state):
-    """Wootters concurrence of a two-qubit density matrix.
+def wootters_difference(state):
+    """Unclamped Wootters difference l1 - l2 - l3 - l4 of a two-qubit density matrix.
 
-    C = max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of the
-    eigenvalues of rho (Y x Y) rho* (Y x Y).  1 for Bell states, 0 for
-    separable states; a Werner state p|Psi-><Psi-| + (1-p) I/4 gives
-    max(0, (3p-1)/2).
+    l_i are the decreasing square roots of the eigenvalues of
+    rho (Y x Y) rho* (Y x Y) (Wootters, PRL 80, 2245 (1998)).  Positive iff
+    the state is entangled, and then equal to its concurrence.
     """
     m = state.matrix if isinstance(state, TwoQubitState) else np.asarray(state, dtype=complex)
     if m.shape != (4, 4):
@@ -372,7 +371,16 @@ def concurrence(state):
         raise ArithmeticError(f"eigenvalue {np.min(ev.real)} too negative in concurrence")
     lam = np.sqrt(np.clip(ev.real, 0.0, None))
     lam[::-1].sort()
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def concurrence(state):
+    """Wootters concurrence C = max(0, l1 - l2 - l3 - l4) of a two-qubit density matrix.
+
+    1 for Bell states, 0 for separable states; a Werner state
+    p|Psi-><Psi-| + (1-p) I/4 gives max(0, (3p-1)/2).  See wootters_difference.
+    """
+    return max(0.0, wootters_difference(state))
 
 
 def quadrature_moments(rho):

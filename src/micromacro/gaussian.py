@@ -429,6 +429,21 @@ def ppt_minimum_eigenvalue(state):
     return _scalar(_nu_pair(a + b - 2.0 * c, v)[0])
 
 
+def ppt_witness(state):
+    """Signed PPT witness Sigma/4 - det V - 1/16, positive iff the state is entangled.
+
+    With Sigma = det A + det B - 2 det C it equals (1/4 - nu_-^2)(nu_+^2 - 1/4)
+    for the partially transposed symplectic eigenvalues; a physical state has
+    nu_+ >= 1/2, so the witness is positive exactly where nu_min < 1/2
+    (Simon, PRL 84, 2726 (2000)).  Unlike E_N it is not clamped at 0 on the
+    separable side, and it is linear in a variance added to one quadrature
+    before further loss (Serafini, Illuminati & De Siena, J. Phys. B 37, L21
+    (2004)), as the phase noise is.
+    """
+    a, b, c, v = _minors(state.cov)
+    return _scalar((a + b - 2.0 * c) / 4.0 - v - 1.0 / 16.0)
+
+
 def log_negativity(state):
     """Logarithmic negativity E_N = max(0, -ln(2 nu_min)).
 

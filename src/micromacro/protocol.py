@@ -36,6 +36,8 @@ KB = 1.380649e-23  # J / K, exact
 ENGINES = ("gaussian", "fock")
 PHASE_NOISE_CONVENTIONS = ("paper_literal", "propagated_mean")
 ZERO_METRIC_TOL = 1e-12
+# find_threshold's |f| where a probe's witness is 0 or disagrees with its verdict
+_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -188,11 +190,16 @@ class GaussianProtocolResult:
 
 @dataclass(frozen=True)
 class FockProtocolResult:
-    """Outcome of one fock-engine pipeline run."""
+    """Outcome of one fock-engine pipeline run.
+
+    ``witness`` is the unclamped Wootters difference of the projected qubit
+    pair, negative on the separable side; ``concurrence`` is max(0, witness).
+    """
 
     concurrence: float
     projection_probability: float
     leakage: float
+    witness: float
 
 
 def run_gaussian_protocol(config, undisplacement="propagated"):
@@ -294,10 +301,12 @@ def run_fock_protocol(config):
     rho = fk.pure_loss_channel(rho, 0, config.eta2)
     rho = fk.pure_loss_channel(rho, 1, config.eta_c)
     qubits = fk.qubit_project(rho)
+    witness = fk.wootters_difference(qubits)
     return FockProtocolResult(
-        concurrence=fk.concurrence(qubits),
+        concurrence=max(0.0, witness),
         projection_probability=qubits.projection_probability,
         leakage=leakage,
+        witness=witness,
     )
 
 
@@ -313,11 +322,21 @@ def entanglement_metric(config):
 
 
 def find_threshold(config, parameter, bracket, tol=1e-5):
-    """Bisect for the parameter value where the entanglement metric reaches zero.
+    """Find the parameter value where the entanglement metric reaches zero.
 
-    The metric must be positive at one bracket end and zero (< 1e-12) at the
-    other; the bisection narrows the bracket to width `tol` and returns its
-    midpoint.  Deterministic: no randomness, fixed iteration pattern.
+    The metric must be positive (> ZERO_METRIC_TOL) at one bracket end and
+    zero at the other.  Brent's method (zeroin: Brent, "Algorithms for
+    Minimization without Derivatives", 1973, ch. 4) keeps a bracket whose ends
+    have opposite verdicts and shrinks it by secant, inverse quadratic
+    interpolation or bisection steps until it is at most `tol` wide, then
+    returns its midpoint, which lies within tol/2 of the crossing.  Each
+    probe's sign is its verdict; the magnitude, which only sets the step, is
+    the engine's signed witness from the same run where it agrees with the
+    verdict, and a tiny positive number where it does not: the PPT witness
+    of the gaussian output covariance (gaussian.ppt_witness) or the fock
+    engine's unclamped Wootters difference.  The gaussian witness is linear
+    in N_D, so an N_D search converges after one secant step.
+    Deterministic: no randomness, fixed iteration pattern.
 
     Raises
     ------
@@ -328,24 +347,61 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     if not hi > lo:
         raise ValueError(f"bracket [{lo}, {hi}] must be increasing")
 
-    def entangled(value):
+    def signed(value):
         probe = dataclasses.replace(config, **{parameter: value})
-        return entanglement_metric(probe) > ZERO_METRIC_TOL
+        if probe.engine == "gaussian":
+            result = run_gaussian_protocol(probe)
+            entangled = result.log_negativity > ZERO_METRIC_TOL
+            witness = ga.ppt_witness(result.output_state)
+        else:
+            result = run_fock_protocol(probe)
+            entangled = result.concurrence > ZERO_METRIC_TOL
+            witness = result.witness
+        magnitude = max(witness if entangled else -witness, _TINY)
+        return magnitude if entangled else -magnitude
 
-    lo_ent = entangled(lo)
-    hi_ent = entangled(hi)
-    if lo_ent == hi_ent:
-        state = "positive" if lo_ent else "zero"
+    a, fa = lo, signed(lo)
+    b, fb = hi, signed(hi)
+    if (fa > 0) == (fb > 0):
+        state = "positive" if fa > 0 else "zero"
         raise ValueError(
             f"no entanglement threshold in [{lo}, {hi}]: metric is {state} at both ends"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if entangled(mid) == lo_ent:
-            lo = mid
+    # [b, c] brackets the crossing, b has the smaller |f|, a is the previous b
+    c, fc = a, fa
+    step = previous = b - a
+    min_step = 0.5 * tol
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            step = previous = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if abs(c - b) <= tol:
+            return 0.5 * (b + c)
+        half = 0.5 * (c - b)
+        if abs(previous) >= min_step and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * half * q - abs(min_step * q), abs(previous * q)):
+                previous, step = step, p / q
+            else:
+                previous = step = half
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            previous = step = half
+        a, fa = b, fb
+        b += step if abs(step) > min_step else math.copysign(min_step, half)
+        fb = signed(b)
 
 
 @dataclass(frozen=True)

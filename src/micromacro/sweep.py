@@ -204,9 +204,9 @@ def preset(name):
     analogue of fig3 (concurrence vs N_D per sigma).
 
     Bounded parameters (y, eta1) sweep their full domain; unbounded ones (x,
-    N_D) sweep [0 or 1, 1.5x the entanglement-vanishing threshold], which is
-    discovered by bisection when the preset is built (instant for the gaussian
-    engine, under a second for figA1).
+    N_D) sweep [0 or 1, 1.5x the entanglement-vanishing threshold], which
+    find_threshold's Brent search discovers when the preset is built (4 and 7
+    pipeline evaluations for fig3 and fig4, 9 for figA1).
     """
     base = preset_base(name)
     if name == "fig2":

@@ -553,8 +553,9 @@ def test_concurrence_bell_product_and_werner():
     for _ in range(20):
         p = rng.uniform(0, 1)
         werner = p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4.0
-        expected = max(0.0, (3.0 * p - 1.0) / 2.0)
-        assert abs(fk.concurrence(werner) - expected) < 1e-10, f"p={p}"
+        difference = (3.0 * p - 1.0) / 2.0
+        assert abs(fk.wootters_difference(werner) - difference) < 1e-10, f"p={p}"
+        assert abs(fk.concurrence(werner) - max(0.0, difference)) < 1e-10, f"p={p}"
     with pytest.raises(ValueError):
         fk.concurrence(np.eye(3))
 

@@ -287,6 +287,33 @@ def test_ppt_eigenvalue_against_direct_diagonalization():
         assert abs(direct - closed) < 1e-9, f"{direct} vs {closed}"
 
 
+def test_ppt_witness_factorizes_and_signs_entanglement():
+    # Sigma/4 - det V - 1/16 = (1/4 - nu_-^2)(nu_+^2 - 1/4) over the partially
+    # transposed symplectic eigenvalues: (1 - e^{-4r})(e^{4r} - 1)/16 for a
+    # two-mode squeezed vacuum, 0 for the vacuum, (1/4 - 9/4)(25/4 - 1/4)
+    # for a product of thermal modes with nu = 3/2 and 5/2.
+    for r in (0.1, 0.5, 1.0):
+        expected = -math.expm1(-4.0 * r) * math.expm1(4.0 * r) / 16.0
+        assert abs(ga.ppt_witness(ga.tmsv_state(r)) - expected) < 1e-12 * expected
+    assert ga.ppt_witness(ga.vacuum_state()) == 0.0
+    thermal = ga.GaussianTwoModeState(np.zeros(4), np.diag([2.5, 2.5, 1.5, 1.5]))
+    assert abs(ga.ppt_witness(thermal) + 12.0) < 1e-12
+    # on a batch of channel outputs it is positive exactly where E_N is
+    rng = np.random.default_rng(5)
+    n = 400
+    coeffs = [
+        ga.channel_coefficients(rng.uniform(0, 0.5), rng.uniform(0.05, 0.99)) for _ in range(n)
+    ]
+    state = ga.storage_retrieval_channel(
+        ga.tmsv_state(rng.uniform(0.05, 1.0, n)), coeffs,
+        rng.uniform(0, 2, n), rng.uniform(0, 10, n),
+    )
+    witness = ga.ppt_witness(state)
+    entangled = ga.log_negativity(state) > 0.0
+    assert witness.shape == (n,) and 50 < entangled.sum() < n - 50
+    assert np.array_equal(witness > 0.0, entangled)
+
+
 def test_state_validation_rejects_asymmetric_covariance():
     cov = 0.5 * np.eye(4)
     cov[0, 1] = 1e-6

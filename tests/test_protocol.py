@@ -370,6 +370,114 @@ def test_find_threshold_bracket_errors():
         pr.find_threshold(config, "y", (0.9, 0.1))  # decreasing bracket
 
 
+# (bracket, tol) per searched parameter, as in the benchmark's threshold batch
+THRESHOLD_SEARCHES = {
+    "N_D": ((1.0, 1e7), 1.0),
+    "x": ((1e-6, 1.0), 1e-5),
+    "eta1": ((0.0, 1.0), 1e-5),
+    "sigma": ((0.0, 0.1), 1e-6),
+}
+
+
+def _entangled(config, parameter, value):
+    probe = dataclasses.replace(config, **{parameter: value})
+    return pr.entanglement_metric(probe) > pr.ZERO_METRIC_TOL
+
+
+def _bisected_crossing(config, parameter, bracket, tol):
+    """Reference crossing: the bisection find_threshold ran before Brent's method."""
+    lo, hi = bracket
+    lo_entangled = _entangled(config, parameter, lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _entangled(config, parameter, mid) == lo_entangled:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _check_threshold_contract(critical, config, parameter, bracket, tol):
+    """A find_threshold result lies within tol/2 of the crossing and splits the verdicts."""
+    crossing = _bisected_crossing(config, parameter, bracket, tol / 1000)
+    # the reference is itself within tol/2000 of the crossing
+    assert abs(critical - crossing) <= 0.5 * tol + tol / 2000, (parameter, critical, crossing)
+    below = _entangled(config, parameter, max(bracket[0], critical - 0.5 * tol))
+    above = _entangled(config, parameter, min(bracket[1], critical + 0.5 * tol))
+    assert below != above, (parameter, critical, config)
+
+
+def _count_runs(monkeypatch, name):
+    calls = []
+    run = getattr(pr, name)
+
+    def counted(config, *args, **kwargs):
+        calls.append(config)
+        return run(config, *args, **kwargs)
+
+    monkeypatch.setattr(pr, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("convention", pr.PHASE_NOISE_CONVENTIONS)
+def test_find_threshold_lies_within_half_tol_of_bisected_crossing(convention, monkeypatch):
+    rng = np.random.default_rng(20261018)
+    calls = _count_runs(monkeypatch, "run_gaussian_protocol")
+    evaluations = bisection_evaluations = 0
+    for parameter, (bracket, tol) in THRESHOLD_SEARCHES.items():
+        found = 0
+        while found < 6:
+            config = pr.ProtocolConfig(
+                r=rng.uniform(0.3, 1.0), N_D=10 ** rng.uniform(2, 4), y=rng.uniform(0.02, 0.5),
+                x=rng.uniform(0.0, 0.05), N_in=rng.uniform(0.0, 2.0), N_th=rng.uniform(1.0, 20.0),
+                sigma=rng.uniform(0.0, 0.01), eta1=rng.uniform(0.6, 1.0),
+                eta2=rng.uniform(0.6, 1.0), eta_c=rng.uniform(0.6, 1.0),
+                phase_noise_convention=convention,
+            )
+            lo, hi = (_entangled(config, parameter, end) for end in bracket)
+            if lo == hi:
+                continue
+            found += 1
+            del calls[:]
+            critical = pr.find_threshold(config, parameter, bracket, tol)
+            evaluations += len(calls)
+            _check_threshold_contract(critical, config, parameter, bracket, tol)
+            bisection_evaluations += 2 + math.ceil(math.log2((bracket[1] - bracket[0]) / tol))
+    # the witness sets the steps: bisection would take 19 to 26 evaluations per search
+    assert evaluations <= 0.5 * bisection_evaluations, (evaluations, bisection_evaluations)
+
+
+@pytest.mark.filterwarnings("ignore::micromacro.fock.TruncationWarning")
+@pytest.mark.parametrize("fock_dims", [6, 8])
+def test_fock_find_threshold_lies_within_half_tol_of_bisected_crossing(fock_dims, monkeypatch):
+    rng = np.random.default_rng(fock_dims)
+    calls = _count_runs(monkeypatch, "run_fock_protocol")
+    evaluations = []
+    for _ in range(2):
+        config = pr.ProtocolConfig(
+            engine="fock", fock_dims=fock_dims, x=rng.uniform(0.0, 0.02),
+            N_th=rng.uniform(0.1, 0.5), N_in=rng.uniform(0.0, 0.5), eta1=rng.uniform(0.8, 1.0),
+            eta2=rng.uniform(0.8, 1.0), eta_c=rng.uniform(0.8, 1.0),
+        )
+        for parameter, bracket, tol in (("N_D", (1.0, 1e5), 1.0), ("sigma", (0.0, 0.05), 1e-6)):
+            del calls[:]
+            critical = pr.find_threshold(config, parameter, bracket, tol)
+            evaluations.append(len(calls))
+            _check_threshold_contract(critical, config, parameter, bracket, tol)
+    # 8 to 10 with the Wootters difference setting the steps; bisection takes 19 and 18
+    assert max(evaluations) <= 12, evaluations
+
+
+def test_find_threshold_fig3_displacement_search_takes_few_evaluations(monkeypatch):
+    # The gaussian witness is linear in N_D, so the secant step from the two
+    # bracket ends lands on the crossing and one step of tol/2 closes the
+    # bracket.  Bisection took 26 evaluations here.
+    calls = _count_runs(monkeypatch, "run_gaussian_protocol")
+    critical = pr.find_threshold(pr.ProtocolConfig(sigma=0.005), "N_D", (1.0, 1e7), tol=1.0)
+    assert len(calls) <= 5, [c.N_D for c in calls]
+    assert abs(critical - 48636.945) < 0.5
+
+
 def test_engine_consistency_on_entanglement_verdict():
     # Whenever the covariance engine sees entanglement, the projected qubit
     # pair of the fock engine must fail the positive-partial-transpose test,

@@ -341,6 +341,26 @@ def test_cli_preset_axis_override(tmp_path):
     assert lines[1].startswith("0.1,")
 
 
+@pytest.mark.parametrize(
+    "n, error", [("4.0", None), ("4.5", "axis1_n=4.5 must be an integer"),
+                 ("0", "axis1_n=0 must be >= 1"), ("-3", "axis1_n=-3 must be >= 1")],
+)
+def test_cli_axis_count_is_parsed_as_an_integer(tmp_path, capsys, n, error):
+    conf = tmp_path / "count.conf"
+    conf.write_text(
+        f"axis1 = y\naxis1_lo = 0.1\naxis1_hi = 0.4\naxis1_n = {n}\n", encoding="utf-8"
+    )
+    code = cli.main(["sweep", "--config", str(conf)])
+    captured = capsys.readouterr()
+    if error is None:
+        assert code == 0
+        axis = [line.split(",")[0] for line in captured.out.splitlines()]
+        assert axis == ["y", "0.1", "0.2", "0.3", "0.4"]
+    else:
+        assert code == 1
+        assert captured.err == f"error: {error}\n"
+
+
 def test_cli_sweep_writes_sidecar_log(tmp_path):
     out = tmp_path / "fock.csv"
     code = cli.main([
