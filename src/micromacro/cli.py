@@ -191,8 +191,14 @@ def _base_config_from(ns):
 
 
 def _cmd_threshold(ns):
-    config = _base_config_from(ns)
-    value = pr.find_threshold(config, ns.param, (ns.lo, ns.hi), tol=ns.tol)
+    # the engine's warnings as sorted "Category: message" lines, also when it fails
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = pr.find_threshold(_base_config_from(ns), ns.param, (ns.lo, ns.hi), ns.tol)
+        finally:
+            for line in sw.warning_lines(caught):
+                print(line, file=sys.stderr)
     print(f"{ns.param}_threshold = {value:.12g}")
     return 0
 

@@ -18,6 +18,9 @@ same operations, in the same order, as for one state, so each point of a
 batch is bit-identical to the same point evaluated alone.  Per-point scalars
 that NumPy and the math module may round differently (sinh, powers, log)
 are computed point by point with the math module.
+
+Each operation checks its arguments, then runs a private kernel on the raw arrays
+(``_tmsv``, ``_displace``, ``_loss``, ``_storage``, ``_phase_noise``, ``_ppt_minors``).
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ _BLOCK_COLUMNS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
 
 # each mode's (own, other) slices of the (X_A, P_A, X_C, P_C) ordering
 _MODE_SLICES = {"A": (slice(0, 2), slice(2, 4)), "C": (slice(2, 4), slice(0, 2))}
+# each mode's quadratures, and the covariance's A-C cross-blocks
+_MODE_MASKS = {"A": np.arange(4) < 2, "C": np.arange(4) >= 2}
+_CROSS_BLOCKS = _MODE_MASKS["A"][:, None] != _MODE_MASKS["A"]
 
 
 def _mode_slices(mode):
@@ -125,10 +131,6 @@ class GaussianTwoModeState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    def point(self, index):
-        """The state at `index` of a batch, sharing this batch's arrays."""
-        return _frozen(self.mean[index], self.cov[index])
-
 
 def _frozen(mean, cov):
     """A state on arrays an operation built from a valid state: frozen in place,
@@ -141,11 +143,11 @@ def _frozen(mean, cov):
     return state
 
 
-def _finite(state):
-    """`state`, after checking that an operation that adds to it did not overflow."""
-    if not (np.isfinite(state.mean).all() and np.isfinite(state.cov).all()):
+def _finite(mean, cov):
+    """The state on `mean` and `cov`, after checking that an addition did not overflow."""
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise ValueError("non-finite entry in mean or cov")
-    return state
+    return _frozen(mean, cov)
 
 
 def vacuum_state():
@@ -159,6 +161,13 @@ def _tmsv_entries(r):
     return math.sinh(r) ** 2 + VACUUM_VARIANCE, math.sinh(r) * math.cosh(r)
 
 
+def _tmsv(r):
+    d, c = _per_point(_tmsv_entries, 2, r)
+    # exact: each entry is d, c or -c plus products with zero
+    cov = d[..., None, None] * _TMSV_VARIANCES + c[..., None, None] * _TMSV_CORRELATIONS
+    return np.zeros(d.shape + (4,)), cov  # finite for r < 20
+
+
 def tmsv_state(r):
     """Two-mode squeezed vacuum with squeezing parameter r >= 0.
 
@@ -167,10 +176,7 @@ def tmsv_state(r):
     approaches an ideal EPR pair for large r and is exactly vacuum at r = 0.
     An array of r gives the batch of states of that shape.
     """
-    d, c = _per_point(_tmsv_entries, 2, r)
-    # exact: each entry is d, c or -c plus products with zero
-    cov = d[..., None, None] * _TMSV_VARIANCES + c[..., None, None] * _TMSV_CORRELATIONS
-    return _frozen(np.zeros(d.shape + (4,)), cov)  # finite for r < 20
+    return _frozen(*_tmsv(r))
 
 
 def displace(state, mode, alpha):
@@ -180,27 +186,29 @@ def displace(state, mode, alpha):
     and leaves the covariance matrix untouched.  `alpha` may be an array of
     the batch shape.
     """
+    return _finite(_displace(state.mean, mode, np.asarray(alpha, dtype=complex)), state.cov)
+
+
+def _displace(mean, mode, alpha):
     x = _mode_slices(mode)[0].start  # the mode's X quadrature, P follows it
-    alpha = np.asarray(alpha, dtype=complex)
-    mean = state.mean.copy()
+    mean = mean.copy()
     mean[..., x] += math.sqrt(2.0) * alpha.real
     mean[..., x + 1] += math.sqrt(2.0) * alpha.imag
-    return _finite(_frozen(mean, state.cov))
+    return mean
 
 
-def _update_mode(state, mode, amplitude, power, noise):
+def _update_mode(mean, cov, mode, amplitude, power, noise):
     """One mode's mean and cross-blocks scale by `amplitude`; its own 2x2
     block maps to power * block + noise.  `amplitude` and `power` are per
     point, `noise` is a (..., 2, 2) block."""
     own = _mode_slices(mode)[0]
-    scale = np.ones(np.shape(amplitude) + (4,))
-    scale[..., own] = np.asarray(amplitude)[..., None]
-    mean = state.mean * scale
-    # the other mode's block gains 1 * 1, its cross-blocks amplitude * 1; the
+    amplitude = np.asarray(amplitude)[..., None]
+    mean = mean * np.where(_MODE_MASKS[mode], amplitude, 1.0)
+    # the cross-blocks scale by amplitude, the other mode's block by 1; the
     # own block is then overwritten
-    cov = state.cov * (scale[..., :, None] * scale[..., None, :])
-    cov[..., own, own] = np.asarray(power)[..., None, None] * state.cov[..., own, own] + noise
-    return _frozen(mean, cov)
+    out = cov * np.where(_CROSS_BLOCKS, amplitude[..., None], 1.0)
+    out[..., own, own] = np.asarray(power)[..., None, None] * cov[..., own, own] + noise
+    return mean, out
 
 
 def component_variance(n, n_displaced):
@@ -227,11 +235,16 @@ def loss_channel(state, mode, eta):
     """
     eta = _require(eta, _in_unit_interval, "transmission eta={} outside [0, 1]")
     _mode_slices(mode)  # a bad mode fails even where eta = 1 leaves the state alone
-    if (eta == 1.0).all():
-        return state
-    noise = (1.0 - eta[..., None, None]) * _VACUUM_BLOCK
+    mean, cov = _loss(state.mean, state.cov, mode, eta)
     # a mix of a finite state and vacuum: finite
-    return _update_mode(state, mode, np.sqrt(eta), eta, noise)
+    return state if cov is state.cov else _frozen(mean, cov)
+
+
+def _loss(mean, cov, mode, eta):
+    if (eta == 1.0).all():
+        return mean, cov
+    noise = (1.0 - eta[..., None, None]) * _VACUUM_BLOCK
+    return _update_mode(mean, cov, mode, np.sqrt(eta), eta, noise)
 
 
 @dataclass(frozen=True)
@@ -332,9 +345,13 @@ def storage_retrieval_channel(state, coeffs, n_initial, n_bath, mode="A"):
     For a batch, `coeffs` may be a sequence of ChannelCoefficients and the
     occupations arrays, one entry per point.
     """
+    return _finite(*_storage(state.mean, state.cov, mode, coeffs, n_initial, n_bath))
+
+
+def _storage(mean, cov, mode, coeffs, n_initial, n_bath):
     amplitude, power, added = _per_point(_storage_terms, 3, coeffs, n_initial, n_bath)
     noise = added[..., None, None] * _IDENTITY_BLOCK
-    return _finite(_update_mode(state, mode, amplitude, power, noise))
+    return _update_mode(mean, cov, mode, amplitude, power, noise)
 
 
 def _storage_terms(coeffs, n_initial, n_bath):
@@ -366,19 +383,35 @@ def phase_noise(state, sigma, amp_sq, mode="A"):
     amp_sq = _require(
         amp_sq, _finite_non_negative, "amplitude photon number {} must be finite and >= 0"
     )
-    p = _mode_slices(mode)[0].start + 1  # the mode's P quadrature
+    _mode_slices(mode)
+    cov = _phase_noise(state.cov, mode, sigma, amp_sq)
+    return state if cov is state.cov else _finite(state.mean, cov)
+
+
+def _phase_noise(cov, mode, sigma, amp_sq):
     added = 2.0 * amp_sq * sigma * sigma
     if not added.any():
-        return state
-    cov = state.cov.copy()
+        return cov
+    p = _mode_slices(mode)[0].start + 1  # the mode's P quadrature
+    cov = cov.copy()
     cov[..., p, p] += added
-    return _finite(_frozen(state.mean, cov))
+    return cov
 
 
 def _minors(cov):
     """det A, det B, det C and det V of the covariance's 2x2 blocks and the whole."""
     blocks = np.linalg.det(cov[..., _BLOCK_ROWS, _BLOCK_COLUMNS])
     return blocks[..., 0], blocks[..., 1], blocks[..., 2], np.linalg.det(cov)
+
+
+def _ppt_minors(cov):
+    """Sigma = det A + det B - 2 det C of the partially transposed state, and det V."""
+    a, b, c, v = _minors(cov)
+    return a + b - 2.0 * c, v
+
+
+def _ppt_witness(total, det_v):
+    return total / 4.0 - det_v - 1.0 / 16.0
 
 
 def _clamped_sqrt(value, scale):
@@ -425,8 +458,7 @@ def ppt_minimum_eigenvalue(state):
     nu_min = sqrt((Sigma - sqrt(Sigma^2 - 4 det V)) / 2).  The two-mode state
     is entangled iff nu_min < 1/2.
     """
-    a, b, c, v = _minors(state.cov)
-    return _scalar(_nu_pair(a + b - 2.0 * c, v)[0])
+    return _scalar(_nu_pair(*_ppt_minors(state.cov))[0])
 
 
 def ppt_witness(state):
@@ -440,8 +472,7 @@ def ppt_witness(state):
     before further loss (Serafini, Illuminati & De Siena, J. Phys. B 37, L21
     (2004)), as the phase noise is.
     """
-    a, b, c, v = _minors(state.cov)
-    return _scalar((a + b - 2.0 * c) / 4.0 - v - 1.0 / 16.0)
+    return _scalar(_ppt_witness(*_ppt_minors(state.cov)))
 
 
 def log_negativity(state):

@@ -179,13 +179,15 @@ class GaussianProtocolResult:
     """Outcome of one gaussian-engine pipeline run, or of a batch of runs.
 
     For a batch every field is an array with one entry per config, and
-    ``output_state`` is the batch of output states.
+    ``output_state`` is the batch of output states.  ``witness`` is the signed,
+    unclamped PPT witness of the output covariance (gaussian.ppt_witness).
     """
 
     log_negativity: float
     nu_min: float
     output_state: ga.GaussianTwoModeState
     mean_residual: float
+    witness: float
 
 
 @dataclass(frozen=True)
@@ -236,32 +238,32 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
         [(c.r, c.N_D, c.eta1, c.N_in, c.N_th, c.sigma, c.eta2, c.eta_c) for c in configs]
     ).T
     coeffs = [ga.channel_coefficients(c.x, c.y) for c in configs]
-    state = ga.tmsv_state(r)
-    state = ga.displace(state, "A", np.sqrt(n_d))
-    state = ga.loss_channel(state, "A", eta1)
-    state = ga.storage_retrieval_channel(state, coeffs, n_in, n_th)
-    amp_sq = [phase_noise_amplitude_sq(c, k) for c, k in zip(configs, coeffs)]
-    state = ga.phase_noise(state, sigma, amp_sq, mode="A")
-    state = ga.loss_channel(state, "A", eta2)
+    amp_sq = np.array([phase_noise_amplitude_sq(c, k) for c, k in zip(configs, coeffs)])
+    # valid configs: the kernels run unchecked, finiteness is checked once
+    mean, cov = ga._tmsv(r)
+    mean = ga._displace(mean, "A", np.sqrt(n_d))
+    mean, cov = ga._loss(mean, cov, "A", eta1)
+    mean, cov = ga._storage(mean, cov, "A", coeffs, n_in, n_th)
+    cov = ga._phase_noise(cov, "A", sigma, amp_sq)
+    mean, cov = ga._loss(mean, cov, "A", eta2)
     if undisplacement == "propagated":
         # real division per quadrature (NumPy's complex division multiplies
         # by the reciprocal, which rounds differently)
-        back = (-state.mean[:, 0:2] / math.sqrt(2.0)).view(complex)[:, 0]
+        back = (-mean[:, 0:2] / math.sqrt(2.0)).view(complex)[:, 0]
     else:
         back = np.array([(1.0 - c.y**2) * math.sqrt(c.N_D) for c in configs])
-    state = ga.displace(state, "A", back)
-    state = ga.loss_channel(state, "C", eta_c)
-    nu_min = ga.ppt_minimum_eigenvalue(state)
-    log_negativity = ga.negativity_from_nu(nu_min)
-    mean_residual = np.hypot(state.mean[:, 0], state.mean[:, 1])
-    if single:
-        return GaussianProtocolResult(
-            log_negativity=float(log_negativity[0]),
-            nu_min=float(nu_min[0]),
-            output_state=state.point(0),
-            mean_residual=float(mean_residual[0]),
-        )
-    return GaussianProtocolResult(log_negativity, nu_min, state, mean_residual)
+    mean = ga._displace(mean, "A", back)
+    mean, cov = ga._loss(mean, cov, "C", eta_c)
+    state = ga._finite(mean[0], cov[0]) if single else ga._finite(mean, cov)
+    total, det_v = ga._ppt_minors(state.cov)
+    nu_min = ga._nu_pair(total, det_v)[0]
+    return GaussianProtocolResult(
+        log_negativity=ga.negativity_from_nu(nu_min),
+        nu_min=ga._scalar(nu_min),
+        output_state=state,
+        mean_residual=ga._scalar(np.hypot(state.mean[..., 0], state.mean[..., 1])),
+        witness=ga._scalar(ga._ppt_witness(total, det_v)),
+    )
 
 
 def run_fock_protocol(config):
@@ -328,8 +330,9 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     zero at the other.  Brent's method (zeroin: Brent, "Algorithms for
     Minimization without Derivatives", 1973, ch. 4) keeps a bracket whose ends
     have opposite verdicts and shrinks it by secant, inverse quadratic
-    interpolation or bisection steps until it is at most `tol` wide, then
-    returns its midpoint, which lies within tol/2 of the crossing.  Each
+    interpolation or bisection steps until it is at most max(tol, 4 eps |b|)
+    wide (b its end nearer the crossing, eps the float epsilon), then returns
+    its midpoint, which lies within half that width of the crossing.  Each
     probe's sign is its verdict; the magnitude, which only sets the step, is
     the engine's signed witness from the same run where it agrees with the
     verdict, and a tiny positive number where it does not: the PPT witness
@@ -352,12 +355,10 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
         if probe.engine == "gaussian":
             result = run_gaussian_protocol(probe)
             entangled = result.log_negativity > ZERO_METRIC_TOL
-            witness = ga.ppt_witness(result.output_state)
         else:
             result = run_fock_protocol(probe)
             entangled = result.concurrence > ZERO_METRIC_TOL
-            witness = result.witness
-        magnitude = max(witness if entangled else -witness, _TINY)
+        magnitude = max(result.witness if entangled else -result.witness, _TINY)
         return magnitude if entangled else -magnitude
 
     a, fa = lo, signed(lo)
@@ -370,7 +371,6 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     # [b, c] brackets the crossing, b has the smaller |f|, a is the previous b
     c, fc = a, fa
     step = previous = b - a
-    min_step = 0.5 * tol
     while True:
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
@@ -378,7 +378,9 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        if abs(c - b) <= tol:
+        # zeroin's tol1: no step below the float spacing at b, so any tol ends
+        min_step = max(0.5 * tol, 2.0 * math.ulp(1.0) * abs(b), math.ulp(0.0))
+        if abs(c - b) <= 2.0 * min_step:
             return 0.5 * (b + c)
         half = 0.5 * (c - b)
         if abs(previous) >= min_step and abs(fa) > abs(fb):

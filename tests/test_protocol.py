@@ -1,7 +1,11 @@
 """Tests for the pipeline composition, threshold search and feasibility math."""
 
+import ast
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from micromacro import fock as fk
 from micromacro import gaussian as ga
 from micromacro import protocol as pr
+from micromacro import sweep as sw
 
 # Regression pins for the default configuration (12+ digits, frozen).
 EN_DEFAULT_PROPAGATED = 0.11930577440575094
@@ -224,6 +229,90 @@ def test_gaussian_batch_is_bit_identical_to_scalar_reference():
         assert batch.log_negativity[i] == log_negativity, config
         assert batch.nu_min[i] == nu, config
         assert np.array_equal(batch.output_state.cov[i], cov), config
+
+
+def public_pipeline(configs, undisplacement):
+    """(E_N, nu_min, witness, output state) of a batch of configs from the
+    public, argument-checking operations composed in the pipeline's order."""
+    coeffs = [ga.channel_coefficients(c.x, c.y) for c in configs]
+
+    def field(name):
+        return np.array([getattr(c, name) for c in configs])
+
+    state = ga.tmsv_state(field("r"))
+    state = ga.displace(state, "A", np.sqrt(field("N_D")))
+    state = ga.loss_channel(state, "A", field("eta1"))
+    state = ga.storage_retrieval_channel(state, coeffs, field("N_in"), field("N_th"))
+    amp_sq = [pr.phase_noise_amplitude_sq(c, k) for c, k in zip(configs, coeffs)]
+    state = ga.phase_noise(state, field("sigma"), amp_sq, mode="A")
+    state = ga.loss_channel(state, "A", field("eta2"))
+    if undisplacement == "propagated":
+        back = (-state.mean[..., 0:2] / math.sqrt(2.0)).view(complex)[..., 0]
+    else:
+        back = np.array([(1.0 - c.y**2) * math.sqrt(c.N_D) for c in configs])
+    state = ga.displace(state, "A", back)
+    state = ga.loss_channel(state, "C", field("eta_c"))
+    nu_min = ga.ppt_minimum_eigenvalue(state)
+    return ga.negativity_from_nu(nu_min), nu_min, ga.ppt_witness(state), state
+
+
+@pytest.mark.parametrize("undisplacement", ["propagated", "nominal"])
+def test_gaussian_pipeline_equals_composed_public_operations(undisplacement):
+    # The pipeline runs the operations' kernels without their argument checks;
+    # the public operations must give the same bits, batched and one by one,
+    # and so must the kernel-free scalar reference.
+    configs = random_gaussian_configs(1200, seed=20261019)
+    batch = pr.run_gaussian_protocol(configs, undisplacement=undisplacement)
+    log_negativity, nu_min, witness, state = public_pipeline(configs, undisplacement)
+    assert np.array_equal(batch.log_negativity, log_negativity)
+    assert np.array_equal(batch.nu_min, nu_min)
+    assert np.array_equal(batch.witness, witness)
+    assert np.array_equal(batch.output_state.mean, state.mean)
+    assert np.array_equal(batch.output_state.cov, state.cov)
+    for config in configs[:200]:
+        single = pr.run_gaussian_protocol(config, undisplacement=undisplacement)
+        log_negativity, nu_min, witness, state = public_pipeline([config], undisplacement)
+        assert (single.log_negativity, single.nu_min) == (log_negativity[0], nu_min[0]), config
+        assert single.witness == witness[0], config
+        assert np.array_equal(single.output_state.mean, state.mean[0]), config
+        assert np.array_equal(single.output_state.cov, state.cov[0]), config
+        log_negativity, nu_min, cov = scalar_reference(config)
+        assert (single.log_negativity, single.nu_min) == (log_negativity, nu_min), config
+        assert np.array_equal(single.output_state.cov, cov), config
+        a, b = np.linalg.det(cov[:2, :2]), np.linalg.det(cov[2:, 2:])
+        v, cross = np.linalg.det(cov), np.linalg.det(cov[:2, 2:])
+        assert single.witness == (a + b - 2.0 * cross) / 4.0 - v - 1.0 / 16.0, config
+
+
+def test_gaussian_result_witness_is_the_output_ppt_witness():
+    configs = random_gaussian_configs(1200, seed=11)
+    batch = pr.run_gaussian_protocol(configs)
+    assert np.array_equal(batch.witness, ga.ppt_witness(batch.output_state))
+    # the sign is the verdict wherever the witness is above round-off (product
+    # states and the like give witnesses of a few ulps either side of 0)
+    clear = np.abs(batch.witness) > 1e-12
+    entangled = batch.log_negativity > pr.ZERO_METRIC_TOL
+    assert np.array_equal((batch.witness > 0)[clear], entangled[clear])
+    assert 50 < np.count_nonzero(entangled[clear]) < np.count_nonzero(clear) - 50
+    for config in configs[:100]:
+        result = pr.run_gaussian_protocol(config)
+        assert type(result.witness) is float
+        assert result.witness == ga.ppt_witness(result.output_state), config
+
+
+def test_gaussian_pipeline_errors_are_unchanged():
+    # a phase jitter whose added variance overflows is still caught, once, at
+    # the end of the pipeline, with the message of the checking operations
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite entry in mean or cov"):
+            pr.run_gaussian_protocol(pr.ProtocolConfig(sigma=1e200))
+        with pytest.raises(ValueError, match="non-finite entry in mean or cov"):
+            ga.phase_noise(ga.tmsv_state(0.5), 1e200, 5000.0)
+        spec = sw.SweepSpec(base=pr.ProtocolConfig(), axis1=sw.AxisSpec("sigma", (0.01, 1e200)))
+        with pytest.raises(RuntimeError, match=r"\(sigma=1e\+200\) failed: non-finite"):
+            sw.run_sweep(spec)
+    with pytest.raises(ValueError, match=r"squeezing parameter r=25.0 outside \[0, 20\)"):
+        pr.run_gaussian_protocol(pr.ProtocolConfig(r=25.0))
 
 
 def test_fock_pipeline_regression_and_leakage():
@@ -476,6 +565,43 @@ def test_find_threshold_fig3_displacement_search_takes_few_evaluations(monkeypat
     critical = pr.find_threshold(pr.ProtocolConfig(sigma=0.005), "N_D", (1.0, 1e7), tol=1.0)
     assert len(calls) <= 5, [c.N_D for c in calls]
     assert abs(critical - 48636.945) < 0.5
+
+
+# (config, parameter, bracket) of searches whose crossing is far from 0
+FINE_SEARCHES = {
+    "N_D": (pr.ProtocolConfig(sigma=0.005), "N_D", (1.0, 1e7)),
+    "eta1": (pr.ProtocolConfig(), "eta1", (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12])
+@pytest.mark.parametrize("search", sorted(FINE_SEARCHES))
+def test_find_threshold_ends_for_tol_below_float_spacing(search, tol):
+    # A tol under the float spacing at the crossing used to loop forever, so
+    # the search runs in a child process that a timeout stops.  The child
+    # prints the result and every probed value.
+    config, parameter, bracket = FINE_SEARCHES[search]
+    code = (
+        "from micromacro import protocol as pr\n"
+        "probes, run = [], pr.run_gaussian_protocol\n"
+        f"pr.run_gaussian_protocol = lambda c: probes.append(c.{parameter}) or run(c)\n"
+        f"config = pr.config_from_mapping({pr.config_to_mapping(config)!r})\n"
+        f"print(repr([pr.find_threshold(config, {parameter!r}, {bracket!r}, {tol!r}), probes]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(pr.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    critical, probes = ast.literal_eval(done.stdout)
+    # the final bracket's ends are the probes nearest the result on either side
+    below = max(p for p in probes if p < critical)
+    above = min(p for p in probes if p > critical)
+    assert critical == 0.5 * (below + above)
+    assert above - below <= max(tol, 4.0 * sys.float_info.epsilon * max(abs(below), abs(above)))
+    assert _entangled(config, parameter, below) != _entangled(config, parameter, above)
 
 
 def test_engine_consistency_on_entanglement_verdict():

@@ -415,6 +415,40 @@ def test_cli_threshold_command(capsys):
     assert 0.3 <= value <= 0.5
 
 
+def test_cli_threshold_reports_warnings_as_lines(capsys):
+    # A fock search at 4 levels warns about truncation at every probe; the
+    # warnings reach stderr as sorted "Category: message" lines, never as
+    # Python's warning display with its source line.
+    args = [
+        "threshold", "--set", "engine=fock", "--set", "fock_dims=4", "--set", "N_th=0.3",
+        "--param", "N_D", "--lo", "1", "--hi", "1e5", "--tol", "1",
+    ]
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        code = cli.main(args)
+    assert code == 0
+    assert leaked == []
+    out, err = capsys.readouterr()
+    config = pr.ProtocolConfig(engine="fock", fock_dims=4, N_th=0.3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = pr.find_threshold(config, "N_D", (1.0, 1e5), tol=1.0)
+    assert out == f"N_D_threshold = {value:.12g}\n"
+    lines = err.splitlines()
+    assert lines == list(sw.warning_lines(caught)) and lines
+    assert all(line.startswith("TruncationWarning: fock state loses ") for line in lines)
+    # a failed search reports its warnings too, before the error
+    code = cli.main([
+        "threshold", "--set", "engine=fock", "--param", "fock_dims", "--lo", "2", "--hi", "40",
+    ])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    *lines, error = err.splitlines()
+    assert lines and all(line.startswith("TruncationWarning: ") for line in lines)
+    assert error.startswith("error: no entanglement threshold in [2.0, 40.0]")
+
+
 def test_cli_threshold_bracket_error(capsys):
     code = cli.main([
         "threshold", "--preset", "fig2", "--param", "y", "--lo", "0.2", "--hi", "0.3",
