@@ -209,7 +209,17 @@ def _on_mode(rho, mode, fn):
     _check_mode(mode)
     t = np.moveaxis(_as_tensor(rho), (mode, mode + 2), (2, 3))
     out = np.moveaxis(fn(t), (2, 3), (mode, mode + 2))
-    return FockDensityMatrix(rho.dims, out.reshape(rho.data.shape))
+    return _built(rho.dims, out.reshape(rho.data.shape))
+
+
+def _built(dims, data):
+    """A state on an array a channel built from a valid state: frozen in place,
+    not copied or re-checked.  The channels keep it Hermitian."""
+    data.setflags(write=False)
+    rho = object.__new__(FockDensityMatrix)
+    object.__setattr__(rho, "dims", dims)
+    object.__setattr__(rho, "data", data)
+    return rho
 
 
 @lru_cache(maxsize=None)

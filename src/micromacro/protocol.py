@@ -338,8 +338,13 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     verdict, and a tiny positive number where it does not: the PPT witness
     of the gaussian output covariance (gaussian.ppt_witness) or the fock
     engine's unclamped Wootters difference.  The gaussian witness is linear
-    in N_D, so an N_D search converges after one secant step.
-    Deterministic: no randomness, fixed iteration pattern.
+    in a variance added to one quadrature (Serafini, Illuminati & De Siena,
+    J. Phys. B 37, L21 (2004)), and sigma enters both engines only through
+    the phase-noise variance 2 |alpha_eff|^2 sigma^2.  So the steps of a sigma
+    search are taken on u = sigma^2 (width, step floor and midpoint stay in
+    sigma), and an N_D or sigma search converges after one secant step.  The
+    two bracket ends run as one gaussian batch, bit-identical to two single
+    runs.  Deterministic: no randomness, fixed iteration pattern.
 
     Raises
     ------
@@ -349,20 +354,30 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError(f"bracket [{lo}, {hi}] must be increasing")
+    square = parameter == "sigma"  # steps on u = sigma^2, where the witness is linear
 
-    def signed(value):
-        probe = dataclasses.replace(config, **{parameter: value})
-        if probe.engine == "gaussian":
-            result = run_gaussian_protocol(probe)
-            entangled = result.log_negativity > ZERO_METRIC_TOL
+    def coord(v):
+        return v * v if square else v
+
+    def value(u):
+        return math.sqrt(u) if square else u
+
+    def signed(*values):
+        probes = [dataclasses.replace(config, **{parameter: v}) for v in values]
+        if config.engine == "gaussian":
+            batch = run_gaussian_protocol(probes)
+            runs = zip(batch.log_negativity, batch.witness)
         else:
-            result = run_fock_protocol(probe)
-            entangled = result.concurrence > ZERO_METRIC_TOL
-        magnitude = max(result.witness if entangled else -result.witness, _TINY)
-        return magnitude if entangled else -magnitude
+            runs = ((r.concurrence, r.witness) for r in map(run_fock_protocol, probes))
+        out = []
+        for metric, witness in runs:
+            entangled = metric > ZERO_METRIC_TOL
+            magnitude = max(float(witness if entangled else -witness), _TINY)
+            out.append(magnitude if entangled else -magnitude)
+        return out
 
-    a, fa = lo, signed(lo)
-    b, fb = hi, signed(hi)
+    fa, fb = signed(lo, hi)
+    a, b = coord(lo), coord(hi)
     if (fa > 0) == (fb > 0):
         state = "positive" if fa > 0 else "zero"
         raise ValueError(
@@ -378,12 +393,16 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        # zeroin's tol1: no step below the float spacing at b, so any tol ends
-        min_step = max(0.5 * tol, 2.0 * math.ulp(1.0) * abs(b), math.ulp(0.0))
-        if abs(c - b) <= 2.0 * min_step:
-            return 0.5 * (b + c)
+        # zeroin's tol1, in the parameter's units: no step below the float
+        # spacing at b, so any tol ends
+        vb, vc = value(b), value(c)
+        min_step = max(0.5 * tol, 2.0 * math.ulp(1.0) * abs(vb), math.ulp(0.0))
+        if abs(vc - vb) <= 2.0 * min_step:
+            return 0.5 * (vb + vc)
+        # the step floor in u, by the bracket's du/dv (exactly 1 unless square)
+        min_du = min_step * ((c - b) / (vc - vb))
         half = 0.5 * (c - b)
-        if abs(previous) >= min_step and abs(fa) > abs(fb):
+        if abs(previous) >= min_du and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:  # secant
                 p, q = 2.0 * half * s, 1.0 - s
@@ -395,15 +414,15 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
                 q = -q
             else:
                 p = -p
-            if 2.0 * p < min(3.0 * half * q - abs(min_step * q), abs(previous * q)):
+            if 2.0 * p < min(3.0 * half * q - abs(min_du * q), abs(previous * q)):
                 previous, step = step, p / q
             else:
                 previous = step = half
         else:
             previous = step = half
         a, fa = b, fb
-        b += step if abs(step) > min_step else math.copysign(min_step, half)
-        fb = signed(b)
+        b = b + step if abs(step) > min_du else coord(vb + math.copysign(min_step, half))
+        (fb,) = signed(value(b))
 
 
 @dataclass(frozen=True)

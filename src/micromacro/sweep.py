@@ -206,7 +206,7 @@ def preset(name):
     Bounded parameters (y, eta1) sweep their full domain; unbounded ones (x,
     N_D) sweep [0 or 1, 1.5x the entanglement-vanishing threshold], which
     find_threshold's Brent search discovers when the preset is built (4 and 7
-    pipeline evaluations for fig3 and fig4, 9 for figA1).
+    probes in 3 and 6 pipeline calls for fig3 and fig4, 9 fock runs for figA1).
     """
     base = preset_base(name)
     if name == "fig2":

@@ -386,13 +386,13 @@ def test_channels_reject_bad_mode(mode):
 
 def test_each_channel_builds_one_density_matrix(monkeypatch):
     built = []
-    original = fk.FockDensityMatrix.__post_init__
+    original = fk._built
 
-    def counting(self):
-        built.append(self)
-        original(self)
+    def counting(dims, data):
+        built.append(data)
+        return original(dims, data)
 
-    monkeypatch.setattr(fk.FockDensityMatrix, "__post_init__", counting)
+    monkeypatch.setattr(fk, "_built", counting)
     rho = random_state((6, 6), seed=3)
     coeffs = ga.channel_coefficients(0.01, 0.1)
     calls = (

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -501,7 +502,8 @@ def _count_runs(monkeypatch, name):
     run = getattr(pr, name)
 
     def counted(config, *args, **kwargs):
-        calls.append(config)
+        # one entry per probe: a batch adds each of its configs
+        calls.extend([config] if isinstance(config, pr.ProtocolConfig) else config)
         return run(config, *args, **kwargs)
 
     monkeypatch.setattr(pr, name, counted)
@@ -567,10 +569,77 @@ def test_find_threshold_fig3_displacement_search_takes_few_evaluations(monkeypat
     assert abs(critical - 48636.945) < 0.5
 
 
+def test_find_threshold_fig3_displacement_search_takes_three_pipeline_calls(monkeypatch):
+    # The two bracket ends run as one batch, then the secant step and the
+    # step of tol/2 run alone: 4 probes in 3 calls.
+    probes = _count_runs(monkeypatch, "run_gaussian_protocol")
+    batches, run = [], pr.run_gaussian_protocol
+    monkeypatch.setattr(pr, "run_gaussian_protocol", lambda c: batches.append(c) or run(c))
+    pr.find_threshold(pr.ProtocolConfig(sigma=0.005), "N_D", (1.0, 1e7), tol=1.0)
+    assert (len(probes), len(batches)) == (4, 3), [c.N_D for c in probes]
+
+
+@pytest.mark.parametrize("convention", pr.PHASE_NOISE_CONVENTIONS)
+def test_find_threshold_matches_closed_form_phase_noise_root(convention, monkeypatch):
+    # sigma enters only through the phase-noise variance 2 |alpha_eff|^2
+    # sigma^2, so the margin f = det V - Sigma/4 + 1/16 is linear in u = sigma^2
+    # with root u*, and a search on u lands on it with its first secant step.
+    def margin(config):
+        cov = pr.run_gaussian_protocol(config).output_state.cov
+        a, b, c, v = (np.linalg.det(m) for m in (cov[:2, :2], cov[2:, 2:], cov[:2, 2:], cov))
+        return v - (a + b - 2.0 * c) / 4.0 + 1.0 / 16.0
+
+    calls = _count_runs(monkeypatch, "run_gaussian_protocol")
+    for n_d in (2000.0, 5000.0, 20000.0):
+        config = pr.ProtocolConfig(N_D=n_d, phase_noise_convention=convention)
+        f0 = margin(dataclasses.replace(config, sigma=0.0))
+        slope = (margin(dataclasses.replace(config, sigma=0.01)) - f0) / 0.01**2
+        root = math.sqrt(-f0 / slope)
+        f_root = margin(dataclasses.replace(config, sigma=root))
+        assert abs(f_root) < 1e-9 * abs(f0), f"margin not linear in sigma^2 at N_D={n_d}"
+        del calls[:]
+        critical = pr.find_threshold(config, "sigma", (0.0, 0.1), tol=1e-6)
+        assert abs(critical - root) <= 0.5e-6, f"N_D={n_d}: {critical} vs {root}"
+        assert len(calls) <= 4, [c.sigma for c in calls]
+
+
+def test_find_threshold_batched_ends_match_single_runs(monkeypatch):
+    # The bracket ends run as one gaussian batch; each entry is the single
+    # run's, so the searches find what one run per probe finds.
+    rng = np.random.default_rng(10)
+    searches = []
+    for parameter, (bracket, tol) in THRESHOLD_SEARCHES.items():
+        config = pr.ProtocolConfig(
+            r=rng.uniform(0.3, 1.0), y=rng.uniform(0.02, 0.3), N_th=rng.uniform(1.0, 5.0),
+            sigma=rng.uniform(0.0, 0.01), eta1=rng.uniform(0.7, 1.0),
+        )
+        ends = [dataclasses.replace(config, **{parameter: end}) for end in bracket]
+        batch = pr.run_gaussian_protocol(ends)
+        for i, end in enumerate(ends):
+            single = pr.run_gaussian_protocol(end)
+            assert batch.log_negativity[i] == single.log_negativity, (parameter, i)
+            assert batch.witness[i] == single.witness, (parameter, i)
+        searches.append((config, parameter, bracket, tol))
+    batched = [pr.find_threshold(*search) for search in searches]
+    run = pr.run_gaussian_protocol
+
+    def one_at_a_time(configs):
+        if isinstance(configs, pr.ProtocolConfig):
+            return run(configs)
+        runs = [run(c) for c in configs]
+        return SimpleNamespace(
+            log_negativity=[r.log_negativity for r in runs], witness=[r.witness for r in runs]
+        )
+
+    monkeypatch.setattr(pr, "run_gaussian_protocol", one_at_a_time)
+    assert [pr.find_threshold(*search) for search in searches] == batched
+
+
 # (config, parameter, bracket) of searches whose crossing is far from 0
 FINE_SEARCHES = {
     "N_D": (pr.ProtocolConfig(sigma=0.005), "N_D", (1.0, 1e7)),
     "eta1": (pr.ProtocolConfig(), "eta1", (0.0, 1.0)),
+    "sigma": (pr.ProtocolConfig(), "sigma", (0.0, 0.1)),
 }
 
 
@@ -584,7 +653,9 @@ def test_find_threshold_ends_for_tol_below_float_spacing(search, tol):
     code = (
         "from micromacro import protocol as pr\n"
         "probes, run = [], pr.run_gaussian_protocol\n"
-        f"pr.run_gaussian_protocol = lambda c: probes.append(c.{parameter}) or run(c)\n"
+        "batch = lambda cs: [cs] if isinstance(cs, pr.ProtocolConfig) else cs\n"
+        f"count = lambda cs: probes.extend(c.{parameter} for c in batch(cs))\n"
+        "pr.run_gaussian_protocol = lambda cs: count(cs) or run(cs)\n"
         f"config = pr.config_from_mapping({pr.config_to_mapping(config)!r})\n"
         f"print(repr([pr.find_threshold(config, {parameter!r}, {bracket!r}, {tol!r}), probes]))\n"
     )
