@@ -19,8 +19,11 @@ batch is bit-identical to the same point evaluated alone.  Per-point scalars
 that NumPy and the math module may round differently (sinh, powers, log)
 are computed point by point with the math module.
 
-Each operation checks its arguments, then runs a private kernel on the raw arrays
-(``_tmsv``, ``_displace``, ``_loss``, ``_storage``, ``_phase_noise``, ``_ppt_minors``).
+Each stage's per-point numbers come from one helper (``_tmsv_entries``,
+``_loss_terms``, ``_storage_terms``, ``_phase_variance``), and the PPT readout
+from ``_ppt_minors`` and the per-point ``_ppt_readout``.  The operations check
+their arguments and apply these to the 4x4 arrays; the protocol pipeline
+applies the same helpers to the five nonzero covariance entries of each config.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ _TMSV_CORRELATIONS = np.array(
     [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]
 )
 _IDENTITY_BLOCK = np.eye(2)
-_VACUUM_BLOCK = VACUUM_VARIANCE * np.eye(2)
 # cov[..., _BLOCK_ROWS, _BLOCK_COLUMNS] stacks the 2x2 blocks A, B and C
 _BLOCK_ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
 _BLOCK_COLUMNS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
@@ -161,13 +163,6 @@ def _tmsv_entries(r):
     return math.sinh(r) ** 2 + VACUUM_VARIANCE, math.sinh(r) * math.cosh(r)
 
 
-def _tmsv(r):
-    d, c = _per_point(_tmsv_entries, 2, r)
-    # exact: each entry is d, c or -c plus products with zero
-    cov = d[..., None, None] * _TMSV_VARIANCES + c[..., None, None] * _TMSV_CORRELATIONS
-    return np.zeros(d.shape + (4,)), cov  # finite for r < 20
-
-
 def tmsv_state(r):
     """Two-mode squeezed vacuum with squeezing parameter r >= 0.
 
@@ -176,7 +171,10 @@ def tmsv_state(r):
     approaches an ideal EPR pair for large r and is exactly vacuum at r = 0.
     An array of r gives the batch of states of that shape.
     """
-    return _frozen(*_tmsv(r))
+    d, c = _per_point(_tmsv_entries, 2, r)
+    # exact: each entry is d, c or -c plus products with zero
+    cov = d[..., None, None] * _TMSV_VARIANCES + c[..., None, None] * _TMSV_CORRELATIONS
+    return _frozen(np.zeros(d.shape + (4,)), cov)  # finite for r < 20
 
 
 def displace(state, mode, alpha):
@@ -186,27 +184,24 @@ def displace(state, mode, alpha):
     and leaves the covariance matrix untouched.  `alpha` may be an array of
     the batch shape.
     """
-    return _finite(_displace(state.mean, mode, np.asarray(alpha, dtype=complex)), state.cov)
-
-
-def _displace(mean, mode, alpha):
+    alpha = np.asarray(alpha, dtype=complex)
     x = _mode_slices(mode)[0].start  # the mode's X quadrature, P follows it
-    mean = mean.copy()
+    mean = state.mean.copy()
     mean[..., x] += math.sqrt(2.0) * alpha.real
     mean[..., x + 1] += math.sqrt(2.0) * alpha.imag
-    return mean
+    return _finite(mean, state.cov)
 
 
-def _update_mode(mean, cov, mode, amplitude, power, noise):
+def _update_mode(mean, cov, mode, amplitude, power, added):
     """One mode's mean and cross-blocks scale by `amplitude`; its own 2x2
-    block maps to power * block + noise.  `amplitude` and `power` are per
-    point, `noise` is a (..., 2, 2) block."""
+    block maps to power * block + added * I.  All three are per point."""
     own = _mode_slices(mode)[0]
     amplitude = np.asarray(amplitude)[..., None]
     mean = mean * np.where(_MODE_MASKS[mode], amplitude, 1.0)
     # the cross-blocks scale by amplitude, the other mode's block by 1; the
     # own block is then overwritten
     out = cov * np.where(_CROSS_BLOCKS, amplitude[..., None], 1.0)
+    noise = np.asarray(added)[..., None, None] * _IDENTITY_BLOCK
     out[..., own, own] = np.asarray(power)[..., None, None] * cov[..., own, own] + noise
     return mean, out
 
@@ -235,16 +230,16 @@ def loss_channel(state, mode, eta):
     """
     eta = _require(eta, _in_unit_interval, "transmission eta={} outside [0, 1]")
     _mode_slices(mode)  # a bad mode fails even where eta = 1 leaves the state alone
-    mean, cov = _loss(state.mean, state.cov, mode, eta)
-    # a mix of a finite state and vacuum: finite
-    return state if cov is state.cov else _frozen(mean, cov)
-
-
-def _loss(mean, cov, mode, eta):
     if (eta == 1.0).all():
-        return mean, cov
-    noise = (1.0 - eta[..., None, None]) * _VACUUM_BLOCK
-    return _update_mode(mean, cov, mode, np.sqrt(eta), eta, noise)
+        return state
+    terms = _per_point(_loss_terms, 3, eta)
+    # a mix of a finite state and vacuum: finite
+    return _frozen(*_update_mode(state.mean, state.cov, mode, *terms))
+
+
+def _loss_terms(eta):
+    """One point's (amplitude, power, added noise) of pure loss; eta = 1 gives (1, 1, 0)."""
+    return math.sqrt(eta), eta, (1.0 - eta) * VACUUM_VARIANCE
 
 
 @dataclass(frozen=True)
@@ -345,13 +340,8 @@ def storage_retrieval_channel(state, coeffs, n_initial, n_bath, mode="A"):
     For a batch, `coeffs` may be a sequence of ChannelCoefficients and the
     occupations arrays, one entry per point.
     """
-    return _finite(*_storage(state.mean, state.cov, mode, coeffs, n_initial, n_bath))
-
-
-def _storage(mean, cov, mode, coeffs, n_initial, n_bath):
-    amplitude, power, added = _per_point(_storage_terms, 3, coeffs, n_initial, n_bath)
-    noise = added[..., None, None] * _IDENTITY_BLOCK
-    return _update_mode(mean, cov, mode, amplitude, power, noise)
+    terms = _per_point(_storage_terms, 3, coeffs, n_initial, n_bath)
+    return _finite(*_update_mode(state.mean, state.cov, mode, *terms))
 
 
 def _storage_terms(coeffs, n_initial, n_bath):
@@ -383,19 +373,18 @@ def phase_noise(state, sigma, amp_sq, mode="A"):
     amp_sq = _require(
         amp_sq, _finite_non_negative, "amplitude photon number {} must be finite and >= 0"
     )
-    _mode_slices(mode)
-    cov = _phase_noise(state.cov, mode, sigma, amp_sq)
-    return state if cov is state.cov else _finite(state.mean, cov)
-
-
-def _phase_noise(cov, mode, sigma, amp_sq):
-    added = 2.0 * amp_sq * sigma * sigma
-    if not added.any():
-        return cov
     p = _mode_slices(mode)[0].start + 1  # the mode's P quadrature
-    cov = cov.copy()
+    added = _phase_variance(sigma, amp_sq)
+    if not added.any():
+        return state
+    cov = state.cov.copy()
     cov[..., p, p] += added
-    return cov
+    return _finite(state.mean, cov)
+
+
+def _phase_variance(sigma, amp_sq):
+    """The P variance 2 amp_sq sigma^2 a phase jitter adds, per point or on arrays."""
+    return 2.0 * amp_sq * sigma * sigma
 
 
 def _minors(cov):
@@ -415,17 +404,22 @@ def _ppt_witness(total, det_v):
 
 
 def _clamped_sqrt(value, scale):
-    below = value < -RADICAND_CLAMP * np.maximum(scale, 1.0)
-    if below.any():
-        raise ArithmeticError(f"radicand {np.asarray(value)[below].flat[0]} below clamp band")
-    return np.sqrt(np.maximum(value, 0.0))
+    if value < -RADICAND_CLAMP * max(scale, 1.0):
+        raise ArithmeticError(f"radicand {value} below clamp band")
+    return math.sqrt(max(value, 0.0))
 
 
 def _nu_pair(total, det_v):
-    """nu_-+ = sqrt((total -+ sqrt(total^2 - 4 det V)) / 2), radicands clamped."""
+    """One point's nu_-+ = sqrt((total -+ sqrt(total^2 - 4 det V)) / 2), radicands clamped."""
     square = total * total
     root = _clamped_sqrt(square - 4.0 * det_v, square)
     return _clamped_sqrt(0.5 * (total - root), total), _clamped_sqrt(0.5 * (total + root), total)
+
+
+def _ppt_readout(total, det_v):
+    """One point's (nu_min, witness, E_N) from the partially transposed Sigma and det V."""
+    nu = _nu_pair(total, det_v)[0]
+    return nu, _ppt_witness(total, det_v), _negativity(nu)
 
 
 def symplectic_eigenvalues(state):
@@ -436,7 +430,7 @@ def symplectic_eigenvalues(state):
     iff nu_- >= 1/2 (uncertainty principle) and pure iff both equal 1/2.
     """
     a, b, c, v = _minors(state.cov)
-    lo, hi = _nu_pair(a + b + 2.0 * c, v)
+    lo, hi = _per_point(_nu_pair, 2, a + b + 2.0 * c, v)
     return _scalar(lo), _scalar(hi)
 
 
@@ -458,7 +452,7 @@ def ppt_minimum_eigenvalue(state):
     nu_min = sqrt((Sigma - sqrt(Sigma^2 - 4 det V)) / 2).  The two-mode state
     is entangled iff nu_min < 1/2.
     """
-    return _scalar(_nu_pair(*_ppt_minors(state.cov))[0])
+    return _scalar(_per_point(_nu_pair, 2, *_ppt_minors(state.cov))[0])
 
 
 def ppt_witness(state):

@@ -38,6 +38,7 @@ PHASE_NOISE_CONVENTIONS = ("paper_literal", "propagated_mean")
 ZERO_METRIC_TOL = 1e-12
 # find_threshold's |f| where a probe's witness is 0 or disagrees with its verdict
 _TINY = 1e-300
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -223,6 +224,16 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
         mean_residual == 0 by construction; "nominal" displaces back by the
         loss-free retrieved amplitude (1 - y^2) sqrt(N_D), leaving the
         residual caused by eta1, eta2 and mechanical damping visible.
+
+    Every stage on mode A acts on each quadrature separately and mode C only
+    sees loss, so the covariance keeps the form [[a_x, 0, k_x, 0],
+    [0, a_p, 0, k_p], [k_x, 0, b, 0], [0, k_p, 0, b]] and the mean
+    (m_x, m_p, 0, 0).  Each config propagates these seven Python floats with
+    the per-point helpers of the public operations, by the same IEEE
+    operations in the same order as their 4x4 arithmetic, whose other entries
+    only ever multiply or add zeros.  The batch's covariances are then read
+    out by the same determinants.  So every field is bit for bit what the
+    composed public operations give, signed zeros included.
     """
     single = isinstance(config, ProtocolConfig)
     configs = [config] if single else list(config)
@@ -234,35 +245,51 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
     if undisplacement not in ("propagated", "nominal"):
         raise ValueError(f"unknown undisplacement mode {undisplacement!r}")
 
-    r, n_d, eta1, n_in, n_th, sigma, eta2, eta_c = np.array(
-        [(c.r, c.N_D, c.eta1, c.N_in, c.N_th, c.sigma, c.eta2, c.eta_c) for c in configs]
-    ).T
-    coeffs = [ga.channel_coefficients(c.x, c.y) for c in configs]
-    amp_sq = np.array([phase_noise_amplitude_sq(c, k) for c, k in zip(configs, coeffs)])
-    # valid configs: the kernels run unchecked, finiteness is checked once
-    mean, cov = ga._tmsv(r)
-    mean = ga._displace(mean, "A", np.sqrt(n_d))
-    mean, cov = ga._loss(mean, cov, "A", eta1)
-    mean, cov = ga._storage(mean, cov, "A", coeffs, n_in, n_th)
-    cov = ga._phase_noise(cov, "A", sigma, amp_sq)
-    mean, cov = ga._loss(mean, cov, "A", eta2)
-    if undisplacement == "propagated":
-        # real division per quadrature (NumPy's complex division multiplies
-        # by the reciprocal, which rounds differently)
-        back = (-mean[:, 0:2] / math.sqrt(2.0)).view(complex)[:, 0]
-    else:
-        back = np.array([(1.0 - c.y**2) * math.sqrt(c.N_D) for c in configs])
-    mean = ga._displace(mean, "A", back)
-    mean, cov = ga._loss(mean, cov, "C", eta_c)
+    channels = {}  # one channel_coefficients call per distinct (x, y)
+    means, covs = [], []
+    for c in configs:
+        coeffs = channels.get((c.x, c.y))
+        if coeffs is None:
+            coeffs = channels[c.x, c.y] = ga.channel_coefficients(c.x, c.y)
+        variance = ga._phase_variance(c.sigma, phase_noise_amplitude_sq(c, coeffs))
+        # a stage at eta = 1 or without noise leaves every entry bit for bit
+        # as it is (1 a + 0 = a, 1 k = k), so none is skipped
+        d, k = ga._tmsv_entries(c.r)
+        a_x = a_p = b = d
+        k_x, k_p = k, 0.0 - k
+        m_x, m_p = _SQRT2 * math.sqrt(c.N_D), 0.0
+        for amplitude, power, added, jitter in (
+            (*ga._loss_terms(c.eta1), 0.0),
+            (*ga._storage_terms(coeffs, c.N_in, c.N_th), variance),  # phase noise follows
+            (*ga._loss_terms(c.eta2), 0.0),
+        ):
+            a_x, a_p = power * a_x + added, power * a_p + added + jitter
+            k_x, k_p = k_x * amplitude, k_p * amplitude
+            m_x, m_p = m_x * amplitude, m_p * amplitude
+        if undisplacement == "propagated":
+            back_x, back_p = -m_x / _SQRT2, -m_p / _SQRT2
+        else:
+            back_x, back_p = (1.0 - c.y**2) * math.sqrt(c.N_D), 0.0
+        m_x, m_p = m_x + _SQRT2 * back_x, m_p + _SQRT2 * back_p
+        amplitude, power, added = ga._loss_terms(c.eta_c)
+        b, k_x, k_p = power * b + added, k_x * amplitude, k_p * amplitude
+        means.append((m_x, m_p, 0.0, 0.0))
+        # the zeros carry the 4x4 operations' signs: the storage channel's
+        # -c1 makes the cross-blocks' zeros -0.0
+        covs.append(
+            (a_x, 0.0, k_x, -0.0, 0.0, a_p, -0.0, k_p, k_x, -0.0, b, 0.0, -0.0, k_p, 0.0, b)
+        )
+    mean, cov = np.array(means), np.array(covs).reshape(-1, 4, 4)
+    # valid configs: only an overflow can make an entry non-finite
     state = ga._finite(mean[0], cov[0]) if single else ga._finite(mean, cov)
     total, det_v = ga._ppt_minors(state.cov)
-    nu_min = ga._nu_pair(total, det_v)[0]
+    nu_min, witness, log_negativity = ga._per_point(ga._ppt_readout, 3, total, det_v)
     return GaussianProtocolResult(
-        log_negativity=ga.negativity_from_nu(nu_min),
+        log_negativity=ga._scalar(log_negativity),
         nu_min=ga._scalar(nu_min),
         output_state=state,
         mean_residual=ga._scalar(np.hypot(state.mean[..., 0], state.mean[..., 1])),
-        witness=ga._scalar(ga._ppt_witness(total, det_v)),
+        witness=ga._scalar(witness),
     )
 
 
@@ -349,11 +376,14 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     Raises
     ------
     ValueError
-        If the metric has the same signedness at both bracket ends.
+        If the metric has the same signedness at both bracket ends, the
+        bracket is not increasing, or tol is NaN (before any probe runs).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError(f"bracket [{lo}, {hi}] must be increasing")
+    if math.isnan(tol):
+        raise ValueError("tol=nan must be a number")
     square = parameter == "sigma"  # steps on u = sigma^2, where the witness is linear
 
     def coord(v):

@@ -121,19 +121,22 @@ def run_sweep(spec, workers=1):
                 if vs is not None:
                     override[spec.series.parameter] = vs
                 points.append(override)
+    base = pr.config_to_mapping(spec.base)
+
+    def config(override):
+        # every point runs ProtocolConfig's checks, as dataclasses.replace does
+        return pr.ProtocolConfig(**{**base, **override})
 
     def evaluate(override):
         try:
-            config = dataclasses.replace(spec.base, **override)
-            return pr.entanglement_metric(config)
+            return pr.entanglement_metric(config(override))
         except Exception as exc:
             coords = ", ".join(f"{k}={_format(v)}" for k, v in override.items())
             raise RuntimeError(f"sweep point ({coords}) failed: {exc}") from exc
 
     def evaluate_batch():
         try:
-            configs = [dataclasses.replace(spec.base, **override) for override in points]
-            return pr.run_gaussian_protocol(configs).log_negativity.tolist()
+            return pr.run_gaussian_protocol(list(map(config, points))).log_negativity.tolist()
         except Exception:
             for override in points:
                 evaluate(override)

@@ -316,6 +316,30 @@ def test_gaussian_pipeline_errors_are_unchanged():
         pr.run_gaussian_protocol(pr.ProtocolConfig(r=25.0))
 
 
+def test_gaussian_output_covariance_has_five_nonzero_entries():
+    # Every stage on mode A acts on each quadrature separately and C only sees
+    # loss, so the output keeps the two-mode squeezed vacuum's pattern: the
+    # pipeline propagates a_x, a_p, b, k_x and k_p, and the mean (m_x, m_p).
+    configs = random_gaussian_configs(1200, seed=20261020)
+    pattern = np.array(
+        [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=bool
+    )
+    for undisplacement in ("propagated", "nominal"):
+        state = pr.run_gaussian_protocol(configs, undisplacement=undisplacement).output_state
+        assert np.all(state.cov[:, ~pattern] == 0.0), undisplacement
+        assert np.array_equal(state.cov[:, 2, 2], state.cov[:, 3, 3])
+        assert np.array_equal(state.cov, state.cov.swapaxes(-1, -2))
+        assert np.all(state.mean[:, 2:] == 0.0), undisplacement
+        # the pattern is not empty: correlations and unequal A variances occur
+        assert np.count_nonzero(state.cov[:, 0, 2]) > 100
+        assert np.count_nonzero(state.cov[:, 0, 0] != state.cov[:, 1, 1]) > 100
+        # == cannot tell -0.0 from 0.0; the bytes, signed zeros included, are
+        # those of the composed public operations
+        public = public_pipeline(configs, undisplacement)[3]
+        assert state.cov.tobytes() == public.cov.tobytes()
+        assert state.mean.tobytes() == public.mean.tobytes()
+
+
 def test_fock_pipeline_regression_and_leakage():
     config = pr.ProtocolConfig(**FOCK_BASE)
     result = pr.run_fock_protocol(config)
@@ -673,6 +697,57 @@ def test_find_threshold_ends_for_tol_below_float_spacing(search, tol):
     assert critical == 0.5 * (below + above)
     assert above - below <= max(tol, 4.0 * sys.float_info.epsilon * max(abs(below), abs(above)))
     assert _entangled(config, parameter, below) != _entangled(config, parameter, above)
+
+
+def _count_coefficients(monkeypatch):
+    calls = []
+    coefficients = ga.channel_coefficients
+
+    def counted(x, y):
+        calls.append((x, y))
+        return coefficients(x, y)
+
+    monkeypatch.setattr(ga, "channel_coefficients", counted)
+    return calls
+
+
+def test_channel_coefficients_run_once_per_distinct_pair_in_a_call(monkeypatch):
+    spec = sw.SweepSpec(
+        base=pr.ProtocolConfig(),
+        axis1=sw.AxisSpec("x", sw.linear_grid(0.0, 0.3, 16)),
+        axis2=sw.AxisSpec("y", sw.linear_grid(0.01, 0.99, 16)),
+        series=sw.AxisSpec("N_in", (0.0, 1.0, 10.0)),
+    )
+    calls = _count_coefficients(monkeypatch)
+    sw.run_sweep(spec)
+    assert len(calls) == len(set(calls)) == 256
+    # an eta1 search: the two bracket ends share one (x, y), and so does
+    # each later single probe, so every pipeline call computes it once
+    del calls[:]
+    pipeline_calls = []
+    run = pr.run_gaussian_protocol
+    monkeypatch.setattr(
+        pr, "run_gaussian_protocol", lambda configs: pipeline_calls.append(configs) or run(configs)
+    )
+    pr.find_threshold(pr.ProtocolConfig(), "eta1", (0.0, 1.0))
+    assert len(pipeline_calls[0]) == 2
+    assert len(calls) == len(pipeline_calls) > 2
+
+
+def test_find_threshold_rejects_nan_tol_before_any_probe(monkeypatch):
+    for engine in pr.ENGINES:
+        runs = _count_runs(monkeypatch, f"run_{engine}_protocol")
+        config = pr.ProtocolConfig(engine=engine)
+        with pytest.raises(ValueError, match=r"^tol=nan must be a number$"):
+            pr.find_threshold(config, "eta1", (0.0, 1.0), tol=float("nan"))
+        assert runs == [], engine
+    # negative and infinite tol keep their meaning: the float-spacing floor
+    # and the bracket midpoint
+    config = pr.ProtocolConfig()
+    assert pr.find_threshold(config, "eta1", (0.0, 1.0), tol=-1.0) == pr.find_threshold(
+        config, "eta1", (0.0, 1.0), tol=0.0
+    )
+    assert pr.find_threshold(config, "eta1", (0.0, 1.0), tol=math.inf) == 0.5
 
 
 def test_engine_consistency_on_entanglement_verdict():

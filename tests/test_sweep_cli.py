@@ -457,6 +457,16 @@ def test_cli_threshold_bracket_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_threshold_rejects_nan_tol(capsys):
+    code = cli.main([
+        "threshold", "--preset", "fig5", "--param", "eta1", "--lo", "0", "--hi", "1",
+        "--tol", "nan",
+    ])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: tol=nan must be a number\n")
+
+
 def test_cli_feasibility_preset(capsys):
     assert cli.main(["feasibility", "--preset", "nanobeam"]) == 0
     out = capsys.readouterr().out
