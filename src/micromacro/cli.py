@@ -285,7 +285,7 @@ def _selftest_cases():
             series=sw.AxisSpec("N_in", (0.0, 1.0)),
         )
         fock = sw.SweepSpec(
-            base=pr.ProtocolConfig(engine="fock", sigma=0.0, eta_c=1.0, fock_dims=6),
+            base=pr.ProtocolConfig(engine="fock", sigma=0.0, eta_c=1.0),
             axis1=sw.AxisSpec("y", (0.1, 0.3)),
             series=sw.AxisSpec("N_th", (0.3, 20.0)),
         )

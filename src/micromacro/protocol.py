@@ -8,20 +8,22 @@ and quantifying the surviving entanglement.  Two engines implement it:
 * ``gaussian`` — two-mode squeezed vacuum input, covariance-matrix evolution,
   log-negativity output (exact at any N_D);
 * ``fock`` — displaced single-photon path-entangled input evaluated in the
-  displaced frame, truncated density-matrix evolution, Wootters concurrence of
-  the light-light state after projecting onto the {vacuum, one-photon} qubit
-  subspace.
+  displaced frame, Wootters concurrence of the light-light state projected
+  onto the {vacuum, one-photon} qubit subspace.  That {0,1}^2 block is read
+  out in closed form: mode A's stages compose into one Gaussian channel and
+  mode C only sees loss (Weedbrook et al., RMP 84, 621 (2012)).
 
-In both engines the macroscopic displacement is handled analytically: it never
-touches the simulated state directly and enters only through the phase-noise
-variance picked up by the bright beam, proportional to N_D sigma^2.
+Both engines run mode A's stages from one list of per-stage terms
+(``_mode_a_stages``).  In both the macroscopic displacement is handled
+analytically: it never touches the simulated state directly and enters only
+through the phase-noise variance picked up by the bright beam, proportional
+to N_D sigma^2.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +75,6 @@ class ProtocolConfig:
         (default) uses the actual squared mean amplitude at the point the
         noise acts, eta1 c1^2 N_D.  See the module docstring of
         :mod:`micromacro.gaussian` for the pipeline order.
-    fock_dims : int
-        Retained Fock levels of mode A (fock engine only).  Mode C keeps two
-        levels: only loss acts on it, so it never holds more than one photon.
     """
 
     r: float = 0.5
@@ -90,7 +89,6 @@ class ProtocolConfig:
     eta_c: float = 0.8
     engine: str = "gaussian"
     phase_noise_convention: str = "propagated_mean"
-    fock_dims: int = 16
 
     def __post_init__(self):
         # chained comparisons: NaN fails every one of them, so it is rejected too
@@ -119,9 +117,6 @@ class ProtocolConfig:
                 f"phase_noise_convention {self.phase_noise_convention!r} "
                 f"not one of {PHASE_NOISE_CONVENTIONS}"
             )
-        object.__setattr__(self, "fock_dims", _integer("fock_dims", self.fock_dims))
-        if self.fock_dims < 2:
-            raise ValueError(f"fock_dims={self.fock_dims} must be >= 2")
 
 
 def _integer(name, value):
@@ -134,9 +129,8 @@ def _integer(name, value):
 _FLOAT_FIELDS = (
     "r", "N_D", "y", "x", "N_in", "N_th", "sigma", "eta1", "eta2", "eta_c",
 )
-_INT_FIELDS = ("fock_dims",)
 _STR_FIELDS = ("engine", "phase_noise_convention")
-CONFIG_FIELDS = _FLOAT_FIELDS + _STR_FIELDS + _INT_FIELDS
+CONFIG_FIELDS = _FLOAT_FIELDS + _STR_FIELDS
 
 
 def config_to_mapping(config):
@@ -147,8 +141,7 @@ def config_to_mapping(config):
 def config_from_mapping(mapping, base=None):
     """Build a ProtocolConfig from string-or-native values over an optional base.
 
-    Unknown keys raise KeyError; numeric fields accept anything float()
-    accepts, and ProtocolConfig rejects a non-integral ``fock_dims``.
+    Unknown keys raise KeyError; numeric fields accept anything float() accepts.
     """
     values = config_to_mapping(base if base is not None else ProtocolConfig())
     for key, raw in mapping.items():
@@ -173,6 +166,18 @@ def phase_noise_amplitude_sq(config, coeffs):
     if config.phase_noise_convention == "paper_literal":
         return config.N_D * (1.0 - config.y**2) ** 2
     return config.eta1 * coeffs.c1**2 * config.N_D
+
+
+def _mode_a_stages(config, coeffs):
+    """Mode A's stages, loss eta1, storage channel with the phase noise that
+    follows it, and loss eta2, as per-point (amplitude, power, added, jitter):
+    X -> amplitude X, a variance v -> power v + added, plus jitter on P's."""
+    variance = ga._phase_variance(config.sigma, phase_noise_amplitude_sq(config, coeffs))
+    return (
+        (*ga._loss_terms(config.eta1), 0.0),
+        (*ga._storage_terms(coeffs, config.N_in, config.N_th), variance),
+        (*ga._loss_terms(config.eta2), 0.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,6 @@ class FockProtocolResult:
 
     concurrence: float
     projection_probability: float
-    leakage: float
     witness: float
 
 
@@ -251,18 +255,13 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
         coeffs = channels.get((c.x, c.y))
         if coeffs is None:
             coeffs = channels[c.x, c.y] = ga.channel_coefficients(c.x, c.y)
-        variance = ga._phase_variance(c.sigma, phase_noise_amplitude_sq(c, coeffs))
         # a stage at eta = 1 or without noise leaves every entry bit for bit
         # as it is (1 a + 0 = a, 1 k = k), so none is skipped
         d, k = ga._tmsv_entries(c.r)
         a_x = a_p = b = d
         k_x, k_p = k, 0.0 - k
         m_x, m_p = _SQRT2 * math.sqrt(c.N_D), 0.0
-        for amplitude, power, added, jitter in (
-            (*ga._loss_terms(c.eta1), 0.0),
-            (*ga._storage_terms(coeffs, c.N_in, c.N_th), variance),  # phase noise follows
-            (*ga._loss_terms(c.eta2), 0.0),
-        ):
+        for amplitude, power, added, jitter in _mode_a_stages(c, coeffs):
             a_x, a_p = power * a_x + added, power * a_p + added + jitter
             k_x, k_p = k_x * amplitude, k_p * amplitude
             m_x, m_p = m_x * amplitude, m_p * amplitude
@@ -294,49 +293,29 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
 
 
 def run_fock_protocol(config):
-    """Run the truncated density-matrix pipeline and compute the concurrence.
+    """Run the single-photon pipeline and compute the concurrence, in closed form.
 
-    Works in the displaced frame: the input is the alpha = 0 single-photon
-    path-entangled state and N_D enters only through the phase-noise variance
-    2 |alpha_eff|^2 sigma^2.  Order matches the gaussian engine; the
-    undisplacement is the identity in this frame.  Mode A keeps
-    ``config.fock_dims`` levels and mode C two: only loss acts on C, so it
-    never holds more than the input's one photon; concurrence and projection
-    probability are bit for bit those of a square cutoff.
-
-    ``leakage`` is the truncation error measured on the computed state after
-    the phase noise: the trace the storage channel's amplifier pushed past the
-    cutoff plus mode A's weight in its top level.  Above LEAKAGE_WARN it is
-    reported as a TruncationWarning.
+    In the displaced frame the input is (|1 0> + |0 1>)/sqrt(2) on modes
+    (A, C), N_D enters only through the phase-noise variance and the
+    undisplacement is the identity.  `_mode_a_stages` compose into one
+    Gaussian channel (gain t, added noise n_x and n_p) and C is pure loss, so
+    fock.gaussian_channel_elements give the output's {0,1}^2 block exactly;
+    fock.qubit_project reads its weight and renormalizes it.
     """
     if config.engine != "fock":
         raise ValueError(f"fock pipeline called with engine={config.engine!r}")
-    dims = (config.fock_dims, 2)
     coeffs = ga.channel_coefficients(config.x, config.y)
-
-    rho = fk.single_photon_entangled_input(0.0, dims)
-    rho = fk.pure_loss_channel(rho, 0, config.eta1)
-    rho = fk.linear_channel_apply(rho, coeffs, config.N_in, config.N_th)
-    variance = 2.0 * phase_noise_amplitude_sq(config, coeffs) * config.sigma**2
-    rho = fk.phase_noise_average(rho, variance, 0)
-    leakage = fk.truncation_error(rho)
-    if leakage > fk.LEAKAGE_WARN:
-        warnings.warn(
-            f"fock state loses {leakage:.3g} of its weight past "
-            f"{config.fock_dims} levels",
-            fk.TruncationWarning,
-            stacklevel=2,
-        )
-    rho = fk.pure_loss_channel(rho, 0, config.eta2)
-    rho = fk.pure_loss_channel(rho, 1, config.eta_c)
-    qubits = fk.qubit_project(rho)
+    gain, n_x, n_p = 1.0, 0.0, 0.0
+    for amplitude, power, added, jitter in _mode_a_stages(config, coeffs):
+        gain, n_x, n_p = gain * amplitude, power * n_x + added, power * n_p + added + jitter
+    amplitude, _, added = ga._loss_terms(config.eta_c)
+    arm_a = fk.gaussian_channel_elements(gain, n_x, n_p)
+    arm_c = fk.gaussian_channel_elements(amplitude, added, added)
+    # |j><k| on A comes with |1-j><1-k| on C; rows and columns run over |a c>
+    block = 0.5 * np.einsum("jkmn,jkab->manb", arm_a, arm_c[::-1, ::-1]).reshape(4, 4)
+    qubits = fk.qubit_project(fk.FockDensityMatrix((2, 2), block))
     witness = fk.wootters_difference(qubits)
-    return FockProtocolResult(
-        concurrence=max(0.0, witness),
-        projection_probability=qubits.projection_probability,
-        leakage=leakage,
-        witness=witness,
-    )
+    return FockProtocolResult(max(0.0, witness), qubits.projection_probability, witness)
 
 
 def entanglement_metric(config):
@@ -376,9 +355,12 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     Raises
     ------
     ValueError
-        If the metric has the same signedness at both bracket ends, the
-        bracket is not increasing, or tol is NaN (before any probe runs).
+        If the metric has the same signedness at both bracket ends, or (before
+        any probe runs) the parameter is not a float config field, the
+        bracket is not increasing, or tol is NaN.
     """
+    if parameter not in _FLOAT_FIELDS:
+        raise ValueError(f"parameter {parameter!r} is not a float config field")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError(f"bracket [{lo}, {hi}] must be increasing")
@@ -460,7 +442,8 @@ class FeasibilityInput:
     """Physical platform parameters (angular frequencies in rad/s, tau in s, T in K).
 
     Exactly one of gamma (mechanical damping rate) or Q (quality factor,
-    gamma = omega_m / Q) must be provided.
+    gamma = omega_m / Q) must be provided; every value given must be finite
+    and > 0.
     """
 
     omega_m: float
@@ -472,15 +455,14 @@ class FeasibilityInput:
     Q: float = None
 
     def __post_init__(self):
-        for name in ("omega_m", "kappa", "g", "tau", "T"):
+        for name in ("omega_m", "kappa", "g", "tau", "T", "gamma", "Q"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name}={value} must be > 0")
+            if value is not None and not 0.0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name}={value} must be finite and > 0")
         if (self.gamma is None) == (self.Q is None):
             raise ValueError("provide exactly one of gamma or Q")
-        rate = self.gamma if self.gamma is not None else self.omega_m / self.Q
-        if not rate > 0:
-            raise ValueError(f"mechanical damping {rate} must be > 0")
+        if not 0.0 < self.damping_rate < math.inf:
+            raise ValueError(f"mechanical damping {self.damping_rate} must be finite and > 0")
 
     @property
     def damping_rate(self):

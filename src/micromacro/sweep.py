@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian as ga
 from . import protocol as pr
 
-SWEEPABLE_FIELDS = pr._FLOAT_FIELDS + pr._INT_FIELDS
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "figA1")
 
 
@@ -30,14 +28,11 @@ class AxisSpec:
     values: tuple
 
     def __post_init__(self):
-        if self.parameter not in SWEEPABLE_FIELDS:
+        if self.parameter not in pr._FLOAT_FIELDS:
             raise ValueError(
                 f"parameter {self.parameter!r} is not a sweepable config field"
             )
-        if self.parameter in pr._INT_FIELDS:
-            values = tuple(pr._integer(self.parameter, v) for v in self.values)
-        else:
-            values = tuple(float(v) for v in self.values)
+        values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError(f"axis {self.parameter!r} has an empty grid")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -94,8 +89,8 @@ def run_sweep(spec, workers=1):
 
     Returns (csv_text, warnings): the CSV document (LF line endings, header
     row, 12-significant-digit values) and a sorted, de-duplicated tuple of
-    warning strings emitted by the evaluations (truncation reports and the
-    like), suitable for a sidecar log.
+    "Category: message" lines of the warnings the evaluations emitted,
+    suitable for a sidecar log.
 
     A gaussian sweep runs as one batch through ``run_gaussian_protocol``; a
     fock sweep evaluates its points one at a time in sweep order.  Both run on
@@ -209,7 +204,7 @@ def preset(name):
     Bounded parameters (y, eta1) sweep their full domain; unbounded ones (x,
     N_D) sweep [0 or 1, 1.5x the entanglement-vanishing threshold], which
     find_threshold's Brent search discovers when the preset is built (4 and 7
-    probes in 3 and 6 pipeline calls for fig3 and fig4, 9 fock runs for figA1).
+    probes in 3 and 6 pipeline calls for fig3 and fig4, 14 fock runs for figA1).
     """
     base = preset_base(name)
     if name == "fig2":
@@ -239,15 +234,9 @@ def preset(name):
         )
     if name == "figA1":
         probe = dataclasses.replace(base, sigma=0.005)
-        # Bound the search so the phase-noise variance stays within the
-        # truncation-valid zone of the fock engine (variance <= 6 at the top).
-        coeffs = ga.channel_coefficients(probe.x, probe.y)
-        amp_unit = pr.phase_noise_amplitude_sq(dataclasses.replace(probe, N_D=1.0), coeffs)
-        hi = 6.0 / (2.0 * amp_unit * probe.sigma**2)
-        axis = _threshold_axis(probe, "N_D", (1.0, hi), 12, scale="log", tol=hi * 1e-4)
         return SweepSpec(
             base=base,
-            axis1=axis,
+            axis1=_threshold_axis(probe, "N_D", (1.0, 1e7), 12, scale="log", tol=1.0),
             series=AxisSpec("sigma", (0.005, 0.01, 0.02)),
         )
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

@@ -8,11 +8,28 @@ import numpy as np
 import pytest
 
 from micromacro import cli
+from micromacro import fock as fk
 from micromacro import protocol as pr
 from micromacro import sweep as sw
 
 DATA = Path(__file__).parent / "data"
 FOCK_BASE = dict(engine="fock", N_th=0.3, sigma=0.0, eta_c=1.0)
+
+
+@pytest.fixture
+def warning_engine(monkeypatch):
+    """run_fock_protocol that reports a TruncationWarning naming each point.
+
+    The Fock engine itself no longer warns; this stand-in keeps the warning
+    capture of run_sweep, _cmd_sweep and _cmd_threshold covered.
+    """
+    run = pr.run_fock_protocol
+
+    def warned(config):
+        warnings.warn(f"probe at N_D={config.N_D:.6g}, y={config.y:.6g}", fk.TruncationWarning)
+        return run(config)
+
+    monkeypatch.setattr(pr, "run_fock_protocol", warned)
 
 
 def test_axis_spec_validation():
@@ -26,11 +43,9 @@ def test_axis_spec_validation():
         sw.AxisSpec("y", (0.2, 0.2))
     axis = sw.AxisSpec("y", [0.1, 0.5])
     assert axis.values == (0.1, 0.5)
-    with pytest.raises(ValueError, match="integer"):
-        sw.AxisSpec("fock_dims", (8, 8.5))
-    axis = sw.AxisSpec("fock_dims", (8.0, 12))
-    assert axis.values == (8, 12)
-    assert all(type(v) is int for v in axis.values)
+    for parameter in ("fock_dims", "engine"):
+        with pytest.raises(ValueError, match=f"'{parameter}' is not a sweepable config field"):
+            sw.AxisSpec(parameter, (8, 12))
 
 
 def test_grids():
@@ -84,16 +99,16 @@ def test_run_sweep_layout_and_ordering():
     assert lines[4].split(",")[3] == f"{pr.entanglement_metric(probe):.12g}"
 
 
-def test_run_sweep_deterministic_across_workers():
+def test_run_sweep_deterministic_across_workers(warning_engine):
     gaussian = sw.SweepSpec(
         base=pr.ProtocolConfig(),
         axis1=sw.AxisSpec("y", sw.linear_grid(0.05, 0.6, 8)),
         series=sw.AxisSpec("N_in", (0.0, 1.0, 10.0)),
     )
-    # Gaussian sweeps run as one batch; the thread pool serves Fock points,
-    # and 6 levels at N_th = 20 make the sidecar report truncation.
+    # Gaussian sweeps run as one batch and Fock sweeps point by point, both
+    # on one thread; the warning engine puts lines in the Fock sidecar.
     fock = sw.SweepSpec(
-        base=pr.ProtocolConfig(**dict(FOCK_BASE, fock_dims=6)),
+        base=pr.ProtocolConfig(**FOCK_BASE),
         axis1=sw.AxisSpec("y", (0.1, 0.3)),
         series=sw.AxisSpec("N_th", (0.3, 20.0)),
     )
@@ -103,15 +118,15 @@ def test_run_sweep_deterministic_across_workers():
             assert sw.run_sweep(spec, workers=workers) == serial
         with pytest.raises(ValueError):
             sw.run_sweep(spec, workers=0)
-    assert sw.run_sweep(fock)[1], "expected truncation warnings in the sidecar"
+    assert sw.run_sweep(fock)[1], "expected the engine's warnings in the sidecar"
 
 
 def test_run_sweep_reports_failing_coordinates():
     spec = sw.SweepSpec(
-        base=pr.ProtocolConfig(engine="fock", N_th=0.3, sigma=0.0, eta_c=1.0),
-        axis1=sw.AxisSpec("fock_dims", (1.0, 8.0)),  # one level is rejected
+        base=pr.ProtocolConfig(**FOCK_BASE),
+        axis1=sw.AxisSpec("y", (0.5, 1.5)),  # y > 1 is rejected
     )
-    with pytest.raises(RuntimeError, match="fock_dims=1"):
+    with pytest.raises(RuntimeError, match=r"\(y=1.5\) failed: coupling parameter y=1.5"):
         sw.run_sweep(spec)
 
 
@@ -151,45 +166,18 @@ def test_gaussian_sweep_cells_equal_single_point_metrics():
     assert [row[2:] for row in rows] == expected
 
 
-def test_run_sweep_over_fock_cutoff_converges():
-    # FOCK_BASE has converged by 8 levels: every cutoff prints the same
-    # 12-digit concurrence (the values agree to ~3e-14 from 8 to 24 levels).
+def test_run_sweep_collects_truncation_warnings(warning_engine):
     spec = sw.SweepSpec(
         base=pr.ProtocolConfig(**FOCK_BASE),
-        axis1=sw.AxisSpec("fock_dims", (8, 12, 16)),
-    )
-    csv_text, sidecar = sw.run_sweep(spec)
-    rows = [line.split(",") for line in csv_text.splitlines()]
-    assert rows[0] == ["fock_dims", "concurrence"]
-    assert [row[0] for row in rows[1:]] == ["8", "12", "16"]
-    assert len({row[1] for row in rows[1:]}) == 1, rows
-    assert sidecar == ()
-
-
-def test_cli_sweep_over_fock_cutoff(tmp_path):
-    out = tmp_path / "cutoff.csv"
-    code = cli.main([
-        "sweep", "--config", "/dev/null",
-        "--set", "engine=fock", "--set", "axis1=fock_dims", "--set", "axis1_values=8,12",
-        "--out", str(out),
-    ])
-    assert code == 0
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert [line.split(",")[0] for line in lines] == ["fock_dims", "8", "12"]
-
-
-def test_run_sweep_collects_truncation_warnings():
-    spec = sw.SweepSpec(
-        # A hot bath: the storage channel's amplifier pushes 0.81 of the
-        # trace past the cutoff at y = 0.5.
-        base=pr.ProtocolConfig(
-            engine="fock", N_th=1000.0, x=0.1, sigma=0.0, eta_c=1.0,
-        ),
         axis1=sw.AxisSpec("y", (0.1, 0.5)),
+        series=sw.AxisSpec("N_D", (1.0, 2.0)),
     )
     csv_text, sidecar = sw.run_sweep(spec)
     assert len(csv_text.splitlines()) == 3
-    assert any("TruncationWarning" in line for line in sidecar)
+    # sorted and de-duplicated "Category: message" lines, one per point here
+    assert sidecar == tuple(
+        f"TruncationWarning: probe at N_D={n_d}, y={y}" for n_d in (1, 2) for y in (0.1, 0.5)
+    )
 
 
 def test_preset_fig2_matches_documented_base():
@@ -246,20 +234,22 @@ def test_preset_fig5_full_domain():
     assert spec.series.values == (0.6, 0.8, 1.0)
 
 
-@pytest.mark.filterwarnings("ignore::micromacro.fock.TruncationWarning")
 def test_preset_figA1_structure():
     spec = sw.preset("figA1")
     assert spec.base.engine == "fock"
     assert spec.base.eta_c == 1.0
     assert spec.axis1.parameter == "N_D"
     assert spec.series.values == (0.005, 0.01, 0.02)
+    # the axis runs to 1.5x the sigma = 0.005 threshold, searched as fig3's is
+    probe = dataclasses.replace(spec.base, sigma=0.005)
+    critical = pr.find_threshold(probe, "N_D", (1.0, 1e7), tol=1.0)
+    assert spec.axis1.values[-1] == sw.log_grid(1.0, 1.5 * critical, 12)[-1]
 
 
 def _csv_cells(lines):
     return np.array([[float(cell) for cell in line.split(",")] for line in lines])
 
 
-@pytest.mark.filterwarnings("ignore::micromacro.fock.TruncationWarning")
 @pytest.mark.parametrize("name", sw.PRESET_NAMES)
 def test_preset_output_matches_pinned_csv(name):
     # tests/data holds `micromacro sweep --preset NAME` output.  The header
@@ -361,23 +351,28 @@ def test_cli_axis_count_is_parsed_as_an_integer(tmp_path, capsys, n, error):
         assert captured.err == f"error: {error}\n"
 
 
-def test_cli_sweep_writes_sidecar_log(tmp_path):
+def test_cli_sweep_writes_sidecar_log(tmp_path, warning_engine):
     out = tmp_path / "fock.csv"
     code = cli.main([
         "sweep", "--config", "/dev/null",
-        "--set", "engine=fock", "--set", "N_th=1000", "--set", "x=0.1",
-        "--set", "sigma=0", "--set", "eta_c=1.0",
+        "--set", "engine=fock", "--set", "N_th=0.3", "--set", "N_D=1",
         "--set", "axis1=y", "--set", "axis1_values=0.5",
         "--out", str(out),
     ])
     assert code == 0
     log = tmp_path / "fock.csv.log"
-    assert log.exists()
-    assert "TruncationWarning" in log.read_text(encoding="utf-8")
+    assert log.read_text(encoding="utf-8") == "TruncationWarning: probe at N_D=1, y=0.5\n"
 
 
-def test_cli_preset_threshold_warnings_go_to_sidecar(tmp_path, capsys):
-    # figA1 bisects its N_D axis while the spec is assembled, before the
+def test_cli_sweep_without_warnings_writes_no_sidecar(tmp_path):
+    # The closed-form Fock engine does not warn, so figA1 leaves no log.
+    out = tmp_path / "figA1.csv"
+    assert cli.main(["sweep", "--preset", "figA1", "--out", str(out)]) == 0
+    assert out.exists() and not (tmp_path / "figA1.csv.log").exists()
+
+
+def test_cli_preset_threshold_warnings_go_to_sidecar(tmp_path, capsys, warning_engine):
+    # figA1 searches its N_D axis while the spec is assembled, before the
     # sweep runs; those warnings belong in the sidecar too, never on stderr.
     out = tmp_path / "figA1.csv"
     with warnings.catch_warnings(record=True) as leaked:
@@ -415,12 +410,12 @@ def test_cli_threshold_command(capsys):
     assert 0.3 <= value <= 0.5
 
 
-def test_cli_threshold_reports_warnings_as_lines(capsys):
-    # A fock search at 4 levels warns about truncation at every probe; the
-    # warnings reach stderr as sorted "Category: message" lines, never as
-    # Python's warning display with its source line.
+def test_cli_threshold_reports_warnings_as_lines(capsys, warning_engine):
+    # The warning engine warns at every probe; the warnings reach stderr as
+    # sorted "Category: message" lines, never as Python's warning display
+    # with its source line.
     args = [
-        "threshold", "--set", "engine=fock", "--set", "fock_dims=4", "--set", "N_th=0.3",
+        "threshold", "--set", "engine=fock", "--set", "N_th=0.3",
         "--param", "N_D", "--lo", "1", "--hi", "1e5", "--tol", "1",
     ]
     with warnings.catch_warnings(record=True) as leaked:
@@ -429,24 +424,42 @@ def test_cli_threshold_reports_warnings_as_lines(capsys):
     assert code == 0
     assert leaked == []
     out, err = capsys.readouterr()
-    config = pr.ProtocolConfig(engine="fock", fock_dims=4, N_th=0.3)
+    config = pr.ProtocolConfig(engine="fock", N_th=0.3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = pr.find_threshold(config, "N_D", (1.0, 1e5), tol=1.0)
     assert out == f"N_D_threshold = {value:.12g}\n"
     lines = err.splitlines()
     assert lines == list(sw.warning_lines(caught)) and lines
-    assert all(line.startswith("TruncationWarning: fock state loses ") for line in lines)
+    assert all(line.startswith("TruncationWarning: probe at N_D=") for line in lines)
     # a failed search reports its warnings too, before the error
     code = cli.main([
-        "threshold", "--set", "engine=fock", "--param", "fock_dims", "--lo", "2", "--hi", "40",
+        "threshold", "--set", "engine=fock", "--param", "N_D", "--lo", "2", "--hi", "40",
     ])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
     *lines, error = err.splitlines()
-    assert lines and all(line.startswith("TruncationWarning: ") for line in lines)
+    assert lines == [f"TruncationWarning: probe at N_D={n_d}, y=0.1" for n_d in (2, 40)]
     assert error.startswith("error: no entanglement threshold in [2.0, 40.0]")
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["threshold", "--set", "engine=fock", "--param", "fock_dims", "--lo", "2",
+          "--hi", "40"], "'fock_dims' is not a float config field"),
+        (["threshold", "--preset", "fig2", "--param", "foo", "--lo", "0", "--hi", "1"],
+         "'foo' is not a float config field"),
+        (["sweep", "--preset", "fig2", "--set", "fock_dims=8"],
+         "unknown config field 'fock_dims'"),
+    ],
+)
+def test_cli_rejects_a_field_that_is_not_a_config_number(capsys, args, field):
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and field in err
 
 
 def test_cli_threshold_bracket_error(capsys):
@@ -484,6 +497,17 @@ def test_cli_feasibility_config_file(tmp_path, capsys):
     assert cli.main(["feasibility", "--config", str(conf)]) == 0
     out = capsys.readouterr().out
     assert "N_th = " in out and "decoherence_time_s = " in out
+
+
+@pytest.mark.parametrize("name", ["omega_m", "T", "gamma"])
+def test_cli_feasibility_rejects_infinite_values(tmp_path, capsys, name):
+    fields = dict(omega_m="2.3e10", kappa="3.1e9", g="2.5e8", gamma="2.2e5", tau="1e-7", T="2.0")
+    fields[name] = "inf"
+    conf = tmp_path / "platform.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()), encoding="utf-8")
+    assert cli.main(["feasibility", "--config", str(conf)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {name}=inf must be finite and > 0\n")
 
 
 def test_cli_feasibility_needs_source(capsys):
