@@ -8,22 +8,12 @@ mean vector (X_A, P_A, X_C, P_C) and the symmetrized 4x4 covariance matrix in
 the same ordering.  Mode A is the bright/stored mode, mode C is the companion
 mode that never enters the mechanical channel.
 
-Batches
--------
-Every operation also acts on a batch of states: means of shape (..., 4) and
-covariances of shape (..., 4, 4), the leading axes being the batch shape.
-A per-point parameter is then one value for every point or an array of the
-batch shape.  The 4x4 arithmetic runs on the whole batch in NumPy with the
-same operations, in the same order, as for one state, so each point of a
-batch is bit-identical to the same point evaluated alone.  Per-point scalars
-that NumPy and the math module may round differently (sinh, powers, log)
-are computed point by point with the math module.
-
-Each stage's per-point numbers come from one helper (``_tmsv_entries``,
-``_loss_terms``, ``_storage_terms``, ``_phase_variance``), and the PPT readout
-from ``_ppt_minors`` and the per-point ``_ppt_readout``.  The operations check
-their arguments and apply these to the 4x4 arrays; the protocol pipeline
-applies the same helpers to the five nonzero covariance entries of each config.
+The operations act on one state with scalar parameters and reject a batch.
+They check their arguments, apply one helper per stage (``_tmsv_entries``,
+``_loss_terms``, ``_storage_terms``, ``_phase_variance``) to the 4x4 arrays and
+read out through ``_ppt_minors``.  The batched protocol pipeline applies the
+same helpers to the five nonzero covariance entries of each config and reads
+out its batch through ``_ppt_minors`` and the per-point ``_ppt_readout``.
 """
 
 from __future__ import annotations
@@ -41,21 +31,12 @@ RADICAND_CLAMP = 1e-9
 # channel_coefficients takes f2^2 from its series where 1 - y^2 is below this
 SERIES_BELOW = 1e-2
 
-# the two-mode squeezed vacuum's covariance is d * _TMSV_VARIANCES + c * _TMSV_CORRELATIONS
-_TMSV_VARIANCES = np.eye(4)
-_TMSV_CORRELATIONS = np.array(
-    [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]
-)
-_IDENTITY_BLOCK = np.eye(2)
 # cov[..., _BLOCK_ROWS, _BLOCK_COLUMNS] stacks the 2x2 blocks A, B and C
 _BLOCK_ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
 _BLOCK_COLUMNS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
 
 # each mode's (own, other) slices of the (X_A, P_A, X_C, P_C) ordering
 _MODE_SLICES = {"A": (slice(0, 2), slice(2, 4)), "C": (slice(2, 4), slice(0, 2))}
-# each mode's quadratures, and the covariance's A-C cross-blocks
-_MODE_MASKS = {"A": np.arange(4) < 2, "C": np.arange(4) >= 2}
-_CROSS_BLOCKS = _MODE_MASKS["A"][:, None] != _MODE_MASKS["A"]
 
 
 def _mode_slices(mode):
@@ -65,39 +46,21 @@ def _mode_slices(mode):
         raise ValueError(f"unknown mode {mode!r}, expected 'A' or 'C'") from None
 
 
-def _per_point(fn, nout, *args):
-    """`fn` applied at every point to Python floats (and other per-point objects).
-
-    Arguments broadcast as in NumPy.  Returns float arrays of the broadcast
-    shape, a tuple of `nout` of them when `nout` > 1; 0-d for scalar arguments.
-    An exception raised by `fn` propagates from the first failing point.
-    """
-    out = np.frompyfunc(fn, len(args), nout)(*args)
-    if nout == 1:
-        return np.asarray(out, dtype=float)
-    return tuple(np.asarray(o, dtype=float) for o in out)
-
-
-def _require(values, ok, message):
-    """`values` as a float array; ValueError naming the first value where `ok` is False."""
-    values = np.asarray(values, dtype=float)
-    good = ok(values)
-    if not good.all():
-        raise ValueError(message.format(values[~good].flat[0]))
-    return values
-
-
-def _in_unit_interval(values):
-    return (0.0 <= values) & (values <= 1.0)
-
-
-def _finite_non_negative(values):
-    return np.isfinite(values) & (values >= 0)
+def _one(*arguments):
+    """Reject a batch state or an array parameter, which single-state
+    indexing such as mean[own] would slice along the batch."""
+    for value in arguments:
+        if isinstance(value, GaussianTwoModeState):
+            if value.mean.shape != (4,):
+                raise ValueError(f"expected one state, got mean shape {value.mean.shape}")
+        elif np.ndim(value):
+            raise ValueError(f"expected a scalar parameter, got shape {np.shape(value)}")
 
 
 def _scalar(values):
-    """A 0-d result as a Python float; a batch result as it is."""
-    return float(values) if np.ndim(values) == 0 else values
+    """A 0-d result as a Python float; a batch result as a float array."""
+    values = np.asarray(values, dtype=float)
+    return float(values) if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -111,7 +74,8 @@ class GaussianTwoModeState:
     cov : ndarray, shape (..., 4, 4)
         Symmetrized covariance matrix, vacuum variance 1/2 on the diagonal.
 
-    The leading axes are the batch shape, () for a single state.
+    The leading axes are the batch shape, () for a single state.  Only the
+    protocol pipeline returns a batch; the operations take one state.
     """
 
     mean: np.ndarray
@@ -169,41 +133,39 @@ def tmsv_state(r):
     All four diagonal variances equal sinh(r)^2 + 1/2; the correlations are
     <X_A X_C> = +sinh(r)cosh(r) and <P_A P_C> = -sinh(r)cosh(r), so the state
     approaches an ideal EPR pair for large r and is exactly vacuum at r = 0.
-    An array of r gives the batch of states of that shape.
     """
-    d, c = _per_point(_tmsv_entries, 2, r)
-    # exact: each entry is d, c or -c plus products with zero
-    cov = d[..., None, None] * _TMSV_VARIANCES + c[..., None, None] * _TMSV_CORRELATIONS
-    return _frozen(np.zeros(d.shape + (4,)), cov)  # finite for r < 20
+    _one(r)
+    d, c = _tmsv_entries(r)
+    m = 0.0 - c  # +0.0 at r = 0, as the pipeline's k_p
+    cov = np.array([[d, 0.0, c, 0.0], [0.0, d, 0.0, m], [c, 0.0, d, 0.0], [0.0, m, 0.0, d]])
+    return _frozen(np.zeros(4), cov)  # finite for r < 20
 
 
 def displace(state, mode, alpha):
     """Apply a phase-space displacement D(alpha) to one mode.
 
     Shifts the mean of the chosen mode by (sqrt(2) Re alpha, sqrt(2) Im alpha)
-    and leaves the covariance matrix untouched.  `alpha` may be an array of
-    the batch shape.
+    and leaves the covariance matrix untouched.
     """
-    alpha = np.asarray(alpha, dtype=complex)
+    _one(state, alpha)
+    alpha = complex(alpha)
     x = _mode_slices(mode)[0].start  # the mode's X quadrature, P follows it
     mean = state.mean.copy()
-    mean[..., x] += math.sqrt(2.0) * alpha.real
-    mean[..., x + 1] += math.sqrt(2.0) * alpha.imag
+    mean[x] += math.sqrt(2.0) * alpha.real
+    mean[x + 1] += math.sqrt(2.0) * alpha.imag
     return _finite(mean, state.cov)
 
 
 def _update_mode(mean, cov, mode, amplitude, power, added):
     """One mode's mean and cross-blocks scale by `amplitude`; its own 2x2
-    block maps to power * block + added * I.  All three are per point."""
-    own = _mode_slices(mode)[0]
-    amplitude = np.asarray(amplitude)[..., None]
-    mean = mean * np.where(_MODE_MASKS[mode], amplitude, 1.0)
-    # the cross-blocks scale by amplitude, the other mode's block by 1; the
-    # own block is then overwritten
-    out = cov * np.where(_CROSS_BLOCKS, amplitude[..., None], 1.0)
-    noise = np.asarray(added)[..., None, None] * _IDENTITY_BLOCK
-    out[..., own, own] = np.asarray(power)[..., None, None] * cov[..., own, own] + noise
-    return mean, out
+    block maps to power * block + added * I."""
+    own, other = _mode_slices(mode)
+    mean, cov = mean.copy(), cov.copy()
+    mean[own] *= amplitude
+    cov[own, other] *= amplitude
+    cov[other, own] *= amplitude
+    cov[own, own] = power * cov[own, own] + added * np.eye(2)
+    return mean, cov
 
 
 def component_variance(n, n_displaced):
@@ -226,15 +188,15 @@ def loss_channel(state, mode, eta):
     Mean scales by sqrt(eta); the mode's 2x2 covariance block maps to
     eta*block + (1 - eta)*(1/2)*I and the cross-correlation block scales by
     sqrt(eta).  eta = 1 is the identity, eta = 0 replaces the mode by vacuum.
-    `eta` may be an array of the batch shape.
     """
-    eta = _require(eta, _in_unit_interval, "transmission eta={} outside [0, 1]")
+    _one(state, eta)
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmission eta={eta} outside [0, 1]")
     _mode_slices(mode)  # a bad mode fails even where eta = 1 leaves the state alone
-    if (eta == 1.0).all():
+    if eta == 1.0:
         return state
-    terms = _per_point(_loss_terms, 3, eta)
     # a mix of a finite state and vacuum: finite
-    return _frozen(*_update_mode(state.mean, state.cov, mode, *terms))
+    return _frozen(*_update_mode(state.mean, state.cov, mode, *_loss_terms(eta)))
 
 
 def _loss_terms(eta):
@@ -336,11 +298,9 @@ def storage_retrieval_channel(state, coeffs, n_initial, n_bath, mode="A"):
 
     The treated mode's mean maps to -c1 * mean, cross-correlations with the
     untouched mode scale by -c1, and the untouched mode is unchanged.
-
-    For a batch, `coeffs` may be a sequence of ChannelCoefficients and the
-    occupations arrays, one entry per point.
     """
-    terms = _per_point(_storage_terms, 3, coeffs, n_initial, n_bath)
+    _one(state, coeffs, n_initial, n_bath)
+    terms = _storage_terms(coeffs, n_initial, n_bath)
     return _finite(*_update_mode(state.mean, state.cov, mode, *terms))
 
 
@@ -366,29 +326,29 @@ def phase_noise(state, sigma, amp_sq, mode="A"):
     on a mode with mean photon number `amp_sq` adds 2 * amp_sq * sigma^2 to the
     P-quadrature variance (the noise enhancement is quadratic in the bright
     amplitude; the non-enhanced O(sigma^2) corrections are dropped).  The mean
-    and every other covariance entry are unchanged.  `sigma` and `amp_sq` may
-    be arrays of the batch shape.
+    and every other covariance entry are unchanged.
     """
-    sigma = _require(sigma, _finite_non_negative, "phase jitter sigma={} must be finite and >= 0")
-    amp_sq = _require(
-        amp_sq, _finite_non_negative, "amplitude photon number {} must be finite and >= 0"
-    )
+    _one(state, sigma, amp_sq)
+    if not 0.0 <= sigma < math.inf:  # NaN fails too
+        raise ValueError(f"phase jitter sigma={sigma} must be finite and >= 0")
+    if not 0.0 <= amp_sq < math.inf:
+        raise ValueError(f"amplitude photon number {amp_sq} must be finite and >= 0")
     p = _mode_slices(mode)[0].start + 1  # the mode's P quadrature
     added = _phase_variance(sigma, amp_sq)
-    if not added.any():
+    if added == 0.0:
         return state
     cov = state.cov.copy()
-    cov[..., p, p] += added
+    cov[p, p] += added
     return _finite(state.mean, cov)
 
 
 def _phase_variance(sigma, amp_sq):
-    """The P variance 2 amp_sq sigma^2 a phase jitter adds, per point or on arrays."""
+    """The P variance 2 amp_sq sigma^2 a phase jitter adds."""
     return 2.0 * amp_sq * sigma * sigma
 
 
 def _minors(cov):
-    """det A, det B, det C and det V of the covariance's 2x2 blocks and the whole."""
+    """det A, det B, det C and det V of one covariance, or of a batch."""
     blocks = np.linalg.det(cov[..., _BLOCK_ROWS, _BLOCK_COLUMNS])
     return blocks[..., 0], blocks[..., 1], blocks[..., 2], np.linalg.det(cov)
 
@@ -429,9 +389,9 @@ def symplectic_eigenvalues(state):
     nu_+- = sqrt((Delta +- sqrt(Delta^2 - 4 det V)) / 2).  A state is physical
     iff nu_- >= 1/2 (uncertainty principle) and pure iff both equal 1/2.
     """
+    _one(state)
     a, b, c, v = _minors(state.cov)
-    lo, hi = _per_point(_nu_pair, 2, a + b + 2.0 * c, v)
-    return _scalar(lo), _scalar(hi)
+    return _nu_pair(a + b + 2.0 * c, v)
 
 
 def physicality_check(state, tol=1e-9):
@@ -440,6 +400,7 @@ def physicality_check(state, tol=1e-9):
     `is_physical` is True when the smaller symplectic eigenvalue satisfies
     nu_- >= 1/2 - tol.
     """
+    _one(tol)
     nus = symplectic_eigenvalues(state)
     return nus[0] >= VACUUM_VARIANCE - tol, nus
 
@@ -452,7 +413,8 @@ def ppt_minimum_eigenvalue(state):
     nu_min = sqrt((Sigma - sqrt(Sigma^2 - 4 det V)) / 2).  The two-mode state
     is entangled iff nu_min < 1/2.
     """
-    return _scalar(_per_point(_nu_pair, 2, *_ppt_minors(state.cov))[0])
+    _one(state)
+    return _nu_pair(*_ppt_minors(state.cov))[0]
 
 
 def ppt_witness(state):
@@ -466,7 +428,8 @@ def ppt_witness(state):
     before further loss (Serafini, Illuminati & De Siena, J. Phys. B 37, L21
     (2004)), as the phase noise is.
     """
-    return _scalar(_ppt_witness(*_ppt_minors(state.cov)))
+    _one(state)
+    return float(_ppt_witness(*_ppt_minors(state.cov)))
 
 
 def log_negativity(state):
@@ -485,6 +448,6 @@ def _negativity(nu):
 
 
 def negativity_from_nu(nu):
-    """E_N = max(0, -ln(2 nu)) of PPT minimum symplectic eigenvalues `nu`,
-    a float or an array (the logarithm is taken point by point)."""
-    return _scalar(_per_point(_negativity, 1, nu))
+    """E_N = max(0, -ln(2 nu)) of one PPT minimum symplectic eigenvalue `nu`."""
+    _one(nu)
+    return _negativity(nu)

@@ -219,10 +219,10 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
     Parameters
     ----------
     config : ProtocolConfig or sequence of ProtocolConfig
-        Each must have engine == "gaussian".  A sequence runs as one batch
-        through the batched Gaussian operations and gives a result whose
-        fields are arrays, one entry per config; each entry is bit-identical
-        to that config run alone, which is the batch of size 1.
+        Each must have engine == "gaussian".  A sequence runs as one batch,
+        the only batched Gaussian path, and gives a result whose fields are
+        arrays, one entry per config; each entry is bit-identical to that
+        config run alone, which is the batch of size 1.
     undisplacement : str
         "propagated" (default) removes the exact propagated mean, so
         mean_residual == 0 by construction; "nominal" displaces back by the
@@ -282,7 +282,7 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
     # valid configs: only an overflow can make an entry non-finite
     state = ga._finite(mean[0], cov[0]) if single else ga._finite(mean, cov)
     total, det_v = ga._ppt_minors(state.cov)
-    nu_min, witness, log_negativity = ga._per_point(ga._ppt_readout, 3, total, det_v)
+    nu_min, witness, log_negativity = np.frompyfunc(ga._ppt_readout, 2, 3)(total, det_v)
     return GaussianProtocolResult(
         log_negativity=ga._scalar(log_negativity),
         nu_min=ga._scalar(nu_min),
@@ -497,15 +497,34 @@ def feasibility(params, ratio_threshold=5.0, detectable_limit=0.2):
     1 / (N_th gamma).  Regime flags use ratio_threshold (default 5x) for the
     "much greater than" conditions and detectable_limit (default 0.2) for
     N_th * x.
+
+    A bath so cold that hbar omega_m / (k_B T) overflows expm1, or k_B T
+    underflows, has N_th = exp(-hbar omega_m / (k_B T)), 0.0 once that
+    underflows, and a decoherence time of inf when N_th gamma is 0.0.  A G
+    outside the float range raises ValueError.
     """
     gamma = params.damping_rate
-    G = params.g**2 / params.kappa
+    try:
+        G = params.g**2 / params.kappa
+    except OverflowError:
+        G = math.inf
+    if not 0.0 < G < math.inf:
+        raise ValueError(
+            f"G = g^2/kappa = {G} is outside the float range for g={params.g}, "
+            f"kappa={params.kappa}"
+        )
     x = gamma / G
     y_G = math.exp(-G * params.tau)
     y_Gprime = math.exp(-(G + gamma) * params.tau)
-    N_th = 1.0 / math.expm1(HBAR * params.omega_m / (KB * params.T))
+    thermal_energy = KB * params.T
+    z = HBAR * params.omega_m / thermal_energy if thermal_energy else math.inf
+    try:
+        N_th = 1.0 / math.expm1(z)
+    except OverflowError:  # z > ln(DBL_MAX), where 1/expm1(z) = exp(-z) in doubles
+        N_th = math.exp(-z)
     suppression = (params.kappa / params.omega_m) ** 2
-    decoherence_time = 1.0 / (N_th * gamma)
+    rate = N_th * gamma
+    decoherence_time = 1.0 / rate if rate else math.inf
     notes = (
         f"pulse duration tau = {params.tau:.6g} s gives y_G = {y_G:.4g}; "
         f"y_G = 0.1 would require tau = {math.log(10.0) / G:.4g} s",

@@ -10,7 +10,6 @@ runtime budgets are pinned in the assertions.
 import dataclasses
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -241,29 +240,19 @@ def test_criterion_08_single_photon_concurrence():
     if abs(c_ideal - 1.0) > 1e-6:
         failures.append(f"ideal concurrence {c_ideal:.8f} differs from 1 by > 1e-6")
     base = sw.preset_base("figA1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        quiet = dataclasses.replace(base, sigma=0.0)
-        reference = [
-            pr.entanglement_metric(dataclasses.replace(quiet, N_D=n_d))
-            for n_d in (0.0, 5000.0, 1e8)
-        ]
-        spread = max(reference) - min(reference)
-        if spread > 1e-10:
-            failures.append(f"sigma=0 spread over N_D = {spread:.3g} > 1e-10")
-        thresholds = []
-        for sigma in (0.005, 0.01, 0.02):
-            noisy = dataclasses.replace(base, sigma=sigma)
-            coeffs = ga.channel_coefficients(noisy.x, noisy.y)
-            unit_amp = pr.phase_noise_amplitude_sq(
-                dataclasses.replace(noisy, N_D=1.0), coeffs
-            )
-            # Keep the search inside the variance range the truncated
-            # displacement operators represent faithfully.
-            hi = 6.0 / (2.0 * unit_amp * sigma ** 2)
-            thresholds.append(
-                pr.find_threshold(noisy, "N_D", (1.0, hi), tol=hi * 1e-3)
-            )
+    quiet = dataclasses.replace(base, sigma=0.0)
+    reference = [
+        pr.entanglement_metric(dataclasses.replace(quiet, N_D=n_d))
+        for n_d in (0.0, 5000.0, 1e8)
+    ]
+    spread = max(reference) - min(reference)
+    if spread > 1e-10:
+        failures.append(f"sigma=0 spread over N_D = {spread:.3g} > 1e-10")
+    # the N_D bracket and tol of the figA1 preset's own threshold axis
+    thresholds = [
+        pr.find_threshold(dataclasses.replace(base, sigma=sigma), "N_D", (1.0, 1e7), tol=1.0)
+        for sigma in (0.005, 0.01, 0.02)
+    ]
     if not all(math.isfinite(t) for t in thresholds):
         failures.append(f"non-finite N_D*: {thresholds}")
     elif not (thresholds[0] > thresholds[1] > thresholds[2]):

@@ -83,6 +83,55 @@ def test_channels_reject_bad_mode(mode):
         ga.storage_retrieval_channel(state, coeffs, 1.0, 10.0, mode=mode)
 
 
+ONE = ga.tmsv_state(0.5)
+BATCH = ga.GaussianTwoModeState(np.zeros((2, 4)), np.stack([ONE.cov, ONE.cov]))
+PAIR = np.array([0.25, 0.5])
+COEFFS = ga.channel_coefficients(0.01, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: ga.tmsv_state(PAIR), id="tmsv_state-r"),
+        pytest.param(lambda: ga.displace(BATCH, "A", 1.0), id="displace-state"),
+        pytest.param(lambda: ga.displace(ONE, "A", PAIR), id="displace-alpha"),
+        pytest.param(lambda: ga.loss_channel(BATCH, "A", 0.5), id="loss_channel-state"),
+        pytest.param(lambda: ga.loss_channel(ONE, "A", PAIR), id="loss_channel-eta"),
+        pytest.param(
+            lambda: ga.storage_retrieval_channel(BATCH, COEFFS, 1.0, 10.0),
+            id="storage_retrieval_channel-state",
+        ),
+        pytest.param(
+            lambda: ga.storage_retrieval_channel(ONE, [COEFFS, COEFFS], 1.0, 10.0),
+            id="storage_retrieval_channel-coeffs",
+        ),
+        pytest.param(
+            lambda: ga.storage_retrieval_channel(ONE, COEFFS, PAIR, 10.0),
+            id="storage_retrieval_channel-n_initial",
+        ),
+        pytest.param(
+            lambda: ga.storage_retrieval_channel(ONE, COEFFS, 1.0, PAIR),
+            id="storage_retrieval_channel-n_bath",
+        ),
+        pytest.param(lambda: ga.phase_noise(BATCH, 0.01, 5000.0), id="phase_noise-state"),
+        pytest.param(lambda: ga.phase_noise(ONE, PAIR, 5000.0), id="phase_noise-sigma"),
+        pytest.param(lambda: ga.phase_noise(ONE, 0.01, PAIR), id="phase_noise-amp_sq"),
+        pytest.param(lambda: ga.symplectic_eigenvalues(BATCH), id="symplectic_eigenvalues"),
+        pytest.param(lambda: ga.physicality_check(BATCH), id="physicality_check-state"),
+        pytest.param(lambda: ga.physicality_check(ONE, PAIR), id="physicality_check-tol"),
+        pytest.param(lambda: ga.ppt_minimum_eigenvalue(BATCH), id="ppt_minimum_eigenvalue"),
+        pytest.param(lambda: ga.ppt_witness(BATCH), id="ppt_witness"),
+        pytest.param(lambda: ga.log_negativity(BATCH), id="log_negativity"),
+        pytest.param(lambda: ga.negativity_from_nu(PAIR), id="negativity_from_nu"),
+    ],
+)
+def test_operations_reject_batches(call):
+    # The operations act on one state: a batch would be sliced along its
+    # leading axis by single-state indexing, so it fails loudly, naming the shape.
+    with pytest.raises(ValueError, match=r"^expected .* shape \((2, 4|2,)\)$"):
+        call()
+
+
 def test_component_variance_macroscopicity():
     # Photon-number variance of a displaced number state: (2n + 1) |alpha|^2.
     assert ga.component_variance(0, 5000.0) == 5000.0
@@ -298,18 +347,19 @@ def test_ppt_witness_factorizes_and_signs_entanglement():
     assert ga.ppt_witness(ga.vacuum_state()) == 0.0
     thermal = ga.GaussianTwoModeState(np.zeros(4), np.diag([2.5, 2.5, 1.5, 1.5]))
     assert abs(ga.ppt_witness(thermal) + 12.0) < 1e-12
-    # on a batch of channel outputs it is positive exactly where E_N is
+    # on 400 channel outputs it is positive exactly where E_N is
     rng = np.random.default_rng(5)
     n = 400
     coeffs = [
         ga.channel_coefficients(rng.uniform(0, 0.5), rng.uniform(0.05, 0.99)) for _ in range(n)
     ]
-    state = ga.storage_retrieval_channel(
-        ga.tmsv_state(rng.uniform(0.05, 1.0, n)), coeffs,
-        rng.uniform(0, 2, n), rng.uniform(0, 10, n),
-    )
-    witness = ga.ppt_witness(state)
-    entangled = ga.log_negativity(state) > 0.0
+    draws = zip(coeffs, rng.uniform(0.05, 1.0, n), rng.uniform(0, 2, n), rng.uniform(0, 10, n))
+    witness, entangled = [], []
+    for k, r, n_initial, n_bath in draws:
+        state = ga.storage_retrieval_channel(ga.tmsv_state(r), k, n_initial, n_bath)
+        witness.append(ga.ppt_witness(state))
+        entangled.append(ga.log_negativity(state) > 0.0)
+    witness, entangled = np.array(witness), np.array(entangled)
     assert witness.shape == (n,) and 50 < entangled.sum() < n - 50
     assert np.array_equal(witness > 0.0, entangled)
 

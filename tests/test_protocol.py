@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -230,35 +231,39 @@ def test_gaussian_batch_is_bit_identical_to_scalar_reference():
 
 
 def public_pipeline(configs, undisplacement):
-    """(E_N, nu_min, witness, output state) of a batch of configs from the
-    public, argument-checking operations composed in the pipeline's order."""
-    coeffs = [ga.channel_coefficients(c.x, c.y) for c in configs]
-
-    def field(name):
-        return np.array([getattr(c, name) for c in configs])
-
-    state = ga.tmsv_state(field("r"))
-    state = ga.displace(state, "A", np.sqrt(field("N_D")))
-    state = ga.loss_channel(state, "A", field("eta1"))
-    state = ga.storage_retrieval_channel(state, coeffs, field("N_in"), field("N_th"))
-    amp_sq = [pr.phase_noise_amplitude_sq(c, k) for c, k in zip(configs, coeffs)]
-    state = ga.phase_noise(state, field("sigma"), amp_sq, mode="A")
-    state = ga.loss_channel(state, "A", field("eta2"))
-    if undisplacement == "propagated":
-        back = (-state.mean[..., 0:2] / math.sqrt(2.0)).view(complex)[..., 0]
-    else:
-        back = np.array([(1.0 - c.y**2) * math.sqrt(c.N_D) for c in configs])
-    state = ga.displace(state, "A", back)
-    state = ga.loss_channel(state, "C", field("eta_c"))
-    nu_min = ga.ppt_minimum_eigenvalue(state)
-    return ga.negativity_from_nu(nu_min), nu_min, ga.ppt_witness(state), state
+    """(E_N, nu_min, witness, output state) of a list of configs from the
+    public, argument-checking operations composed in the pipeline's order,
+    one config at a time, stacked into arrays and a batch state."""
+    rows = []
+    for c in configs:
+        coeffs = ga.channel_coefficients(c.x, c.y)
+        state = ga.tmsv_state(c.r)
+        state = ga.displace(state, "A", math.sqrt(c.N_D))
+        state = ga.loss_channel(state, "A", c.eta1)
+        state = ga.storage_retrieval_channel(state, coeffs, c.N_in, c.N_th)
+        amp_sq = pr.phase_noise_amplitude_sq(c, coeffs)
+        state = ga.phase_noise(state, c.sigma, amp_sq, mode="A")
+        state = ga.loss_channel(state, "A", c.eta2)
+        if undisplacement == "propagated":
+            back = complex(*(-state.mean[0:2] / math.sqrt(2.0)))
+        else:
+            back = (1.0 - c.y**2) * math.sqrt(c.N_D)
+        state = ga.displace(state, "A", back)
+        state = ga.loss_channel(state, "C", c.eta_c)
+        nu_min = ga.ppt_minimum_eigenvalue(state)
+        rows.append((ga.negativity_from_nu(nu_min), nu_min, ga.ppt_witness(state), state))
+    log_negativity, nu_min, witness, states = zip(*rows)
+    state = ga.GaussianTwoModeState(
+        np.array([s.mean for s in states]), np.array([s.cov for s in states])
+    )
+    return np.array(log_negativity), np.array(nu_min), np.array(witness), state
 
 
 @pytest.mark.parametrize("undisplacement", ["propagated", "nominal"])
 def test_gaussian_pipeline_equals_composed_public_operations(undisplacement):
-    # The pipeline runs the operations' kernels without their argument checks;
-    # the public operations must give the same bits, batched and one by one,
-    # and so must the kernel-free scalar reference.
+    # The pipeline runs the operations' helpers without their argument checks;
+    # the public operations, composed one config at a time, must give the
+    # same bits to a batch and to single runs, and so must the scalar reference.
     configs = random_gaussian_configs(1200, seed=20261019)
     batch = pr.run_gaussian_protocol(configs, undisplacement=undisplacement)
     log_negativity, nu_min, witness, state = public_pipeline(configs, undisplacement)
@@ -285,7 +290,11 @@ def test_gaussian_pipeline_equals_composed_public_operations(undisplacement):
 def test_gaussian_result_witness_is_the_output_ppt_witness():
     configs = random_gaussian_configs(1200, seed=11)
     batch = pr.run_gaussian_protocol(configs)
-    assert np.array_equal(batch.witness, ga.ppt_witness(batch.output_state))
+    per_config = [
+        ga.ppt_witness(ga.GaussianTwoModeState(mean, cov))
+        for mean, cov in zip(batch.output_state.mean, batch.output_state.cov)
+    ]
+    assert np.array_equal(batch.witness, per_config)
     # the sign is the verdict wherever the witness is above round-off (product
     # states and the like give witnesses of a few ulps either side of 0)
     clear = np.abs(batch.witness) > 1e-12
@@ -770,6 +779,33 @@ def test_feasibility_flags_and_ratio_threshold():
     strict = pr.feasibility(nanobeam, ratio_threshold=10.0)
     assert not strict.resolved_sideband and strict.adiabatic
     assert any("tau" in note for note in strict.notes)
+
+
+def test_feasibility_reports_a_frozen_bath():
+    nanobeam = pr.FEASIBILITY_PRESETS["nanobeam"]
+    warm = pr.feasibility(nanobeam)
+    # hbar omega / k_B T overflows expm1 at 1e-5 K; k_B T underflows to 0 at 1e-310 K
+    for T in (1e-5, 1e-310):
+        report = pr.feasibility(dataclasses.replace(nanobeam, T=T))
+        assert (report.N_th, report.decoherence_time) == (0.0, math.inf), T
+        assert report.detectable and (report.G, report.x) == (warm.G, warm.x), T
+    # just past expm1's range N_th = exp(-z), a positive subnormal; just inside
+    # it the closed form 1 / expm1(z) is unchanged
+    for nominal_z in (720.0, 700.0):
+        T = pr.HBAR * nanobeam.omega_m / (pr.KB * nominal_z)
+        report = pr.feasibility(dataclasses.replace(nanobeam, T=T))
+        z = pr.HBAR * nanobeam.omega_m / (pr.KB * T)
+        expected = math.exp(-z) if z > math.log(sys.float_info.max) else 1.0 / math.expm1(z)
+        assert report.N_th == expected > 0.0, nominal_z
+        assert report.decoherence_time == 1.0 / (report.N_th * nanobeam.gamma), nominal_z
+
+
+@pytest.mark.parametrize("g, kappa", [(1e-170, 1e200), (1e200, 1.0), (1e150, 1e-10)])
+def test_feasibility_rejects_coupling_outside_the_float_range(g, kappa):
+    # G = g^2 / kappa underflows to 0, or overflows in g^2 or in the quotient
+    params = dataclasses.replace(pr.FEASIBILITY_PRESETS["nanobeam"], g=g, kappa=kappa)
+    with pytest.raises(ValueError, match=re.escape(f"for g={g}, kappa={kappa}")):
+        pr.feasibility(params)
 
 
 def test_feasibility_input_validation():

@@ -510,6 +510,36 @@ def test_cli_feasibility_rejects_infinite_values(tmp_path, capsys, name):
     assert (out, err) == ("", f"error: {name}=inf must be finite and > 0\n")
 
 
+NANOBEAM_CONF = dict(
+    omega_m="2.324778563656e10", kappa="3.14159265359e9", g="2.51327412287e8",
+    gamma="2.19911485751e5", tau="1e-7", T="2.0",
+)
+
+
+@pytest.mark.parametrize("T", ["1e-5", "1e-310"])
+def test_cli_feasibility_reports_a_frozen_bath(tmp_path, capsys, T):
+    # expm1 overflows at 1e-5 K and k_B T underflows at 1e-310 K
+    conf = tmp_path / "platform.conf"
+    fields = dict(NANOBEAM_CONF, T=T)
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()), encoding="utf-8")
+    assert cli.main(["feasibility", "--config", str(conf)]) == 0
+    out, err = capsys.readouterr()
+    assert "\nN_th = 0\n" in out and "\ndecoherence_time_s = inf\n" in out
+    assert "\ndetectable = true\n" in out and err == ""
+
+
+def test_cli_feasibility_rejects_coupling_that_underflows(tmp_path, capsys):
+    conf = tmp_path / "platform.conf"
+    fields = dict(NANOBEAM_CONF, g="1e-170", kappa="1e200")
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()), encoding="utf-8")
+    assert cli.main(["feasibility", "--config", str(conf)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: G = g^2/kappa = 0.0 is outside the float range for g=1e-170, kappa=1e+200\n"
+    )
+
+
 def test_cli_feasibility_needs_source(capsys):
     assert cli.main(["feasibility"]) == 2
 
