@@ -13,11 +13,12 @@ and quantifying the surviving entanglement.  Two engines implement it:
   out in closed form: mode A's stages compose into one Gaussian channel and
   mode C only sees loss (Weedbrook et al., RMP 84, 621 (2012)).
 
-Both engines run mode A's stages from one list of per-stage terms
-(``_mode_a_stages``).  In both the macroscopic displacement is handled
-analytically: it never touches the simulated state directly and enters only
-through the phase-noise variance picked up by the bright beam, proportional
-to N_D sigma^2.
+Both engines evaluate in the displaced frame and run mode A's stages from
+one list of per-stage terms (``_mode_a_stages``).  The macroscopic
+displacement never touches the simulated state and enters only through the
+phase-noise variance picked up by the bright beam, proportional to
+N_D sigma^2.  ``entanglement_metric``, ``find_threshold`` and sweeps reach
+the engines through one dispatch, ``_evaluate``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ PHASE_NOISE_CONVENTIONS = ("paper_literal", "propagated_mean")
 ZERO_METRIC_TOL = 1e-12
 # find_threshold's |f| where a probe's witness is 0 or disagrees with its verdict
 _TINY = 1e-300
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -185,14 +185,14 @@ class GaussianProtocolResult:
     """Outcome of one gaussian-engine pipeline run, or of a batch of runs.
 
     For a batch every field is an array with one entry per config, and
-    ``output_state`` is the batch of output states.  ``witness`` is the signed,
+    ``output_state`` is the batch of output states.  The output state is in
+    the displaced frame, so its mean is zero.  ``witness`` is the signed,
     unclamped PPT witness of the output covariance (gaussian.ppt_witness).
     """
 
     log_negativity: float
     nu_min: float
     output_state: ga.GaussianTwoModeState
-    mean_residual: float
     witness: float
 
 
@@ -209,12 +209,16 @@ class FockProtocolResult:
     witness: float
 
 
-def run_gaussian_protocol(config, undisplacement="propagated"):
+def run_gaussian_protocol(config):
     """Run the covariance-matrix pipeline and quantify output entanglement.
 
-    Order: squeezed input -> displace A by sqrt(N_D) -> loss eta1 on A ->
-    storage/retrieval channel -> phase noise on A -> loss eta2 on A ->
-    undisplacement (mean shift only) -> loss eta_c on C -> log-negativity.
+    Order: squeezed input -> loss eta1 on A -> storage/retrieval channel ->
+    phase noise on A -> loss eta2 on A -> loss eta_c on C -> log-negativity.
+    The state is followed in the displaced frame: every stage is a Gaussian
+    channel, covariant under displacement (Weedbrook et al., RMP 84, 621
+    (2012)), so displacing A by sqrt(N_D) and back leaves the covariance as
+    it is and N_D enters only through the phase-noise variance.  The output
+    mean is zero.
 
     Parameters
     ----------
@@ -223,21 +227,16 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
         the only batched Gaussian path, and gives a result whose fields are
         arrays, one entry per config; each entry is bit-identical to that
         config run alone, which is the batch of size 1.
-    undisplacement : str
-        "propagated" (default) removes the exact propagated mean, so
-        mean_residual == 0 by construction; "nominal" displaces back by the
-        loss-free retrieved amplitude (1 - y^2) sqrt(N_D), leaving the
-        residual caused by eta1, eta2 and mechanical damping visible.
 
     Every stage on mode A acts on each quadrature separately and mode C only
     sees loss, so the covariance keeps the form [[a_x, 0, k_x, 0],
-    [0, a_p, 0, k_p], [k_x, 0, b, 0], [0, k_p, 0, b]] and the mean
-    (m_x, m_p, 0, 0).  Each config propagates these seven Python floats with
-    the per-point helpers of the public operations, by the same IEEE
-    operations in the same order as their 4x4 arithmetic, whose other entries
-    only ever multiply or add zeros.  The batch's covariances are then read
-    out by the same determinants.  So every field is bit for bit what the
-    composed public operations give, signed zeros included.
+    [0, a_p, 0, k_p], [k_x, 0, b, 0], [0, k_p, 0, b]].  Each config propagates
+    these five Python floats with the per-point helpers of the public
+    operations, by the same IEEE operations in the same order as their 4x4
+    arithmetic, whose other entries only ever multiply or add zeros.  The
+    batch's covariances are then read out by the same determinants.  So every
+    field is bit for bit what the composed public operations give, signed
+    zeros of the covariance included.
     """
     single = isinstance(config, ProtocolConfig)
     configs = [config] if single else list(config)
@@ -246,11 +245,9 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
     for c in configs:
         if c.engine != "gaussian":
             raise ValueError(f"gaussian pipeline called with engine={c.engine!r}")
-    if undisplacement not in ("propagated", "nominal"):
-        raise ValueError(f"unknown undisplacement mode {undisplacement!r}")
 
     channels = {}  # one channel_coefficients call per distinct (x, y)
-    means, covs = [], []
+    covs = []
     for c in configs:
         coeffs = channels.get((c.x, c.y))
         if coeffs is None:
@@ -260,25 +257,18 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
         d, k = ga._tmsv_entries(c.r)
         a_x = a_p = b = d
         k_x, k_p = k, 0.0 - k
-        m_x, m_p = _SQRT2 * math.sqrt(c.N_D), 0.0
         for amplitude, power, added, jitter in _mode_a_stages(c, coeffs):
             a_x, a_p = power * a_x + added, power * a_p + added + jitter
             k_x, k_p = k_x * amplitude, k_p * amplitude
-            m_x, m_p = m_x * amplitude, m_p * amplitude
-        if undisplacement == "propagated":
-            back_x, back_p = -m_x / _SQRT2, -m_p / _SQRT2
-        else:
-            back_x, back_p = (1.0 - c.y**2) * math.sqrt(c.N_D), 0.0
-        m_x, m_p = m_x + _SQRT2 * back_x, m_p + _SQRT2 * back_p
         amplitude, power, added = ga._loss_terms(c.eta_c)
         b, k_x, k_p = power * b + added, k_x * amplitude, k_p * amplitude
-        means.append((m_x, m_p, 0.0, 0.0))
         # the zeros carry the 4x4 operations' signs: the storage channel's
         # -c1 makes the cross-blocks' zeros -0.0
         covs.append(
             (a_x, 0.0, k_x, -0.0, 0.0, a_p, -0.0, k_p, k_x, -0.0, b, 0.0, -0.0, k_p, 0.0, b)
         )
-    mean, cov = np.array(means), np.array(covs).reshape(-1, 4, 4)
+    cov = np.array(covs).reshape(-1, 4, 4)
+    mean = np.zeros(cov.shape[:-1])
     # valid configs: only an overflow can make an entry non-finite
     state = ga._finite(mean[0], cov[0]) if single else ga._finite(mean, cov)
     total, det_v = ga._ppt_minors(state.cov)
@@ -287,7 +277,6 @@ def run_gaussian_protocol(config, undisplacement="propagated"):
         log_negativity=ga._scalar(log_negativity),
         nu_min=ga._scalar(nu_min),
         output_state=state,
-        mean_residual=ga._scalar(np.hypot(state.mean[..., 0], state.mean[..., 1])),
         witness=ga._scalar(witness),
     )
 
@@ -318,15 +307,23 @@ def run_fock_protocol(config):
     return FockProtocolResult(max(0.0, witness), qubits.projection_probability, witness)
 
 
+def _evaluate(configs):
+    """Each config's (metric, witness), from the engine of the first config:
+    gaussian configs run as one batch, fock configs one at a time.  A config
+    of another engine is rejected by that engine's pipeline."""
+    if configs[0].engine == "gaussian":
+        batch = run_gaussian_protocol(configs)
+        return list(zip(batch.log_negativity.tolist(), batch.witness.tolist()))
+    return [(r.concurrence, r.witness) for r in map(run_fock_protocol, configs)]
+
+
 def entanglement_metric(config):
     """Scalar entanglement figure of merit for the configured engine.
 
     Log-negativity for the gaussian engine, concurrence of the projected qubit
     pair for the fock engine.  Both are exactly zero for separable outputs.
     """
-    if config.engine == "gaussian":
-        return run_gaussian_protocol(config).log_negativity
-    return run_fock_protocol(config).concurrence
+    return _evaluate([config])[0][0]
 
 
 def find_threshold(config, parameter, bracket, tol=1e-5):
@@ -375,14 +372,10 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
         return math.sqrt(u) if square else u
 
     def signed(*values):
-        probes = [dataclasses.replace(config, **{parameter: v}) for v in values]
-        if config.engine == "gaussian":
-            batch = run_gaussian_protocol(probes)
-            runs = zip(batch.log_negativity, batch.witness)
-        else:
-            runs = ((r.concurrence, r.witness) for r in map(run_fock_protocol, probes))
         out = []
-        for metric, witness in runs:
+        for metric, witness in _evaluate(
+            [dataclasses.replace(config, **{parameter: v}) for v in values]
+        ):
             entangled = metric > ZERO_METRIC_TOL
             magnitude = max(float(witness if entangled else -witness), _TINY)
             out.append(magnitude if entangled else -magnitude)
@@ -500,8 +493,10 @@ def feasibility(params, ratio_threshold=5.0, detectable_limit=0.2):
 
     A bath so cold that hbar omega_m / (k_B T) overflows expm1, or k_B T
     underflows, has N_th = exp(-hbar omega_m / (k_B T)), 0.0 once that
-    underflows, and a decoherence time of inf when N_th gamma is 0.0.  A G
-    outside the float range raises ValueError.
+    underflows, and a decoherence time of inf when N_th gamma is 0.0.  Where
+    hbar omega_m underflows to 0, N_th is inf (and the decoherence time 0.0);
+    where (kappa / omega_m)^2 overflows, the suppression is inf.  A G outside
+    the float range raises ValueError.
     """
     gamma = params.damping_rate
     try:
@@ -520,9 +515,14 @@ def feasibility(params, ratio_threshold=5.0, detectable_limit=0.2):
     z = HBAR * params.omega_m / thermal_energy if thermal_energy else math.inf
     try:
         N_th = 1.0 / math.expm1(z)
+    except ZeroDivisionError:  # hbar omega_m underflows to z = 0
+        N_th = math.inf
     except OverflowError:  # z > ln(DBL_MAX), where 1/expm1(z) = exp(-z) in doubles
         N_th = math.exp(-z)
-    suppression = (params.kappa / params.omega_m) ** 2
+    try:
+        suppression = (params.kappa / params.omega_m) ** 2
+    except OverflowError:
+        suppression = math.inf
     rate = N_th * gamma
     decoherence_time = 1.0 / rate if rate else math.inf
     notes = (

@@ -92,14 +92,14 @@ def run_sweep(spec, workers=1):
     "Category: message" lines of the warnings the evaluations emitted,
     suitable for a sidecar log.
 
-    A gaussian sweep runs as one batch through ``run_gaussian_protocol``; a
-    fock sweep evaluates its points one at a time in sweep order.  Both run on
-    the calling thread.  `workers` is accepted for compatibility and must be
-    >= 1, but has no effect, so output cannot depend on it.
+    All points are evaluated by one call on the calling thread, as one batch
+    for the gaussian engine and one at a time in sweep order for the fock
+    engine.  `workers` is accepted for compatibility and must be >= 1, but has
+    no effect, so output cannot depend on it.
 
-    A point that raises is re-raised with its sweep coordinates prepended;
-    where a batch fails, its points are re-run one at a time to name the
-    first failing point in sweep order.
+    Where that call raises, the points are re-run one at a time, and the
+    first failing point in sweep order is re-raised with its sweep
+    coordinates prepended and the error as its cause.
     """
     if workers < 1:
         raise ValueError(f"workers={workers} must be >= 1")
@@ -129,20 +129,14 @@ def run_sweep(spec, workers=1):
             coords = ", ".join(f"{k}={_format(v)}" for k, v in override.items())
             raise RuntimeError(f"sweep point ({coords}) failed: {exc}") from exc
 
-    def evaluate_batch():
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
         try:
-            return pr.run_gaussian_protocol(list(map(config, points))).log_negativity.tolist()
+            results = [metric for metric, _ in pr._evaluate(list(map(config, points)))]
         except Exception:
             for override in points:
                 evaluate(override)
             raise
-
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        if spec.base.engine == "gaussian":
-            results = evaluate_batch()
-        else:
-            results = [evaluate(p) for p in points]
 
     metric = _metric_name(spec.base)
     header = []

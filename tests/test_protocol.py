@@ -20,7 +20,6 @@ from micromacro import sweep as sw
 # Regression pins for the default configuration (12+ digits, frozen).
 EN_DEFAULT_PROPAGATED = 0.11930577440575094
 EN_DEFAULT_LITERAL = 0.08653035316830768
-NOMINAL_RESIDUAL_DEFAULT = 20.584158415841586
 FOCK_BASE = dict(engine="fock", N_th=0.3, sigma=0.0, eta_c=1.0)
 # Pinned from the truncated engine, converged at 12, 16 and 24 levels; the
 # closed form lies within 1.6e-14 of them.
@@ -87,7 +86,7 @@ def test_ideal_gaussian_pipeline_gives_two_r():
     for r in (0.1, 0.5, 1.0):
         result = pr.run_gaussian_protocol(pr.ProtocolConfig(r=r, **IDEAL))
         assert abs(result.log_negativity - 2.0 * r) < 1e-10
-        assert result.mean_residual == 0.0
+        assert np.all(result.output_state.mean == 0.0)
         assert abs(result.nu_min - 0.5 * math.exp(-2.0 * r)) < 1e-10
 
 
@@ -96,24 +95,6 @@ def test_gaussian_default_config_regression_pins():
     assert abs(pr.run_gaussian_protocol(config).log_negativity - EN_DEFAULT_PROPAGATED) < 1e-12
     literal = dataclasses.replace(config, phase_noise_convention="paper_literal")
     assert abs(pr.run_gaussian_protocol(literal).log_negativity - EN_DEFAULT_LITERAL) < 1e-12
-
-
-def test_gaussian_undisplacement_modes():
-    config = pr.ProtocolConfig()
-    exact = pr.run_gaussian_protocol(config)
-    nominal = pr.run_gaussian_protocol(config, undisplacement="nominal")
-    assert exact.mean_residual == 0.0
-    assert abs(nominal.mean_residual - NOMINAL_RESIDUAL_DEFAULT) < 1e-9
-    # The metric depends only on the covariance, not the residual mean.
-    assert nominal.log_negativity == exact.log_negativity
-    # Without losses or damping the nominal back-displacement is exact too.
-    clean = pr.ProtocolConfig(
-        N_D=100.0, y=0.3, x=0.0, N_in=0.5, N_th=0.5, sigma=0.0,
-        eta1=1.0, eta2=1.0, eta_c=1.0,
-    )
-    assert pr.run_gaussian_protocol(clean, undisplacement="nominal").mean_residual < 1e-10
-    with pytest.raises(ValueError):
-        pr.run_gaussian_protocol(config, undisplacement="other")
 
 
 def test_engine_dispatch_errors():
@@ -163,19 +144,18 @@ def test_gaussian_batch_is_bit_identical_to_single_points():
         lambda c: c.phase_noise_convention == "paper_literal",
     ):
         assert sum(map(edge, configs)) >= 100
-    for undisplacement in ("propagated", "nominal"):
-        batch = pr.run_gaussian_protocol(configs, undisplacement=undisplacement)
-        assert batch.log_negativity.shape == batch.nu_min.shape == (len(configs),)
-        assert batch.output_state.cov.shape == (len(configs), 4, 4)
-        for i, config in enumerate(configs):
-            single = pr.run_gaussian_protocol(config, undisplacement=undisplacement)
-            assert single.log_negativity == batch.log_negativity[i], config
-            assert single.nu_min == batch.nu_min[i], config
-            assert np.array_equal(single.output_state.cov, batch.output_state.cov[i]), config
-            assert np.array_equal(single.output_state.mean, batch.output_state.mean[i]), config
-            assert single.mean_residual == batch.mean_residual[i], config
-        # both entangled and separable outputs are covered
-        assert 100 < np.count_nonzero(batch.log_negativity) < len(configs) - 100
+    batch = pr.run_gaussian_protocol(configs)
+    assert batch.log_negativity.shape == batch.nu_min.shape == (len(configs),)
+    assert batch.output_state.cov.shape == (len(configs), 4, 4)
+    for i, config in enumerate(configs):
+        single = pr.run_gaussian_protocol(config)
+        assert single.log_negativity == batch.log_negativity[i], config
+        assert single.nu_min == batch.nu_min[i], config
+        assert single.output_state.cov.tobytes() == batch.output_state.cov[i].tobytes(), config
+        assert np.all(single.output_state.mean == 0.0), config
+    assert np.all(batch.output_state.mean == 0.0)
+    # both entangled and separable outputs are covered
+    assert 100 < np.count_nonzero(batch.log_negativity) < len(configs) - 100
 
 
 def scalar_reference(config):
@@ -230,25 +210,20 @@ def test_gaussian_batch_is_bit_identical_to_scalar_reference():
         assert np.array_equal(batch.output_state.cov[i], cov), config
 
 
-def public_pipeline(configs, undisplacement):
+def public_pipeline(configs):
     """(E_N, nu_min, witness, output state) of a list of configs from the
     public, argument-checking operations composed in the pipeline's order,
-    one config at a time, stacked into arrays and a batch state."""
+    in the displaced frame, one config at a time, stacked into arrays and a
+    batch state."""
     rows = []
     for c in configs:
         coeffs = ga.channel_coefficients(c.x, c.y)
         state = ga.tmsv_state(c.r)
-        state = ga.displace(state, "A", math.sqrt(c.N_D))
         state = ga.loss_channel(state, "A", c.eta1)
         state = ga.storage_retrieval_channel(state, coeffs, c.N_in, c.N_th)
         amp_sq = pr.phase_noise_amplitude_sq(c, coeffs)
         state = ga.phase_noise(state, c.sigma, amp_sq, mode="A")
         state = ga.loss_channel(state, "A", c.eta2)
-        if undisplacement == "propagated":
-            back = complex(*(-state.mean[0:2] / math.sqrt(2.0)))
-        else:
-            back = (1.0 - c.y**2) * math.sqrt(c.N_D)
-        state = ga.displace(state, "A", back)
         state = ga.loss_channel(state, "C", c.eta_c)
         nu_min = ga.ppt_minimum_eigenvalue(state)
         rows.append((ga.negativity_from_nu(nu_min), nu_min, ga.ppt_witness(state), state))
@@ -259,25 +234,24 @@ def public_pipeline(configs, undisplacement):
     return np.array(log_negativity), np.array(nu_min), np.array(witness), state
 
 
-@pytest.mark.parametrize("undisplacement", ["propagated", "nominal"])
-def test_gaussian_pipeline_equals_composed_public_operations(undisplacement):
+def test_gaussian_pipeline_equals_composed_public_operations():
     # The pipeline runs the operations' helpers without their argument checks;
     # the public operations, composed one config at a time, must give the
     # same bits to a batch and to single runs, and so must the scalar reference.
     configs = random_gaussian_configs(1200, seed=20261019)
-    batch = pr.run_gaussian_protocol(configs, undisplacement=undisplacement)
-    log_negativity, nu_min, witness, state = public_pipeline(configs, undisplacement)
+    batch = pr.run_gaussian_protocol(configs)
+    log_negativity, nu_min, witness, state = public_pipeline(configs)
     assert np.array_equal(batch.log_negativity, log_negativity)
     assert np.array_equal(batch.nu_min, nu_min)
     assert np.array_equal(batch.witness, witness)
-    assert np.array_equal(batch.output_state.mean, state.mean)
+    assert np.all(batch.output_state.mean == 0.0) and np.all(state.mean == 0.0)
     assert np.array_equal(batch.output_state.cov, state.cov)
     for config in configs[:200]:
-        single = pr.run_gaussian_protocol(config, undisplacement=undisplacement)
-        log_negativity, nu_min, witness, state = public_pipeline([config], undisplacement)
+        single = pr.run_gaussian_protocol(config)
+        log_negativity, nu_min, witness, state = public_pipeline([config])
         assert (single.log_negativity, single.nu_min) == (log_negativity[0], nu_min[0]), config
         assert single.witness == witness[0], config
-        assert np.array_equal(single.output_state.mean, state.mean[0]), config
+        assert np.all(single.output_state.mean == 0.0), config
         assert np.array_equal(single.output_state.cov, state.cov[0]), config
         log_negativity, nu_min, cov = scalar_reference(config)
         assert (single.log_negativity, single.nu_min) == (log_negativity, nu_min), config
@@ -325,25 +299,25 @@ def test_gaussian_pipeline_errors_are_unchanged():
 def test_gaussian_output_covariance_has_five_nonzero_entries():
     # Every stage on mode A acts on each quadrature separately and C only sees
     # loss, so the output keeps the two-mode squeezed vacuum's pattern: the
-    # pipeline propagates a_x, a_p, b, k_x and k_p, and the mean (m_x, m_p).
+    # pipeline propagates a_x, a_p, b, k_x and k_p; the mean stays zero.
     configs = random_gaussian_configs(1200, seed=20261020)
     pattern = np.array(
         [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=bool
     )
-    for undisplacement in ("propagated", "nominal"):
-        state = pr.run_gaussian_protocol(configs, undisplacement=undisplacement).output_state
-        assert np.all(state.cov[:, ~pattern] == 0.0), undisplacement
-        assert np.array_equal(state.cov[:, 2, 2], state.cov[:, 3, 3])
-        assert np.array_equal(state.cov, state.cov.swapaxes(-1, -2))
-        assert np.all(state.mean[:, 2:] == 0.0), undisplacement
-        # the pattern is not empty: correlations and unequal A variances occur
-        assert np.count_nonzero(state.cov[:, 0, 2]) > 100
-        assert np.count_nonzero(state.cov[:, 0, 0] != state.cov[:, 1, 1]) > 100
-        # == cannot tell -0.0 from 0.0; the bytes, signed zeros included, are
-        # those of the composed public operations
-        public = public_pipeline(configs, undisplacement)[3]
-        assert state.cov.tobytes() == public.cov.tobytes()
-        assert state.mean.tobytes() == public.mean.tobytes()
+    state = pr.run_gaussian_protocol(configs).output_state
+    assert np.all(state.cov[:, ~pattern] == 0.0)
+    assert np.array_equal(state.cov[:, 2, 2], state.cov[:, 3, 3])
+    assert np.array_equal(state.cov, state.cov.swapaxes(-1, -2))
+    assert np.all(state.mean == 0.0)
+    # the pattern is not empty: correlations and unequal A variances occur
+    assert np.count_nonzero(state.cov[:, 0, 2]) > 100
+    assert np.count_nonzero(state.cov[:, 0, 0] != state.cov[:, 1, 1]) > 100
+    # == cannot tell -0.0 from 0.0; the covariance's bytes, signed zeros
+    # included, are those of the composed public operations.  Their mean is
+    # zero too, with a -0.0 where the storage channel's -c1 scales it.
+    public = public_pipeline(configs)[3]
+    assert state.cov.tobytes() == public.cov.tobytes()
+    assert np.all(public.mean == 0.0)
 
 
 def test_fock_pipeline_regression():
@@ -606,7 +580,8 @@ def test_find_threshold_batched_ends_match_single_runs(monkeypatch):
             return run(configs)
         runs = [run(c) for c in configs]
         return SimpleNamespace(
-            log_negativity=[r.log_negativity for r in runs], witness=[r.witness for r in runs]
+            log_negativity=np.array([r.log_negativity for r in runs]),
+            witness=np.array([r.witness for r in runs]),
         )
 
     monkeypatch.setattr(pr, "run_gaussian_protocol", one_at_a_time)
@@ -798,6 +773,18 @@ def test_feasibility_reports_a_frozen_bath():
         expected = math.exp(-z) if z > math.log(sys.float_info.max) else 1.0 / math.expm1(z)
         assert report.N_th == expected > 0.0, nominal_z
         assert report.decoherence_time == 1.0 / (report.N_th * nanobeam.gamma), nominal_z
+
+
+def test_feasibility_reports_an_infinite_bath_and_suppression():
+    nanobeam = pr.FEASIBILITY_PRESETS["nanobeam"]
+    # hbar omega_m underflows to 0 at omega_m = 1e-300, so z = 0
+    report = pr.feasibility(dataclasses.replace(nanobeam, omega_m=1e-300))
+    assert (report.N_th, report.suppression, report.decoherence_time) == (math.inf, math.inf, 0.0)
+    assert not report.detectable
+    # G is about 1e30, finite, but (kappa / omega_m)^2 overflows
+    report = pr.feasibility(dataclasses.replace(nanobeam, g=1e100, kappa=1e170))
+    assert report.G == 1e100**2 / 1e170 < math.inf and report.suppression == math.inf
+    assert report.N_th == pr.feasibility(nanobeam).N_th
 
 
 @pytest.mark.parametrize("g, kappa", [(1e-170, 1e200), (1e200, 1.0), (1e150, 1e-10)])

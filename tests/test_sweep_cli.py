@@ -128,6 +128,19 @@ def test_run_sweep_reports_failing_coordinates():
     )
     with pytest.raises(RuntimeError, match=r"\(y=1.5\) failed: coupling parameter y=1.5"):
         sw.run_sweep(spec)
+    # an engine failure, not a config rejection: at N_th = 1e15 the qubit
+    # block's weight is below the projection's floor
+    spec = sw.SweepSpec(
+        base=pr.ProtocolConfig(**FOCK_BASE),
+        axis1=sw.AxisSpec("y", (0.1, 0.5)),
+        series=sw.AxisSpec("N_th", (0.3, 1e15)),
+    )
+    with pytest.raises(
+        RuntimeError,
+        match=r"^sweep point \(y=0.1, N_th=1e\+15\) failed: qubit projection weight .* is degenerate$",
+    ) as caught:
+        sw.run_sweep(spec)
+    assert isinstance(caught.value.__cause__, ArithmeticError)
 
 
 def test_gaussian_batch_reports_first_failing_coordinates():
@@ -526,6 +539,27 @@ def test_cli_feasibility_reports_a_frozen_bath(tmp_path, capsys, T):
     out, err = capsys.readouterr()
     assert "\nN_th = 0\n" in out and "\ndecoherence_time_s = inf\n" in out
     assert "\ndetectable = true\n" in out and err == ""
+
+
+@pytest.mark.parametrize(
+    "fields, lines",
+    [
+        # hbar omega_m underflows to 0
+        (dict(omega_m="1e-300"), ("N_th = inf", "suppression = inf", "decoherence_time_s = 0")),
+        # G is about 1e30, finite, but (kappa / omega_m)^2 overflows
+        (dict(g="1e100", kappa="1e170"), ("y_G = 0", "suppression = inf")),
+    ],
+    ids=["hbar-omega-underflows", "suppression-overflows"],
+)
+def test_cli_feasibility_reports_infinite_values(tmp_path, capsys, fields, lines):
+    conf = tmp_path / "platform.conf"
+    fields = dict(NANOBEAM_CONF, **fields)
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()), encoding="utf-8")
+    assert cli.main(["feasibility", "--config", str(conf)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for line in lines:
+        assert f"\n{line}\n" in out, line
 
 
 def test_cli_feasibility_rejects_coupling_that_underflows(tmp_path, capsys):
