@@ -25,10 +25,6 @@ import sys
 import time
 import warnings
 
-import numpy as np
-
-from . import fock as fk
-from . import gaussian as ga
 from . import protocol as pr
 from . import sweep as sw
 
@@ -91,15 +87,17 @@ def _build_axis(prefix, mapping):
         return None
     if f"{prefix}_values" in mapping:
         values = tuple(
-            float(tok) for tok in str(mapping[f"{prefix}_values"]).split(",") if tok.strip()
+            pr._number(f"{prefix}_values", tok.strip())
+            for tok in str(mapping[f"{prefix}_values"]).split(",")
+            if tok.strip()
         )
         return sw.AxisSpec(parameter, values)
     try:
-        lo = float(mapping[f"{prefix}_lo"])
-        hi = float(mapping[f"{prefix}_hi"])
-        n = pr._integer(f"{prefix}_n", float(mapping[f"{prefix}_n"]))
+        lo = pr._number(f"{prefix}_lo", mapping[f"{prefix}_lo"])
+        hi = pr._number(f"{prefix}_hi", mapping[f"{prefix}_hi"])
+        n = pr._integer(f"{prefix}_n", pr._number(f"{prefix}_n", mapping[f"{prefix}_n"]))
     except KeyError as missing:
-        raise ValueError(f"axis '{prefix}' needs {prefix}_values or {missing} ") from None
+        raise ValueError(f"axis '{prefix}' needs {prefix}_values or {missing.args[0]}") from None
     if n < 1:
         raise ValueError(f"{prefix}_n={n} must be >= 1")
     scale = str(mapping.get(f"{prefix}_scale", "linear"))
@@ -207,10 +205,13 @@ def _cmd_feasibility(ns):
     if ns.preset:
         params = pr.FEASIBILITY_PRESETS[ns.preset]
     elif ns.config:
-        raw = _file_mapping(ns.config)
-        params = pr.FeasibilityInput(
-            **{key: float(value) for key, value in raw.items()}
-        )
+        fields = {field.name for field in dataclasses.fields(pr.FeasibilityInput)}
+        values = {}
+        for key, raw in _file_mapping(ns.config).items():
+            if key not in fields:
+                raise ValueError(f"unknown feasibility field {key!r}")
+            values[key] = pr._number(key, raw)
+        params = pr.FeasibilityInput(**values)
     else:
         print("feasibility needs --preset or --config", file=sys.stderr)
         return 2
@@ -232,6 +233,11 @@ def _cmd_feasibility(ns):
 
 
 def _selftest_cases():
+    import numpy as np
+
+    from . import fock as fk
+    from . import gaussian as ga
+
     def closure():
         rng = np.random.default_rng(20240117)
         worst = 0.0
@@ -377,7 +383,9 @@ def main(argv=None):
                 warnings.simplefilter("default")
             return ns.handler(ns)
     except (ValueError, KeyError, ArithmeticError, RuntimeError, OSError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message: print the message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

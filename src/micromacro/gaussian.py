@@ -14,6 +14,9 @@ They check their arguments, apply one helper per stage (``_tmsv_entries``,
 read out through ``_ppt_minors``.  The batched protocol pipeline applies the
 same helpers to the five nonzero covariance entries of each config and reads
 out its batch through ``_ppt_minors`` and the per-point ``_ppt_readout``.
+Those helpers, ``channel_coefficients`` and the constants live in
+:mod:`micromacro.channel`, which needs no NumPy; ``channel_coefficients``,
+``ChannelCoefficients`` and the constants are re-exported here.
 """
 
 from __future__ import annotations
@@ -23,13 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VACUUM_VARIANCE = 0.5
+from .channel import (
+    RADICAND_CLAMP,
+    SERIES_BELOW,
+    VACUUM_VARIANCE,
+    ChannelCoefficients,
+    _loss_terms,
+    _negativity,
+    _nu_pair,
+    _phase_variance,
+    _ppt_witness,
+    _storage_terms,
+    _tmsv_entries,
+    channel_coefficients,
+)
 
-# numerical guard bands (see physicality_check / log_negativity)
+# numerical guard band (see GaussianTwoModeState)
 SYMMETRY_TOL = 1e-12
-RADICAND_CLAMP = 1e-9
-# channel_coefficients takes f2^2 from its series where 1 - y^2 is below this
-SERIES_BELOW = 1e-2
 
 # cov[..., _BLOCK_ROWS, _BLOCK_COLUMNS] stacks the 2x2 blocks A, B and C
 _BLOCK_ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
@@ -121,12 +134,6 @@ def vacuum_state():
     return GaussianTwoModeState(np.zeros(4), VACUUM_VARIANCE * np.eye(4))
 
 
-def _tmsv_entries(r):
-    if not (0 <= r < 20):
-        raise ValueError(f"squeezing parameter r={r} outside [0, 20)")
-    return math.sinh(r) ** 2 + VACUUM_VARIANCE, math.sinh(r) * math.cosh(r)
-
-
 def tmsv_state(r):
     """Two-mode squeezed vacuum with squeezing parameter r >= 0.
 
@@ -199,90 +206,6 @@ def loss_channel(state, mode, eta):
     return _frozen(*_update_mode(state.mean, state.cov, mode, *_loss_terms(eta)))
 
 
-def _loss_terms(eta):
-    """One point's (amplitude, power, added noise) of pure loss; eta = 1 gives (1, 1, 0)."""
-    return math.sqrt(eta), eta, (1.0 - eta) * VACUUM_VARIANCE
-
-
-@dataclass(frozen=True)
-class ChannelCoefficients:
-    """Input/output coefficients of the mechanical storage/retrieval channel.
-
-    The retrieved mode is
-        A_out = -c1 A_in - i c2_mag B_in + f1 dA + f2 dB,
-    where B_in is the initial mechanical mode, dA the optical vacuum noise and
-    dB the mechanical bath noise.  Commutator preservation requires
-    c1^2 + c2_mag^2 + f1^2 + f2^2 = 1 (the closure identity).
-    """
-
-    x: float
-    y: float
-    c1: float
-    c2_mag: float
-    f1: float
-    f2: float
-
-    @property
-    def closure_defect(self):
-        """|c1^2 + c2_mag^2 + f1^2 + f2^2 - 1|, zero for a valid channel."""
-        return abs(
-            self.c1**2 + self.c2_mag**2 + self.f1**2 + self.f2**2 - 1.0
-        )
-
-
-def channel_coefficients(x, y):
-    """Coefficients of the storage/retrieval channel at noise ratio x and coupling y.
-
-    Parameters
-    ----------
-    x : float
-        Mechanical noise parameter gamma/G (>= 0).
-    y : float
-        Residual-excitation parameter exp(-G' tau) in (0, 1]; y -> 0 is
-        perfect transfer, y = 1 means the light never couples.
-
-    Notes
-    -----
-    With G' tau = -ln(y) the coefficients reduce to closed forms in (x, y):
-
-        c1     = (1 - y^2) / (1 + x)
-        c2_mag = y * sqrt((1 - y^2) / (1 + x))
-        f1     = sqrt(x^2 + y^2 - 4 x y^2 ln(y)/(1 - y^2)) / (1 + x)
-        f2     = sqrt(x(1 + y^2) + x(1 - y^2)^2 + 4 x y^2 ln(y)/(1 - y^2)) / (1 + x)
-
-    The closure identity holds exactly in exact arithmetic; floating point
-    leaves a defect below 1e-12 over the whole admissible domain.  Where
-    u = 1 - y^2 < SERIES_BELOW, f2's radicand comes from its series in u,
-    because the closed form cancels terms of order x down to x u^2.
-    """
-    if x < 0 or not np.isfinite(x):
-        raise ValueError(f"noise parameter x={x} must be finite and >= 0")
-    if not (0.0 < y <= 1.0):
-        raise ValueError(f"coupling parameter y={y} outside (0, 1]")
-    if y == 1.0:
-        # no light-mechanics exchange: the output is pure optical vacuum noise
-        return ChannelCoefficients(x=x, y=y, c1=0.0, c2_mag=0.0, f1=1.0, f2=0.0)
-    y2 = y * y
-    one = 1.0 - y2
-    c1 = one / (1.0 + x)
-    c2 = y * math.sqrt(one / (1.0 + x))
-    log_term = 4.0 * x * y2 * math.log(y) / one  # <= 0 for y in (0, 1)
-    rad1 = x * x + y2 - log_term
-    if one < SERIES_BELOW:
-        # rad2 = x u^2 (1 + sum_{n>=2} 2 u^(n-2) / (n (n+1))); ten terms
-        # leave a remainder below 1e-21 relative
-        series = sum(2.0 * one ** (n - 2) / (n * (n + 1)) for n in range(2, 12))
-        rad2 = x * one * one * (1.0 + series)
-    else:
-        rad2 = x * (1.0 + y2) + x * one * one + log_term
-    for rad in (rad1, rad2):
-        if rad < -RADICAND_CLAMP:
-            raise ArithmeticError(f"negative radicand {rad} in channel coefficients")
-    f1 = math.sqrt(max(rad1, 0.0)) / (1.0 + x)
-    f2 = math.sqrt(max(rad2, 0.0)) / (1.0 + x)
-    return ChannelCoefficients(x=x, y=y, c1=c1, c2_mag=c2, f1=f1, f2=f2)
-
-
 def storage_retrieval_channel(state, coeffs, n_initial, n_bath, mode="A"):
     """Send one mode through the mechanical storage/retrieval channel.
 
@@ -302,21 +225,6 @@ def storage_retrieval_channel(state, coeffs, n_initial, n_bath, mode="A"):
     _one(state, coeffs, n_initial, n_bath)
     terms = _storage_terms(coeffs, n_initial, n_bath)
     return _finite(*_update_mode(state.mean, state.cov, mode, *terms))
-
-
-def _storage_terms(coeffs, n_initial, n_bath):
-    """One point's (amplitude, power, added noise) of the storage channel."""
-    if n_initial < 0 or n_bath < 0:
-        raise ValueError("thermal occupations must be >= 0")
-    if coeffs.closure_defect > 1e-10:
-        raise ValueError(f"channel coefficients violate closure by {coeffs.closure_defect}")
-    c1 = coeffs.c1
-    added = (
-        coeffs.c2_mag**2 * (n_initial + VACUUM_VARIANCE)
-        + coeffs.f1**2 * VACUUM_VARIANCE
-        + coeffs.f2**2 * (n_bath + VACUUM_VARIANCE)
-    )
-    return -c1, c1 * c1, added
 
 
 def phase_noise(state, sigma, amp_sq, mode="A"):
@@ -342,11 +250,6 @@ def phase_noise(state, sigma, amp_sq, mode="A"):
     return _finite(state.mean, cov)
 
 
-def _phase_variance(sigma, amp_sq):
-    """The P variance 2 amp_sq sigma^2 a phase jitter adds."""
-    return 2.0 * amp_sq * sigma * sigma
-
-
 def _minors(cov):
     """det A, det B, det C and det V of one covariance, or of a batch."""
     blocks = np.linalg.det(cov[..., _BLOCK_ROWS, _BLOCK_COLUMNS])
@@ -357,29 +260,6 @@ def _ppt_minors(cov):
     """Sigma = det A + det B - 2 det C of the partially transposed state, and det V."""
     a, b, c, v = _minors(cov)
     return a + b - 2.0 * c, v
-
-
-def _ppt_witness(total, det_v):
-    return total / 4.0 - det_v - 1.0 / 16.0
-
-
-def _clamped_sqrt(value, scale):
-    if value < -RADICAND_CLAMP * max(scale, 1.0):
-        raise ArithmeticError(f"radicand {value} below clamp band")
-    return math.sqrt(max(value, 0.0))
-
-
-def _nu_pair(total, det_v):
-    """One point's nu_-+ = sqrt((total -+ sqrt(total^2 - 4 det V)) / 2), radicands clamped."""
-    square = total * total
-    root = _clamped_sqrt(square - 4.0 * det_v, square)
-    return _clamped_sqrt(0.5 * (total - root), total), _clamped_sqrt(0.5 * (total + root), total)
-
-
-def _ppt_readout(total, det_v):
-    """One point's (nu_min, witness, E_N) from the partially transposed Sigma and det V."""
-    nu = _nu_pair(total, det_v)[0]
-    return nu, _ppt_witness(total, det_v), _negativity(nu)
 
 
 def symplectic_eigenvalues(state):
@@ -439,12 +319,6 @@ def log_negativity(state):
     exactly 2r (nu_min = exp(-2r)/2).
     """
     return negativity_from_nu(ppt_minimum_eigenvalue(state))
-
-
-def _negativity(nu):
-    if nu <= 0.0:
-        raise ArithmeticError(f"degenerate PPT symplectic eigenvalue {nu}")
-    return max(0.0, -math.log(2.0 * nu))
 
 
 def negativity_from_nu(nu):

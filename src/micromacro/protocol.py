@@ -19,6 +19,11 @@ displacement never touches the simulated state and enters only through the
 phase-noise variance picked up by the bright beam, proportional to
 N_D sigma^2.  ``entanglement_metric``, ``find_threshold`` and sweeps reach
 the engines through one dispatch, ``_evaluate``.
+
+Both engines compose the per-point terms of :mod:`micromacro.channel`, which
+needs no NumPy.  Each engine runner imports NumPy and its engine module when
+it runs, so configs, feasibility and threshold bookkeeping load neither, and
+a gaussian run never loads the fock engine.
 """
 
 from __future__ import annotations
@@ -26,11 +31,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import channel as ch
 
-from . import fock as fk
-from . import gaussian as ga
+if TYPE_CHECKING:
+    from . import gaussian as ga
 
 # CODATA: hbar = h / (2 pi) with h exact; k_B exact (SI definition).
 HBAR = 1.05457181765e-34  # J s, 12 significant digits
@@ -126,6 +132,14 @@ def _integer(name, value):
     return int(value)
 
 
+def _number(name, raw):
+    """`raw` as a float; ValueError naming the field if float() rejects it."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}={raw!r} is not a number") from None
+
+
 _FLOAT_FIELDS = (
     "r", "N_D", "y", "x", "N_in", "N_th", "sigma", "eta1", "eta2", "eta_c",
 )
@@ -141,14 +155,15 @@ def config_to_mapping(config):
 def config_from_mapping(mapping, base=None):
     """Build a ProtocolConfig from string-or-native values over an optional base.
 
-    Unknown keys raise KeyError; numeric fields accept anything float() accepts.
+    Unknown keys raise KeyError; numeric fields accept anything float() accepts
+    and raise ValueError naming the field otherwise.
     """
     values = config_to_mapping(base if base is not None else ProtocolConfig())
     for key, raw in mapping.items():
         if key in _STR_FIELDS:
             values[key] = str(raw).strip()
         elif key in CONFIG_FIELDS:
-            values[key] = float(raw)
+            values[key] = _number(key, raw)
         else:
             raise KeyError(f"unknown config field {key!r}")
     return ProtocolConfig(**values)
@@ -172,11 +187,11 @@ def _mode_a_stages(config, coeffs):
     """Mode A's stages, loss eta1, storage channel with the phase noise that
     follows it, and loss eta2, as per-point (amplitude, power, added, jitter):
     X -> amplitude X, a variance v -> power v + added, plus jitter on P's."""
-    variance = ga._phase_variance(config.sigma, phase_noise_amplitude_sq(config, coeffs))
+    variance = ch._phase_variance(config.sigma, phase_noise_amplitude_sq(config, coeffs))
     return (
-        (*ga._loss_terms(config.eta1), 0.0),
-        (*ga._storage_terms(coeffs, config.N_in, config.N_th), variance),
-        (*ga._loss_terms(config.eta2), 0.0),
+        (*ch._loss_terms(config.eta1), 0.0),
+        (*ch._storage_terms(coeffs, config.N_in, config.N_th), variance),
+        (*ch._loss_terms(config.eta2), 0.0),
     )
 
 
@@ -238,6 +253,10 @@ def run_gaussian_protocol(config):
     field is bit for bit what the composed public operations give, signed
     zeros of the covariance included.
     """
+    import numpy as np
+
+    from . import gaussian as ga
+
     single = isinstance(config, ProtocolConfig)
     configs = [config] if single else list(config)
     if not configs:
@@ -251,16 +270,16 @@ def run_gaussian_protocol(config):
     for c in configs:
         coeffs = channels.get((c.x, c.y))
         if coeffs is None:
-            coeffs = channels[c.x, c.y] = ga.channel_coefficients(c.x, c.y)
+            coeffs = channels[c.x, c.y] = ch.channel_coefficients(c.x, c.y)
         # a stage at eta = 1 or without noise leaves every entry bit for bit
         # as it is (1 a + 0 = a, 1 k = k), so none is skipped
-        d, k = ga._tmsv_entries(c.r)
+        d, k = ch._tmsv_entries(c.r)
         a_x = a_p = b = d
         k_x, k_p = k, 0.0 - k
         for amplitude, power, added, jitter in _mode_a_stages(c, coeffs):
             a_x, a_p = power * a_x + added, power * a_p + added + jitter
             k_x, k_p = k_x * amplitude, k_p * amplitude
-        amplitude, power, added = ga._loss_terms(c.eta_c)
+        amplitude, power, added = ch._loss_terms(c.eta_c)
         b, k_x, k_p = power * b + added, k_x * amplitude, k_p * amplitude
         # the zeros carry the 4x4 operations' signs: the storage channel's
         # -c1 makes the cross-blocks' zeros -0.0
@@ -272,7 +291,7 @@ def run_gaussian_protocol(config):
     # valid configs: only an overflow can make an entry non-finite
     state = ga._finite(mean[0], cov[0]) if single else ga._finite(mean, cov)
     total, det_v = ga._ppt_minors(state.cov)
-    nu_min, witness, log_negativity = np.frompyfunc(ga._ppt_readout, 2, 3)(total, det_v)
+    nu_min, witness, log_negativity = np.frompyfunc(ch._ppt_readout, 2, 3)(total, det_v)
     return GaussianProtocolResult(
         log_negativity=ga._scalar(log_negativity),
         nu_min=ga._scalar(nu_min),
@@ -291,13 +310,17 @@ def run_fock_protocol(config):
     fock.gaussian_channel_elements give the output's {0,1}^2 block exactly;
     fock.qubit_project reads its weight and renormalizes it.
     """
+    import numpy as np
+
+    from . import fock as fk
+
     if config.engine != "fock":
         raise ValueError(f"fock pipeline called with engine={config.engine!r}")
-    coeffs = ga.channel_coefficients(config.x, config.y)
+    coeffs = ch.channel_coefficients(config.x, config.y)
     gain, n_x, n_p = 1.0, 0.0, 0.0
     for amplitude, power, added, jitter in _mode_a_stages(config, coeffs):
         gain, n_x, n_p = gain * amplitude, power * n_x + added, power * n_p + added + jitter
-    amplitude, _, added = ga._loss_terms(config.eta_c)
+    amplitude, _, added = ch._loss_terms(config.eta_c)
     arm_a = fk.gaussian_channel_elements(gain, n_x, n_p)
     arm_c = fk.gaussian_channel_elements(amplitude, added, added)
     # |j><k| on A comes with |1-j><1-k| on C; rows and columns run over |a c>

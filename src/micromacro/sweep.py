@@ -13,8 +13,6 @@ import dataclasses
 import warnings as _warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import protocol as pr
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "figA1")
@@ -41,12 +39,30 @@ class AxisSpec:
 
 
 def linear_grid(lo, hi, n):
-    """n equally spaced values from lo to hi (n = 1 gives just lo)."""
-    return tuple(float(v) for v in np.linspace(lo, hi, int(n)))
+    """n equally spaced values from lo to hi (n = 1 gives just lo).
+
+    The values are i * step + lo, ending on exactly hi, by the IEEE operations
+    of numpy.linspace in its order, so they equal it bit for bit.
+    """
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"number of grid values n={n} must be >= 0")
+    lo, hi = float(lo), float(hi)
+    delta = hi - lo
+    if n < 2:
+        return tuple(0.0 * delta + lo for _ in range(n))
+    step = delta / (n - 1)
+    if step == 0.0:  # a zero or underflowed step: linspace scales i / (n - 1)
+        values = [i / (n - 1) * delta + lo for i in range(n - 1)]
+    else:
+        values = [i * step + lo for i in range(n - 1)]
+    return (*values, hi)
 
 
 def log_grid(lo, hi, n):
     """n logarithmically spaced values from lo to hi (both > 0)."""
+    import numpy as np
+
     if lo <= 0 or hi <= 0:
         raise ValueError(f"log grid endpoints ({lo}, {hi}) must be > 0")
     return tuple(float(v) for v in np.geomspace(lo, hi, int(n)))

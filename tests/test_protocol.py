@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from micromacro import channel as ch
 from micromacro import fock as fk
 from micromacro import gaussian as ga
 from micromacro import protocol as pr
@@ -630,13 +631,13 @@ def test_find_threshold_ends_for_tol_below_float_spacing(search, tol):
 
 def _count_coefficients(monkeypatch):
     calls = []
-    coefficients = ga.channel_coefficients
+    coefficients = ch.channel_coefficients
 
     def counted(x, y):
         calls.append((x, y))
         return coefficients(x, y)
 
-    monkeypatch.setattr(ga, "channel_coefficients", counted)
+    monkeypatch.setattr(ch, "channel_coefficients", counted)
     return calls
 
 

@@ -57,6 +57,26 @@ def test_grids():
         sw.log_grid(0.0, 10.0, 3)
 
 
+def test_linear_grid_equals_linspace():
+    rng = np.random.default_rng(15)
+    cases = [
+        (0.0, 1.0, 1), (0.0, 1.0, 2), (-3.0, -1.0, 7), (-2.5, 4.0, 11), (1.0, -1.0, 5),
+        (0.99, 0.01, 50), (2.0, 2.0, 4), (0.0, -0.0, 3), (5e-324, 1e-323, 7),
+    ]
+    for _ in range(2000):
+        lo, hi = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-8, 9, 2)
+        cases.append((float(lo), float(hi), int(rng.integers(1, 300))))
+    for lo, hi, n in cases:
+        grid = sw.linear_grid(lo, hi, n)
+        reference = np.linspace(lo, hi, n)
+        assert grid == tuple(reference.tolist()), (lo, hi, n)
+        assert np.array(grid).tobytes() == reference.tobytes(), (lo, hi, n)  # signed zeros
+    assert sw.linear_grid(0.0, 1.0, 0) == ()
+    for grid in (sw.linear_grid, np.linspace):
+        with pytest.raises(ValueError):
+            grid(0.0, 1.0, -1)
+
+
 def test_sweep_spec_rejects_duplicate_parameters():
     base = pr.ProtocolConfig()
     axis = sw.AxisSpec("y", (0.1, 0.2))
@@ -572,6 +592,31 @@ def test_cli_feasibility_rejects_coupling_that_underflows(tmp_path, capsys):
     assert err == (
         "error: G = g^2/kappa = 0.0 is outside the float range for g=1e-170, kappa=1e+200\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args, conf, error",
+    [
+        (["sweep", "--preset", "fig2", "--set", "r=abc"], None, "r='abc' is not a number"),
+        (["sweep", "--preset", "fig2", "--set", "foo=1"], None, "unknown config field 'foo'"),
+        (["sweep", "--preset", "fig2", "--set", "axis1=y", "--set", "axis1_lo=0",
+          "--set", "axis1_hi=1", "--set", "axis1_n=many"], None,
+         "axis1_n='many' is not a number"),
+        (["sweep", "--preset", "fig2", "--set", "axis1=y", "--set", "axis1_lo=0",
+          "--set", "axis1_n=3"], None, "axis 'axis1' needs axis1_values or axis1_hi"),
+        (["feasibility"], dict(NANOBEAM_CONF, foo="1"), "unknown feasibility field 'foo'"),
+        (["feasibility"], dict(NANOBEAM_CONF, T="cold"), "T='cold' is not a number"),
+    ],
+    ids=["set-not-a-number", "set-unknown", "axis-not-a-number", "axis-missing-key",
+         "feasibility-unknown", "feasibility-not-a-number"],
+)
+def test_cli_config_errors_name_the_field(tmp_path, capsys, args, conf, error):
+    if conf is not None:
+        path = tmp_path / "platform.conf"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in conf.items()), encoding="utf-8")
+        args = [*args, "--config", str(path)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_cli_feasibility_needs_source(capsys):
