@@ -56,7 +56,7 @@ class ProtocolConfig:
     Attributes
     ----------
     r : float
-        Input squeezing (gaussian engine input strength), finite, >= 0.
+        Input squeezing (gaussian engine input strength), in [0, 20).
     N_D : float
         Macroscopic displacement photon number |alpha|^2, finite, >= 0.
     y : float
@@ -98,8 +98,8 @@ class ProtocolConfig:
 
     def __post_init__(self):
         # chained comparisons: NaN fails every one of them, so it is rejected too
-        if not 0.0 <= self.r < math.inf:
-            raise ValueError(f"squeezing r={self.r} must be finite and >= 0")
+        if not 0.0 <= self.r < 20.0:  # the squeezed input's own limit (channel._tmsv_entries)
+            raise ValueError(f"squeezing r={self.r} outside [0, 20)")
         if not 0.0 <= self.N_D < math.inf:
             raise ValueError(f"displacement photon number N_D={self.N_D} must be finite and >= 0")
         if not 0.0 < self.y <= 1.0:

@@ -54,6 +54,16 @@ def test_config_defaults_and_validation():
     assert len(dataclasses.fields(pr.ProtocolConfig)) == 12
 
 
+def test_config_rejects_squeezing_the_input_cannot_take():
+    # the squeezed input takes r in [0, 20); a config outside it fails where
+    # it is built, for either engine, not at its first pipeline run
+    for engine in pr.ENGINES:
+        for r in (20.0, 25.0):
+            with pytest.raises(ValueError, match=rf"^squeezing r={r} outside \[0, 20\)$"):
+                pr.ProtocolConfig(r=r, engine=engine)
+    assert pr.ProtocolConfig(r=19.9).r == 19.9
+
+
 def test_config_mapping_round_trip():
     config = pr.ProtocolConfig(engine="fock", N_th=0.2, sigma=0.003)
     mapping = pr.config_to_mapping(config)
@@ -293,8 +303,6 @@ def test_gaussian_pipeline_errors_are_unchanged():
         spec = sw.SweepSpec(base=pr.ProtocolConfig(), axis1=sw.AxisSpec("sigma", (0.01, 1e200)))
         with pytest.raises(RuntimeError, match=r"\(sigma=1e\+200\) failed: non-finite"):
             sw.run_sweep(spec)
-    with pytest.raises(ValueError, match=r"squeezing parameter r=25.0 outside \[0, 20\)"):
-        pr.run_gaussian_protocol(pr.ProtocolConfig(r=25.0))
 
 
 def test_gaussian_output_covariance_has_five_nonzero_entries():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from micromacro import channel as ch
 from micromacro import cli
 from micromacro import fock as fk
 from micromacro import protocol as pr
@@ -164,17 +165,18 @@ def test_run_sweep_reports_failing_coordinates():
 
 
 def test_gaussian_batch_reports_first_failing_coordinates():
-    # tmsv_state rejects r >= 20 inside the batch; the error names the first
-    # failing point in sweep order, with the single-point message as cause.
-    spec = sw.SweepSpec(base=pr.ProtocolConfig(), axis1=sw.AxisSpec("r", (0.5, 25.0)))
-    with pytest.raises(RuntimeError, match=r"\(r=25\) failed: squeezing parameter r=25"):
+    # a phase jitter whose variance overflows fails the batch's finiteness
+    # check; the error names the first failing point in sweep order, with the
+    # single-point message as cause.
+    spec = sw.SweepSpec(base=pr.ProtocolConfig(), axis1=sw.AxisSpec("sigma", (0.01, 1e200)))
+    with pytest.raises(RuntimeError, match=r"\(sigma=1e\+200\) failed: non-finite entry"):
         sw.run_sweep(spec)
     spec = sw.SweepSpec(
         base=pr.ProtocolConfig(),
         axis1=sw.AxisSpec("y", (0.1, 0.5)),
-        series=sw.AxisSpec("r", (0.5, 21.0, 25.0)),
+        series=sw.AxisSpec("sigma", (0.01, 1e200, 1e250)),
     )
-    with pytest.raises(RuntimeError, match=r"\(y=0.1, r=21\) failed") as caught:
+    with pytest.raises(RuntimeError, match=r"\(y=0.1, sigma=1e\+200\) failed") as caught:
         sw.run_sweep(spec)
     assert isinstance(caught.value.__cause__, ValueError)
 
@@ -348,6 +350,28 @@ def test_cli_override_precedence(tmp_path, capsys):
     value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
     expected = pr.entanglement_metric(pr.ProtocolConfig(sigma=0.02, y=0.1))
     assert value == expected
+
+
+def test_cli_axis_group_is_replaced_before_it_is_built(tmp_path, capsys):
+    # The file's axis1 group alone is incomplete; --set names axis1 again and
+    # replaces the whole group, so only the complete group is ever built.
+    conf = tmp_path / "partial.conf"
+    conf.write_text("axis1 = x\naxis1_lo = 0.1\n", encoding="utf-8")
+    assert cli.main(["sweep", "--preset", "fig2", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == "error: axis 'axis1' needs axis1_values or axis1_hi\n"
+    code = cli.main([
+        "sweep", "--preset", "fig2", "--config", str(conf),
+        "--set", "axis1=y", "--set", "axis1_values=0.1,0.2",
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    # the preset's series group is kept as it is
+    spec = sw.SweepSpec(
+        base=pr.ProtocolConfig(),
+        axis1=sw.AxisSpec("y", (0.1, 0.2)),
+        series=sw.preset("fig2").series,
+    )
+    assert out == sw.run_sweep(spec)[0]
 
 
 def test_cli_preset_axis_override(tmp_path):
@@ -606,9 +630,14 @@ def test_cli_feasibility_rejects_coupling_that_underflows(tmp_path, capsys):
           "--set", "axis1_n=3"], None, "axis 'axis1' needs axis1_values or axis1_hi"),
         (["feasibility"], dict(NANOBEAM_CONF, foo="1"), "unknown feasibility field 'foo'"),
         (["feasibility"], dict(NANOBEAM_CONF, T="cold"), "T='cold' is not a number"),
+        (["feasibility"], {k: v for k, v in NANOBEAM_CONF.items() if k != "tau"},
+         "missing feasibility field 'tau'"),
+        (["sweep", "--preset", "fig2", "--set", "r=25"], None,
+         "squeezing r=25.0 outside [0, 20)"),
     ],
     ids=["set-not-a-number", "set-unknown", "axis-not-a-number", "axis-missing-key",
-         "feasibility-unknown", "feasibility-not-a-number"],
+         "feasibility-unknown", "feasibility-not-a-number", "feasibility-missing",
+         "set-r-outside-domain"],
 )
 def test_cli_config_errors_name_the_field(tmp_path, capsys, args, conf, error):
     if conf is not None:
@@ -641,5 +670,58 @@ def test_cli_missing_config_file_is_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_selftest_passes():
+SELFTEST_CASES = (
+    "channel coefficient closure (32x32 grid)",
+    "ideal pipeline log-negativity = 2r",
+    "N_D threshold = closed-form witness root",
+    "fock pure-loss concurrence",
+)
+
+
+def test_cli_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"ok   {n}" for n in SELFTEST_CASES]
+    assert lines[-1] == "selftest: 4/4 passed"
+
+
+def _closure_defect(monkeypatch):
+    build = ch.channel_coefficients
+
+    def broken(x, y):
+        coeffs = build(x, y)
+        return dataclasses.replace(coeffs, c1=coeffs.c1 * (1.0 + 1e-9))
+
+    monkeypatch.setattr(ch, "channel_coefficients", broken)
+
+
+def _squeezing_scaled(monkeypatch):
+    tmsv = ch._tmsv_entries
+    monkeypatch.setattr(ch, "_tmsv_entries", lambda r: tmsv(1.001 * r))
+
+
+def _threshold_shifted(monkeypatch):
+    find = pr.find_threshold
+    monkeypatch.setattr(pr, "find_threshold", lambda *args, **kw: find(*args, **kw) + 1.0)
+
+
+def _concurrence_off(monkeypatch):
+    run = pr.run_fock_protocol
+
+    def broken(config):
+        result = run(config)
+        return dataclasses.replace(result, concurrence=result.concurrence + 1e-6)
+
+    monkeypatch.setattr(pr, "run_fock_protocol", broken)
+
+
+@pytest.mark.parametrize(
+    "fault, case",
+    zip((_closure_defect, _squeezing_scaled, _threshold_shifted, _concurrence_off),
+        SELFTEST_CASES),
+    ids=["closure", "2r", "threshold", "pure-loss"],
+)
+def test_cli_selftest_fails_on_a_broken_closed_form(monkeypatch, capsys, fault, case):
+    fault(monkeypatch)
+    assert cli.main(["selftest"]) == 1
+    assert f"\nFAIL {case}: " in "\n" + capsys.readouterr().out
