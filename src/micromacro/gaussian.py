@@ -70,12 +70,6 @@ def _one(*arguments):
             raise ValueError(f"expected a scalar parameter, got shape {np.shape(value)}")
 
 
-def _scalar(values):
-    """A 0-d result as a Python float; a batch result as a float array."""
-    values = np.asarray(values, dtype=float)
-    return float(values) if values.ndim == 0 else values
-
-
 @dataclass(frozen=True)
 class GaussianTwoModeState:
     """Mean vector and covariance matrix of a two-mode Gaussian state, or a batch.

@@ -81,6 +81,14 @@ class ProtocolConfig:
         (default) uses the actual squared mean amplitude at the point the
         noise acts, eta1 c1^2 N_D.  See the module docstring of
         :mod:`micromacro.gaussian` for the pipeline order.
+
+    Construction, and so ``dataclasses.replace``, checks every field against
+    the one per-field table ``_CHECKS`` and raises ValueError naming the
+    first field that fails.  Sweeps and threshold searches build their many
+    configs from one valid config instead: each new value passes its field's
+    check once (``_checked``), and ``_derived`` copies the valid config with
+    the checked values, running no check.  A derived config equals the
+    constructed one field for field, under ``==`` and ``hash`` too.
     """
 
     r: float = 0.5
@@ -97,32 +105,63 @@ class ProtocolConfig:
     phase_noise_convention: str = "propagated_mean"
 
     def __post_init__(self):
-        # chained comparisons: NaN fails every one of them, so it is rejected too
-        if not 0.0 <= self.r < 20.0:  # the squeezed input's own limit (channel._tmsv_entries)
-            raise ValueError(f"squeezing r={self.r} outside [0, 20)")
-        if not 0.0 <= self.N_D < math.inf:
-            raise ValueError(f"displacement photon number N_D={self.N_D} must be finite and >= 0")
-        if not 0.0 < self.y <= 1.0:
-            raise ValueError(f"coupling parameter y={self.y} outside (0, 1]")
-        if not 0.0 <= self.x < math.inf:
-            raise ValueError(f"damping ratio x={self.x} must be finite and >= 0")
-        if not 0.0 <= self.N_in < math.inf:
-            raise ValueError(f"initial occupation N_in={self.N_in} must be finite and >= 0")
-        if not 0.0 <= self.N_th < math.inf:
-            raise ValueError(f"bath occupation N_th={self.N_th} must be finite and >= 0")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"phase-noise sigma={self.sigma} must be finite and >= 0")
-        for name in ("eta1", "eta2", "eta_c"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"transmission {name}={value} outside [0, 1]")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine {self.engine!r} not one of {ENGINES}")
-        if self.phase_noise_convention not in PHASE_NOISE_CONVENTIONS:
-            raise ValueError(
-                f"phase_noise_convention {self.phase_noise_convention!r} "
-                f"not one of {PHASE_NOISE_CONVENTIONS}"
-            )
+        for name in _CHECKS:
+            _checked(name, getattr(self, name))
+
+
+def _finite_non_negative(value):
+    return 0.0 <= value < math.inf
+
+
+def _unit_interval(value):
+    return 0.0 <= value <= 1.0
+
+
+# field -> (accepts(value), message with {} for the value): ProtocolConfig's
+# checks, in field order.  NaN fails every chained comparison, so it is
+# rejected too.
+_CHECKS = {
+    # the squeezed input's own limit (channel._tmsv_entries)
+    "r": (lambda value: 0.0 <= value < 20.0, "squeezing r={} outside [0, 20)"),
+    "N_D": (
+        _finite_non_negative, "displacement photon number N_D={} must be finite and >= 0"
+    ),
+    "y": (lambda value: 0.0 < value <= 1.0, "coupling parameter y={} outside (0, 1]"),
+    "x": (_finite_non_negative, "damping ratio x={} must be finite and >= 0"),
+    "N_in": (_finite_non_negative, "initial occupation N_in={} must be finite and >= 0"),
+    "N_th": (_finite_non_negative, "bath occupation N_th={} must be finite and >= 0"),
+    "sigma": (_finite_non_negative, "phase-noise sigma={} must be finite and >= 0"),
+    "eta1": (_unit_interval, "transmission eta1={} outside [0, 1]"),
+    "eta2": (_unit_interval, "transmission eta2={} outside [0, 1]"),
+    "eta_c": (_unit_interval, "transmission eta_c={} outside [0, 1]"),
+    "engine": (ENGINES.__contains__, f"engine {{!r}} not one of {ENGINES}"),
+    "phase_noise_convention": (
+        PHASE_NOISE_CONVENTIONS.__contains__,
+        f"phase_noise_convention {{!r}} not one of {PHASE_NOISE_CONVENTIONS}",
+    ),
+}
+
+
+def _checked(name, value):
+    """`value` if config field `name` accepts it; else the ValueError that
+    ProtocolConfig raises for it."""
+    accepts, message = _CHECKS[name]
+    if not accepts(value):
+        raise ValueError(message.format(value))
+    return value
+
+
+def _derived(config, changes):
+    """`config` with the fields in `changes` replaced, without running a check.
+
+    The unchecked counterpart of dataclasses.replace: `config` must be valid
+    and every changed value must have passed `_checked`, so the result equals
+    the constructor's config for the same fields.
+    """
+    derived = object.__new__(ProtocolConfig)
+    derived.__dict__.update(config.__dict__)
+    derived.__dict__.update(changes)
+    return derived
 
 
 def _integer(name, value):
@@ -249,9 +288,11 @@ def run_gaussian_protocol(config):
     these five Python floats with the per-point helpers of the public
     operations, by the same IEEE operations in the same order as their 4x4
     arithmetic, whose other entries only ever multiply or add zeros.  The
-    batch's covariances are then read out by the same determinants.  So every
-    field is bit for bit what the composed public operations give, signed
-    zeros of the covariance included.
+    batch's covariances are then read out by the same determinants, and each
+    config's (Sigma, det V) pair, as Python floats, by the public operations'
+    per-point readout ``channel._ppt_readout``.  So every field is bit for bit
+    what the composed public operations give, signed zeros of the covariance
+    included.
     """
     import numpy as np
 
@@ -287,16 +328,18 @@ def run_gaussian_protocol(config):
             (a_x, 0.0, k_x, -0.0, 0.0, a_p, -0.0, k_p, k_x, -0.0, b, 0.0, -0.0, k_p, 0.0, b)
         )
     cov = np.array(covs).reshape(-1, 4, 4)
-    mean = np.zeros(cov.shape[:-1])
     # valid configs: only an overflow can make an entry non-finite
-    state = ga._finite(mean[0], cov[0]) if single else ga._finite(mean, cov)
-    total, det_v = ga._ppt_minors(state.cov)
-    nu_min, witness, log_negativity = np.frompyfunc(ch._ppt_readout, 2, 3)(total, det_v)
+    state = ga._finite(np.zeros(cov.shape[:-1]), cov)
+    total, det_v = ga._ppt_minors(cov)
+    nu_min, witness, log_negativity = zip(
+        *map(ch._ppt_readout, total.tolist(), det_v.tolist())
+    )
+    if single:
+        return GaussianProtocolResult(
+            log_negativity[0], nu_min[0], ga._frozen(state.mean[0], cov[0]), witness[0]
+        )
     return GaussianProtocolResult(
-        log_negativity=ga._scalar(log_negativity),
-        nu_min=ga._scalar(nu_min),
-        output_state=state,
-        witness=ga._scalar(witness),
+        np.array(log_negativity), np.array(nu_min), state, np.array(witness)
     )
 
 
@@ -370,14 +413,18 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     search are taken on u = sigma^2 (width, step floor and midpoint stay in
     sigma), and an N_D or sigma search converges after one secant step.  The
     two bracket ends run as one gaussian batch, bit-identical to two single
-    runs.  Deterministic: no randomness, fixed iteration pattern.
+    runs.  Each probe's config is derived from `config` (ProtocolConfig's
+    ``_derived``) after its value passes the parameter's field check, so a
+    bracket end outside the field's domain raises ProtocolConfig's
+    ValueError.  Deterministic: no randomness, fixed iteration pattern.
 
     Raises
     ------
     ValueError
-        If the metric has the same signedness at both bracket ends, or (before
-        any probe runs) the parameter is not a float config field, the
-        bracket is not increasing, or tol is NaN.
+        If the metric has the same signedness at both bracket ends, if a
+        bracket end is outside the parameter's domain, or (before any probe
+        runs) the parameter is not a float config field, the bracket is not
+        increasing, or tol is NaN.
     """
     if parameter not in _FLOAT_FIELDS:
         raise ValueError(f"parameter {parameter!r} is not a float config field")
@@ -397,7 +444,7 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     def signed(*values):
         out = []
         for metric, witness in _evaluate(
-            [dataclasses.replace(config, **{parameter: v}) for v in values]
+            [_derived(config, {parameter: _checked(parameter, v)}) for v in values]
         ):
             entangled = metric > ZERO_METRIC_TOL
             magnitude = max(float(witness if entangled else -witness), _TINY)

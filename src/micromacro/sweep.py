@@ -10,6 +10,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings as _warnings
 from dataclasses import dataclass
 
@@ -42,12 +43,15 @@ def linear_grid(lo, hi, n):
     """n equally spaced values from lo to hi (n = 1 gives just lo).
 
     The values are i * step + lo, ending on exactly hi, by the IEEE operations
-    of numpy.linspace in its order, so they equal it bit for bit.
+    of numpy.linspace in its order, so they equal it bit for bit.  The
+    endpoints must be finite and n >= 0.
     """
     n = int(n)
     if n < 0:
         raise ValueError(f"number of grid values n={n} must be >= 0")
     lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid endpoints ({lo}, {hi}) must be finite")
     delta = hi - lo
     if n < 2:
         return tuple(0.0 * delta + lo for _ in range(n))
@@ -60,12 +64,17 @@ def linear_grid(lo, hi, n):
 
 
 def log_grid(lo, hi, n):
-    """n logarithmically spaced values from lo to hi (both > 0)."""
-    import numpy as np
+    """n logarithmically spaced values from lo to hi (both finite and > 0).
 
-    if lo <= 0 or hi <= 0:
-        raise ValueError(f"log grid endpoints ({lo}, {hi}) must be > 0")
-    return tuple(float(v) for v in np.geomspace(lo, hi, int(n)))
+    Each value is 10 ** e for e in linear_grid(log10 lo, log10 hi, n), and
+    the ends are exactly lo and hi.  Values can differ from numpy.geomspace's
+    in the last bits.
+    """
+    lo, hi = float(lo), float(hi)
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ValueError(f"log grid endpoints ({lo}, {hi}) must be finite and > 0")
+    exponents = linear_grid(math.log10(lo), math.log10(hi), n)
+    return (lo, *(10.0**e for e in exponents[1:-1]), hi)[: len(exponents)]
 
 
 @dataclass(frozen=True)
@@ -108,14 +117,17 @@ def run_sweep(spec, workers=1):
     "Category: message" lines of the warnings the evaluations emitted,
     suitable for a sidecar log.
 
-    All points are evaluated by one call on the calling thread, as one batch
-    for the gaussian engine and one at a time in sweep order for the fock
-    engine.  `workers` is accepted for compatibility and must be >= 1, but has
-    no effect, so output cannot depend on it.
+    Each axis value passes its field's ProtocolConfig check once, and every
+    point's config is derived from the base without checking again (see
+    ProtocolConfig).  All points are evaluated by one call on the calling
+    thread, as one batch for the gaussian engine and one at a time in sweep
+    order for the fock engine.  `workers` is accepted for compatibility and
+    must be >= 1, but has no effect, so output cannot depend on it.
 
-    Where that call raises, the points are re-run one at a time, and the
-    first failing point in sweep order is re-raised with its sweep
-    coordinates prepended and the error as its cause.
+    Where a check or that call raises, the points are re-run one at a time,
+    each config built by ProtocolConfig's constructor, and the first failing
+    point in sweep order is re-raised with its sweep coordinates prepended
+    and the error as its cause.
     """
     if workers < 1:
         raise ValueError(f"workers={workers} must be >= 1")
@@ -132,15 +144,10 @@ def run_sweep(spec, workers=1):
                 if vs is not None:
                     override[spec.series.parameter] = vs
                 points.append(override)
-    base = pr.config_to_mapping(spec.base)
-
-    def config(override):
-        # every point runs ProtocolConfig's checks, as dataclasses.replace does
-        return pr.ProtocolConfig(**{**base, **override})
 
     def evaluate(override):
         try:
-            return pr.entanglement_metric(config(override))
+            return pr.entanglement_metric(dataclasses.replace(spec.base, **override))
         except Exception as exc:
             coords = ", ".join(f"{k}={_format(v)}" for k, v in override.items())
             raise RuntimeError(f"sweep point ({coords}) failed: {exc}") from exc
@@ -148,7 +155,11 @@ def run_sweep(spec, workers=1):
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         try:
-            results = [metric for metric, _ in pr._evaluate(list(map(config, points)))]
+            for axis in filter(None, (spec.axis1, spec.axis2, spec.series)):
+                for value in axis.values:
+                    pr._checked(axis.parameter, value)
+            configs = [pr._derived(spec.base, override) for override in points]
+            results = [metric for metric, _ in pr._evaluate(configs)]
         except Exception:
             for override in points:
                 evaluate(override)

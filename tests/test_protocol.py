@@ -74,6 +74,50 @@ def test_config_mapping_round_trip():
             pr.config_from_mapping({unknown: "8"})
 
 
+# a value outside each float field's domain
+OUT_OF_DOMAIN = {
+    "r": 25.0, "N_D": -1.0, "y": 1.5, "x": -1.0, "N_in": -1.0, "N_th": -1.0,
+    "sigma": -1.0, "eta1": 1.5, "eta2": 1.5, "eta_c": 1.5,
+}
+
+
+def _rejection(build):
+    with pytest.raises(ValueError) as caught:
+        build()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("field", pr._FLOAT_FIELDS)
+def test_derived_configs_reject_what_the_constructor_rejects(field):
+    # A sweep checks each axis value once and a threshold search each probe,
+    # then derives configs without checking: both must reject a bad value
+    # with the constructor's message, whatever axis carries it.
+    assert set(OUT_OF_DOMAIN) == set(pr._FLOAT_FIELDS)
+    base = pr.ProtocolConfig(N_th=0.3)
+    valid = getattr(base, field)
+    other = "N_th" if field != "N_th" else "N_in"
+    for bad in (OUT_OF_DOMAIN[field], math.nan):
+        message = _rejection(lambda: pr.ProtocolConfig(**{field: bad}))
+        assert re.fullmatch(rf"\S.* {field}={bad} .*", message), message
+        assert _rejection(lambda: dataclasses.replace(base, **{field: bad})) == message
+        values = (bad, valid) if bad < valid else (valid, bad)  # an axis and a bracket
+        shown = f"{field}={bad:.12g}"
+        for role, axes, coords in (
+            ("axis1", dict(series=(other, (0.1, 0.2))), f"{shown}, {other}=0.1"),
+            ("axis2", dict(axis1=(other, (0.1, 0.2))), f"{other}=0.1, {shown}"),
+            ("series", dict(axis1=(other, (0.1, 0.2))), f"{other}=0.1, {shown}"),
+        ):
+            axes[role] = (field, values)
+            spec = sw.SweepSpec(base=base, **{k: sw.AxisSpec(*v) for k, v in axes.items()})
+            with pytest.raises(RuntimeError) as caught:
+                sw.run_sweep(spec)
+            assert str(caught.value) == f"sweep point ({coords}) failed: {message}", role
+            assert type(caught.value.__cause__) is ValueError, role
+            assert str(caught.value.__cause__) == message, role
+        if not math.isnan(bad):  # a NaN end fails the bracket's order check first
+            assert _rejection(lambda: pr.find_threshold(base, field, values)) == message
+
+
 def test_phase_noise_amplitude_conventions():
     config = pr.ProtocolConfig()
     coeffs = ga.channel_coefficients(config.x, config.y)
@@ -145,6 +189,44 @@ def random_gaussian_configs(n, seed):
         for _ in range(n)
     ]
 
+
+
+def test_derived_configs_equal_constructed_ones(monkeypatch):
+    # Sweeps and threshold searches derive their configs from a valid one
+    # without checking; each must equal the config the constructor builds
+    # from the same fields, under ==, hash and config_to_mapping.
+    def same(derived, built):
+        assert type(derived) is pr.ProtocolConfig
+        assert derived == built and hash(derived) == hash(built)
+        assert pr.config_to_mapping(derived) == pr.config_to_mapping(built)
+
+    seen = []
+    evaluate = pr._evaluate
+    monkeypatch.setattr(pr, "_evaluate", lambda configs: seen.extend(configs) or evaluate(configs))
+    rng = np.random.default_rng(23)
+    for base in random_gaussian_configs(12, seed=23):
+        fields = [str(f) for f in rng.choice(pr._FLOAT_FIELDS, 3, replace=False)]
+        draws = random_gaussian_configs(3, seed=int(rng.integers(2**31)))
+        axes = [sw.AxisSpec(f, sorted({getattr(c, f) for c in draws})) for f in fields]
+        del seen[:]
+        sw.run_sweep(sw.SweepSpec(base, *axes))
+        mapping = pr.config_to_mapping(base)
+        built = [
+            pr.ProtocolConfig(**{**mapping, fields[0]: v1, fields[1]: v2, fields[2]: vs})
+            for v2 in axes[1].values
+            for v1 in axes[0].values
+            for vs in axes[2].values
+        ]
+        assert len(seen) == len(built)
+        for derived, config in zip(seen, built):
+            same(derived, config)
+    for parameter, (bracket, tol) in THRESHOLD_SEARCHES.items():
+        base = pr.ProtocolConfig(sigma=0.005)
+        del seen[:]
+        pr.find_threshold(base, parameter, bracket, tol)
+        assert len(seen) >= 3
+        for derived in seen:
+            same(derived, dataclasses.replace(base, **{parameter: getattr(derived, parameter)}))
 
 
 def test_gaussian_batch_is_bit_identical_to_single_points():
@@ -303,6 +385,25 @@ def test_gaussian_pipeline_errors_are_unchanged():
         spec = sw.SweepSpec(base=pr.ProtocolConfig(), axis1=sw.AxisSpec("sigma", (0.01, 1e200)))
         with pytest.raises(RuntimeError, match=r"\(sigma=1e\+200\) failed: non-finite"):
             sw.run_sweep(spec)
+
+
+def test_gaussian_readout_agrees_with_public_operations_at_overflow_edge():
+    # At N_th = 1e200 and 1e300 the determinants overflow: E_N reads 0.0,
+    # nu_min and the witness NaN.  The batch, single runs and the public
+    # operations share one readout, so they agree there too, NaN for NaN.
+    configs = [
+        pr.ProtocolConfig(N_th=n_th, eta_c=eta_c) for n_th in (1e200, 1e300) for eta_c in (0.8, 1.0)
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = pr.run_gaussian_protocol(configs)
+        singles = [pr.run_gaussian_protocol(config) for config in configs]
+        public = public_pipeline(configs)[:3]
+    for i, single in enumerate(singles):
+        outputs = (single.log_negativity, single.nu_min, single.witness)
+        assert np.array_equal(outputs, [column[i] for column in public], equal_nan=True)
+    for got, want in zip((batch.log_negativity, batch.nu_min, batch.witness), public):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.all(batch.log_negativity == 0.0) and np.all(np.isnan(batch.nu_min))
 
 
 def test_gaussian_output_covariance_has_five_nonzero_entries():

@@ -1,7 +1,10 @@
 """Tests for the sweep engine, figure presets, config parsing and the CLI."""
 
 import dataclasses
+import math
+import sys
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +55,48 @@ def test_axis_spec_validation():
 def test_grids():
     assert sw.linear_grid(0.0, 1.0, 5) == (0.0, 0.25, 0.5, 0.75, 1.0)
     assert sw.linear_grid(0.3, 0.9, 1) == (0.3,)
-    log = sw.log_grid(1.0, 100.0, 3)
-    assert abs(log[1] - 10.0) < 1e-12
-    with pytest.raises(ValueError):
-        sw.log_grid(0.0, 10.0, 3)
+    assert sw.log_grid(1.0, 100.0, 3) == (1.0, 10.0, 100.0)
+    assert sw.log_grid(2.0, 3.0, 0) == () and sw.log_grid(2.0, 3.0, 1) == (2.0,)
+    assert sw.log_grid(2.0, 3.0, 2) == (2.0, 3.0)
+    inf, nan = math.inf, math.nan
+    for grid, lo, hi, n, message in (
+        (sw.log_grid, 0.0, 10.0, 3, r"log grid endpoints \(0.0, 10.0\) must be finite and > 0"),
+        (sw.log_grid, 1.0, inf, 3, r"log grid endpoints \(1.0, inf\) must be finite and > 0"),
+        (sw.log_grid, nan, 1.0, 3, r"log grid endpoints \(nan, 1.0\) must be finite and > 0"),
+        (sw.log_grid, 1.0, 10.0, -3, r"number of grid values n=-3 must be >= 0"),
+        (sw.linear_grid, 0.0, inf, 3, r"grid endpoints \(0.0, inf\) must be finite"),
+        (sw.linear_grid, -inf, 0.0, 3, r"grid endpoints \(-inf, 0.0\) must be finite"),
+        (sw.linear_grid, nan, 1.0, 3, r"grid endpoints \(nan, 1.0\) must be finite"),
+        (sw.linear_grid, 0.0, 1.0, -1, r"number of grid values n=-1 must be >= 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grid(lo, hi, n)
+
+
+def test_log_grid_matches_exact_values():
+    # Against the exact lo (hi/lo)^(i/(n-1)) in 40-digit decimals, not against
+    # numpy.geomspace, which rounds differently in the last bits.  Each value
+    # is 10 ** e with e = i * step + log10(lo): the exponent's rounding is a
+    # few eps * max|log10|, which the power scales by ln 10, plus the power's
+    # own rounding; 20 eps * max|log10| + 2 eps covers both.
+    rng = np.random.default_rng(17)
+    eps = sys.float_info.epsilon
+    cases = [(1.0, 1e7, 40), (1e-300, 1e300, 25), (0.5, 0.5000001, 9)]
+    for _ in range(300):
+        lo, hi = sorted(10.0 ** rng.uniform(-300.0, 300.0, 2))
+        cases.append((float(lo), float(hi), int(rng.integers(2, 60))))
+    with localcontext() as context:
+        context.prec = 40
+        for lo, hi, n in cases:
+            grid = sw.log_grid(lo, hi, n)
+            assert len(grid) == n and (grid[0], grid[-1]) == (lo, hi), (lo, hi, n)
+            assert all(a < b for a, b in zip(grid, grid[1:])), (lo, hi, n)
+            scale = max(abs(math.log10(lo)), abs(math.log10(hi)), 1.0)
+            low, high = Decimal(lo).ln(), Decimal(hi).ln()
+            for i, value in enumerate(grid):
+                exact = (low + (high - low) * i / (n - 1)).exp()
+                error = abs(Decimal(value) / exact - 1)
+                assert error <= Decimal((20.0 * scale + 2.0) * eps), (lo, hi, n, i)
 
 
 def test_linear_grid_equals_linspace():
