@@ -1,20 +1,19 @@
 """Fock-space engine for the single-photon-level description.
 
-The protocol reads its {0,1}^2 block in closed form from
-``gaussian_channel_elements``.  The truncated channels, its reference, work
-with density matrices on a photon-number basis truncated at n_levels per
-mode, each channel on one mode: loss and quantum-limited amplification as
-photon-shift Kraus sums (each Kraus operator moves the photon number by a
-fixed k; weights from a cached binomial table), Gaussian dephasing as an
-elementwise kernel in the eigenbasis of the truncated X quadrature.  Loss
-and dephasing preserve the trace at any cutoff; the amplifier drops the
-weight it pushes past the cutoff.  Mode ordering for two-mode states is
-(A, C), A the mode that enters the mechanical channel.
+The protocol projects its closed-form {0,1}^2 block with ``qubit_project``.
+``wootters_difference`` and the truncated channels are its references; the
+channels work with density matrices on a photon-number basis truncated at
+n_levels per mode, each channel on one mode: loss and quantum-limited
+amplification as photon-shift Kraus sums (each Kraus operator moves the
+photon number by a fixed k; weights from a cached binomial table), Gaussian
+dephasing as an elementwise kernel in the eigenbasis of the truncated X
+quadrature.  Loss and dephasing preserve the trace at any cutoff; the
+amplifier drops the weight it pushes past the cutoff.  Mode ordering for
+two-mode states is (A, C), A the mode that enters the mechanical channel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -337,38 +336,6 @@ def phase_noise_average(rho, variance, mode=0):
         return v @ ((v.T @ t @ v) * kernel) @ v.T
 
     return _on_mode(rho, mode, dephase)
-
-
-def gaussian_channel_elements(t, n_x, n_p):
-    """<m|Phi(|j><k|)|n> at index [j, k, m, n], j, k, m, n in {0, 1}.
-
-    Phi maps X -> t X and P -> t P and adds noise variances n_x and n_p
-    (vacuum variance 1/2).  Each element is the coefficient of the monomial in
-    (alpha, beta-bar, gamma-bar, delta) <-> (j, k, m, n) of c exp(Q): 1 for
-    none, the pair term for two, the sum over the three pairings for four, 0
-    for an odd number (README, "The Fock engine's closed form").
-    """
-    a_x = (1.0 + t * t) / 2.0 + n_x
-    a_p = (1.0 + t * t) / 2.0 + n_p
-    c = 1.0 / math.sqrt(a_x * a_p)
-    p, q = 1.0 / (4.0 * a_p), 1.0 / (4.0 * a_x)
-    pair = np.zeros((4, 4))
-    pair[0, 1] = 1.0 - 2.0 * t * t * (p + q)
-    pair[2, 3] = 1.0 - 2.0 * (p + q)
-    pair[0, 2] = pair[1, 3] = 2.0 * t * (p + q)
-    pair[0, 3] = pair[1, 2] = 2.0 * t * (q - p)
-    out = np.zeros((2, 2, 2, 2))
-    for index in itertools.product((0, 1), repeat=4):
-        present = [v for v in range(4) if index[v]]
-        if not present:
-            out[index] = c
-        elif len(present) == 2:
-            out[index] = c * pair[present[0], present[1]]
-        elif len(present) == 4:
-            out[index] = c * (
-                pair[0, 1] * pair[2, 3] + pair[0, 2] * pair[1, 3] + pair[0, 3] * pair[1, 2]
-            )
-    return out
 
 
 def qubit_project(rho):

@@ -9,9 +9,10 @@ and quantifying the surviving entanglement.  Two engines implement it:
   log-negativity output (exact at any N_D);
 * ``fock`` — displaced single-photon path-entangled input evaluated in the
   displaced frame, Wootters concurrence of the light-light state projected
-  onto the {vacuum, one-photon} qubit subspace.  That {0,1}^2 block is read
-  out in closed form: mode A's stages compose into one Gaussian channel and
-  mode C only sees loss (Weedbrook et al., RMP 84, 621 (2012)).
+  onto the {vacuum, one-photon} qubit subspace.  That {0,1}^2 block is an
+  X-state read out in closed form (Yu & Eberly, QIC 7, 459 (2007)): mode A's
+  stages compose into one Gaussian channel and mode C only sees loss
+  (Weedbrook et al., RMP 84, 621 (2012)).
 
 Both engines evaluate in the displaced frame and run mode A's stages from
 one list of per-stage terms (``_mode_a_stages``).  The macroscopic
@@ -254,8 +255,9 @@ class GaussianProtocolResult:
 class FockProtocolResult:
     """Outcome of one fock-engine pipeline run.
 
-    ``witness`` is the unclamped Wootters difference of the projected qubit
-    pair, negative on the separable side; ``concurrence`` is max(0, witness).
+    ``witness`` is the unclamped X-state concurrence of the projected qubit
+    pair (run_fock_protocol), negative on the separable side; ``concurrence``
+    is max(0, witness).
     """
 
     concurrence: float
@@ -343,6 +345,39 @@ def run_gaussian_protocol(config):
     )
 
 
+def _pair_terms(t, n_x, n_p):
+    """The README's c and pair terms (P01, P23, P02 = P13, P03 = P12, P4) of the
+    channel X -> t X, P -> t P that adds noise variances n_x and n_p."""
+    a_x = (1.0 + t * t) / 2.0 + n_x
+    a_p = (1.0 + t * t) / 2.0 + n_p
+    p, q = 1.0 / (4.0 * a_p), 1.0 / (4.0 * a_x)
+    p01, p23 = 1.0 - 2.0 * t * t * (p + q), 1.0 - 2.0 * (p + q)
+    p02, p03 = 2.0 * t * (p + q), 2.0 * t * (q - p)
+    return 1.0 / math.sqrt(a_x * a_p), p01, p23, p02, p03, p01 * p23 + p02 * p02 + p03 * p03
+
+
+def _qubit_block(config):
+    """The output's unnormalized {0,1}^2 block over |a c> = 00, 01, 10, 11, an
+    X-state: each entry is two products of pair terms, P's of A's composed
+    channel and Q's of C's loss (README, "The Fock engine's closed form")."""
+    coeffs = ch.channel_coefficients(config.x, config.y)
+    gain, n_x, n_p = 1.0, 0.0, 0.0
+    for amplitude, power, added, jitter in _mode_a_stages(config, coeffs):
+        gain, n_x, n_p = gain * amplitude, power * n_x + added, power * n_p + added + jitter
+    amplitude, _, added = ch._loss_terms(config.eta_c)
+    c_a, p01, p23, p02, p03, p4 = _pair_terms(gain, n_x, n_p)
+    c_c, q01, q23, q02, q03, q4 = _pair_terms(amplitude, added, added)
+    scale = 0.5 * c_a * c_c
+    r14 = scale * (p03 * q02 + p02 * q03)
+    r23 = scale * (p03 * q03 + p02 * q02)
+    return [
+        [scale * (q01 + p01), 0.0, 0.0, r14],
+        [0.0, scale * (q4 + p01 * q23), r23, 0.0],
+        [0.0, r23, scale * (p23 * q01 + p4), 0.0],
+        [r14, 0.0, 0.0, scale * (p23 * q4 + p4 * q23)],
+    ]
+
+
 def run_fock_protocol(config):
     """Run the single-photon pipeline and compute the concurrence, in closed form.
 
@@ -350,26 +385,21 @@ def run_fock_protocol(config):
     (A, C), N_D enters only through the phase-noise variance and the
     undisplacement is the identity.  `_mode_a_stages` compose into one
     Gaussian channel (gain t, added noise n_x and n_p) and C is pure loss, so
-    fock.gaussian_channel_elements give the output's {0,1}^2 block exactly;
-    fock.qubit_project reads its weight and renormalizes it.
+    `_qubit_block` gives the output's {0,1}^2 block exactly;
+    fock.qubit_project reads its weight and renormalizes it.  The witness is
+    2 max(|rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)) of
+    that X-state (Yu & Eberly), its roots clamped by channel._clamped_sqrt.
     """
-    import numpy as np
-
     from . import fock as fk
 
     if config.engine != "fock":
         raise ValueError(f"fock pipeline called with engine={config.engine!r}")
-    coeffs = ch.channel_coefficients(config.x, config.y)
-    gain, n_x, n_p = 1.0, 0.0, 0.0
-    for amplitude, power, added, jitter in _mode_a_stages(config, coeffs):
-        gain, n_x, n_p = gain * amplitude, power * n_x + added, power * n_p + added + jitter
-    amplitude, _, added = ch._loss_terms(config.eta_c)
-    arm_a = fk.gaussian_channel_elements(gain, n_x, n_p)
-    arm_c = fk.gaussian_channel_elements(amplitude, added, added)
-    # |j><k| on A comes with |1-j><1-k| on C; rows and columns run over |a c>
-    block = 0.5 * np.einsum("jkmn,jkab->manb", arm_a, arm_c[::-1, ::-1]).reshape(4, 4)
-    qubits = fk.qubit_project(fk.FockDensityMatrix((2, 2), block))
-    witness = fk.wootters_difference(qubits)
+    qubits = fk.qubit_project(fk.FockDensityMatrix((2, 2), _qubit_block(config)))
+    rho = qubits.matrix.real.tolist()
+    witness = 2.0 * max(
+        abs(rho[1][2]) - ch._clamped_sqrt(rho[0][0] * rho[3][3], 1.0),
+        abs(rho[0][3]) - ch._clamped_sqrt(rho[1][1] * rho[2][2], 1.0),
+    )
     return FockProtocolResult(max(0.0, witness), qubits.projection_probability, witness)
 
 
@@ -406,7 +436,7 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     the engine's signed witness from the same run where it agrees with the
     verdict, and a tiny positive number where it does not: the PPT witness
     of the gaussian output covariance (gaussian.ppt_witness) or the fock
-    engine's unclamped Wootters difference.  The gaussian witness is linear
+    engine's unclamped X-state concurrence.  The gaussian witness is linear
     in a variance added to one quadrature (Serafini, Illuminati & De Siena,
     J. Phys. B 37, L21 (2004)), and sigma enters both engines only through
     the phase-noise variance 2 |alpha_eff|^2 sigma^2.  So the steps of a sigma

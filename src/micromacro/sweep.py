@@ -21,7 +21,7 @@ PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "figA1")
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One swept parameter and its ordered value grid."""
+    """One swept parameter and its value grid, strictly increasing (no NaN)."""
 
     parameter: str
     values: tuple
@@ -34,7 +34,8 @@ class AxisSpec:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError(f"axis {self.parameter!r} has an empty grid")
-        if any(b <= a for a, b in zip(values, values[1:])):
+        # NaN fails every comparison, so `not b > a` rejects it too
+        if any(not b > a for a, b in zip(values, values[1:])) or math.isnan(values[0]):
             raise ValueError(f"axis {self.parameter!r} grid must be strictly increasing")
         object.__setattr__(self, "values", values)
 
@@ -44,9 +45,9 @@ def linear_grid(lo, hi, n):
 
     The values are i * step + lo, ending on exactly hi, by the IEEE operations
     of numpy.linspace in its order, so they equal it bit for bit.  The
-    endpoints must be finite and n >= 0.
+    endpoints must be finite and n an integer >= 0.
     """
-    n = int(n)
+    n = pr._integer("n", n)
     if n < 0:
         raise ValueError(f"number of grid values n={n} must be >= 0")
     lo, hi = float(lo), float(hi)

@@ -83,9 +83,9 @@ def test_closed_form_matches_truncated_engine_at_40_levels():
 def test_closed_form_pure_loss_limit():
     # sigma = 0 with vacuum mechanics: every channel is pure loss, so the
     # photon stays in the block: T = c1^2 eta1 eta2 on A, the parity flip
-    # turns the coherence negative, and C = 2 |rho_{01,10}|.  The concurrence
-    # of this rank-2 block resolves only to ~1e-8: it takes square roots of
-    # eigenvalues that are zero up to rounding.
+    # turns the coherence negative, and C = 2 |rho_{01,10}|.  The block is
+    # rank 2: rho_44 and rho_14 vanish.  So the concurrence resolves only to
+    # ~1e-8: it takes the square root of rho_11 rho_44, zero up to rounding.
     rng = random.Random(7)
     for _ in range(20):
         config = dataclasses.replace(
@@ -96,17 +96,33 @@ def test_closed_form_pure_loss_limit():
         c1 = ga.channel_coefficients(config.x, config.y).c1
         transmission = c1**2 * config.eta1 * config.eta2
         coherence = -c1 * math.sqrt(config.eta1 * config.eta2 * config.eta_c) / 2.0
-        # pure loss at transmission T: gain sqrt(T), vacuum noise (1 - T)/2
-        gain = -c1 * math.sqrt(config.eta1 * config.eta2)
-        noise = (1.0 - transmission) / 2.0
-        arm = fk.gaussian_channel_elements(gain, noise, noise)
-        assert abs(arm[0, 0, 0, 0] - 1.0) < 1e-15
-        assert abs(arm[1, 1, 0, 0] - (1.0 - transmission)) < 1e-15
-        assert abs(arm[1, 0, 1, 0] - gain) < 1e-15
-        assert abs(arm[1, 1, 1, 1] - transmission) < 1e-15
+        block = pr._qubit_block(config)
+        assert abs(sum(block[i][i] for i in range(4)) - 1.0) < 1e-15, config
+        assert abs(block[3][3]) < 1e-15 and block[0][3] == 0.0, config
+        assert abs(block[1][1] - config.eta_c / 2.0) < 1e-15, config
+        assert abs(block[2][2] - transmission / 2.0) < 1e-15, config
+        assert abs(block[1][2] - coherence) < 1e-15, config
         concurrence, projection = _engine(config)
         assert abs(concurrence - 2.0 * abs(coherence)) < 1e-8, config
         assert abs(projection - 1.0) < 1e-14, config
+
+
+def test_witness_is_the_wootters_difference_of_the_projected_block():
+    # The projected block is an X-state, so the pipeline reads its witness in
+    # closed form (Yu & Eberly).  Where the state is entangled that is the
+    # general Wootters difference l1 - l2 - l3 - l4; on the separable side
+    # the two differ but are both negative.
+    configs = list(_seeded_configs(20261019, 200, n_th_max=40.0))
+    entangled = 0
+    for config in configs:
+        witness = pr.run_fock_protocol(config).witness
+        qubits = fk.qubit_project(fk.FockDensityMatrix((2, 2), pr._qubit_block(config)))
+        reference = fk.wootters_difference(qubits)
+        assert (witness > 0.0) == (reference > 0.0), config
+        if reference > 0.0:
+            entangled += 1
+            assert abs(witness - reference) < 1e-12, config
+    assert 50 <= entangled <= len(configs) - 50, entangled
 
 
 def test_closed_form_product_state_and_ideal_limits():

@@ -101,6 +101,11 @@ def test_derived_configs_reject_what_the_constructor_rejects(field):
         assert re.fullmatch(rf"\S.* {field}={bad} .*", message), message
         assert _rejection(lambda: dataclasses.replace(base, **{field: bad})) == message
         values = (bad, valid) if bad < valid else (valid, bad)  # an axis and a bracket
+        if math.isnan(bad):  # a NaN fails the axis's and the bracket's order checks first
+            order = rf"^axis '{field}' grid must be strictly increasing$"
+            with pytest.raises(ValueError, match=order):
+                sw.AxisSpec(field, values)
+            continue
         shown = f"{field}={bad:.12g}"
         for role, axes, coords in (
             ("axis1", dict(series=(other, (0.1, 0.2))), f"{shown}, {other}=0.1"),
@@ -114,8 +119,7 @@ def test_derived_configs_reject_what_the_constructor_rejects(field):
             assert str(caught.value) == f"sweep point ({coords}) failed: {message}", role
             assert type(caught.value.__cause__) is ValueError, role
             assert str(caught.value.__cause__) == message, role
-        if not math.isnan(bad):  # a NaN end fails the bracket's order check first
-            assert _rejection(lambda: pr.find_threshold(base, field, values)) == message
+        assert _rejection(lambda: pr.find_threshold(base, field, values)) == message
 
 
 def test_phase_noise_amplitude_conventions():
@@ -617,7 +621,7 @@ def test_fock_find_threshold_lies_within_half_tol_of_bisected_crossing(seed, mon
             critical = pr.find_threshold(config, parameter, bracket, tol)
             evaluations.append(len(calls))
             _check_threshold_contract(critical, config, parameter, bracket, tol)
-    # 9 to 10 with the Wootters difference setting the steps; bisection takes 19 and 18
+    # 9 to 10 with the X-state witness setting the steps; bisection takes 19 and 18
     assert max(evaluations) <= 12, evaluations
 
 

@@ -45,6 +45,11 @@ def test_axis_spec_validation():
         sw.AxisSpec("y", (0.3, 0.2))
     with pytest.raises(ValueError):
         sw.AxisSpec("y", (0.2, 0.2))
+    # NaN fails every comparison, so it would pass a `b <= a` order check
+    nan = math.nan
+    for values in ((5.0, nan, 1.0), (nan, 1.0), (1.0, nan), (nan,)):
+        with pytest.raises(ValueError, match="^axis 'N_D' grid must be strictly increasing$"):
+            sw.AxisSpec("N_D", values)
     axis = sw.AxisSpec("y", [0.1, 0.5])
     assert axis.values == (0.1, 0.5)
     for parameter in ("fock_dims", "engine"):
@@ -68,6 +73,10 @@ def test_grids():
         (sw.linear_grid, -inf, 0.0, 3, r"grid endpoints \(-inf, 0.0\) must be finite"),
         (sw.linear_grid, nan, 1.0, 3, r"grid endpoints \(nan, 1.0\) must be finite"),
         (sw.linear_grid, 0.0, 1.0, -1, r"number of grid values n=-1 must be >= 0"),
+        (sw.linear_grid, 0.0, 1.0, 2.7, r"n=2.7 must be an integer"),
+        (sw.linear_grid, 0.0, 1.0, nan, r"n=nan must be an integer"),
+        (sw.log_grid, 1.0, 10.0, 2.7, r"n=2.7 must be an integer"),
+        (sw.log_grid, 1.0, 10.0, nan, r"n=nan must be an integer"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             grid(lo, hi, n)
