@@ -35,7 +35,6 @@ _NAMES = {
     ),
     "fock": (
         "FockDensityMatrix",
-        "TruncationWarning",
         "TwoQubitState",
         "concurrence",
         "displacement_matrix",

@@ -141,7 +141,8 @@ def _ppt_witness(total, det_v):
 
 
 def _clamped_sqrt(value, scale):
-    if value < -RADICAND_CLAMP * max(scale, 1.0):
+    # NaN fails every comparison, so `not value >= ...` rejects it too
+    if not value >= -RADICAND_CLAMP * max(scale, 1.0):
         raise ArithmeticError(f"radicand {value} below clamp band")
     return math.sqrt(max(value, 0.0))
 
@@ -154,7 +155,7 @@ def _nu_pair(total, det_v):
 
 
 def _negativity(nu):
-    if nu <= 0.0:
+    if not nu > 0.0:  # NaN included
         raise ArithmeticError(f"degenerate PPT symplectic eigenvalue {nu}")
     return max(0.0, -math.log(2.0 * nu))
 

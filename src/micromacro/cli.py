@@ -23,7 +23,6 @@ import dataclasses
 import math
 import sys
 import time
-import warnings
 
 from . import channel as ch
 from . import protocol as pr
@@ -46,18 +45,6 @@ def parse_config_text(text):
         key, value = line.split("=", 1)
         mapping[key.strip()] = value.strip()
     return mapping
-
-
-def format_config(config):
-    """Serialize a ProtocolConfig as flat key = value text (round-trip exact)."""
-    lines = []
-    for name, value in pr.config_to_mapping(config).items():
-        if isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{name} = {text}")
-    return "\n".join(lines) + "\n"
 
 
 def _build_axis(prefix, mapping):
@@ -158,23 +145,12 @@ def _file_mapping(path):
 
 
 def _cmd_sweep(ns):
-    # a preset's threshold axis runs the engine while the spec is assembled;
-    # its warnings join the sweep's own in the sidecar
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        spec = _assemble_sweep_spec(ns)
-    csv_text, sidecar = sw.run_sweep(spec, workers=ns.parallel)
-    sidecar = tuple(sorted(set(sidecar + sw.warning_lines(caught))))
+    csv_text, _ = sw.run_sweep(_assemble_sweep_spec(ns), workers=ns.parallel)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(csv_text)
-        if sidecar:
-            with open(ns.out + ".log", "w", encoding="utf-8") as handle:
-                handle.write("\n".join(sidecar) + "\n")
     else:
         sys.stdout.write(csv_text)
-        for line in sidecar:
-            print(line, file=sys.stderr)
     return 0
 
 
@@ -183,14 +159,7 @@ def _base_config_from(ns):
 
 
 def _cmd_threshold(ns):
-    # the engine's warnings as sorted "Category: message" lines, also when it fails
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            value = pr.find_threshold(_base_config_from(ns), ns.param, (ns.lo, ns.hi), ns.tol)
-        finally:
-            for line in sw.warning_lines(caught):
-                print(line, file=sys.stderr)
+    value = pr.find_threshold(_base_config_from(ns), ns.param, (ns.lo, ns.hi), ns.tol)
     print(f"{ns.param}_threshold = {value:.12g}")
     return 0
 

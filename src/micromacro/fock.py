@@ -15,19 +15,13 @@ two-mode states is (A, C), A the mode that enters the mechanical channel.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 
-class TruncationWarning(UserWarning):
-    """Emitted when a state or channel leaks non-negligible weight past the cutoff."""
-
-
 HERMITICITY_TOL = 1e-10
-LEAKAGE_WARN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -55,7 +49,10 @@ class FockDensityMatrix:
         data = np.array(self.data, dtype=complex)
         if data.shape != (n, n):
             raise ValueError(f"data shape {data.shape} does not match dims {dims}")
-        if np.max(np.abs(data - data.conj().T)) > HERMITICITY_TOL:
+        # NaN fails every comparison, so `not ... <= tol` rejects it too
+        if not np.max(np.abs(data - data.conj().T)) <= HERMITICITY_TOL:
+            if not np.all(np.isfinite(data)):
+                raise ValueError("non-finite entry in density matrix")
             raise ValueError("density matrix is not Hermitian")
         data.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -125,9 +122,8 @@ def thermal_weights(n_mean, n_levels, renormalize=True):
     """Diagonal Fock weights of a truncated thermal state with mean occupation n_mean.
 
     Geometric distribution p_n = N^n / (N+1)^{n+1}.  The weight lost past the
-    cutoff, (N/(N+1))^n_levels, is reported through a TruncationWarning when
-    it exceeds LEAKAGE_WARN; with renormalize=True (default) the retained
-    weights are rescaled to unit sum.
+    cutoff is (N/(N+1))^n_levels; with renormalize=True (default) the
+    retained weights are rescaled to unit sum.
     """
     if n_mean < 0:
         raise ValueError(f"thermal occupation {n_mean} must be >= 0")
@@ -138,14 +134,6 @@ def thermal_weights(n_mean, n_levels, renormalize=True):
         return p
     ratio = n_mean / (n_mean + 1.0)
     p = ratio**n / (n_mean + 1.0)
-    leak = ratio**n_levels
-    if leak > LEAKAGE_WARN:
-        warnings.warn(
-            f"thermal state with N={n_mean} leaks {leak:.3g} of its weight past "
-            f"{n_levels} levels",
-            TruncationWarning,
-            stacklevel=2,
-        )
     if renormalize:
         p = p / p.sum()
     return p

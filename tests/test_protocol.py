@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -307,21 +308,26 @@ def test_gaussian_batch_is_bit_identical_to_scalar_reference():
         assert np.array_equal(batch.output_state.cov[i], cov), config
 
 
+def public_state(c):
+    """The output state of one config from the public operations composed in
+    the pipeline's order, in the displaced frame."""
+    coeffs = ga.channel_coefficients(c.x, c.y)
+    state = ga.tmsv_state(c.r)
+    state = ga.loss_channel(state, "A", c.eta1)
+    state = ga.storage_retrieval_channel(state, coeffs, c.N_in, c.N_th)
+    amp_sq = pr.phase_noise_amplitude_sq(c, coeffs)
+    state = ga.phase_noise(state, c.sigma, amp_sq, mode="A")
+    state = ga.loss_channel(state, "A", c.eta2)
+    return ga.loss_channel(state, "C", c.eta_c)
+
+
 def public_pipeline(configs):
     """(E_N, nu_min, witness, output state) of a list of configs from the
     public, argument-checking operations composed in the pipeline's order,
     in the displaced frame, one config at a time, stacked into arrays and a
     batch state."""
     rows = []
-    for c in configs:
-        coeffs = ga.channel_coefficients(c.x, c.y)
-        state = ga.tmsv_state(c.r)
-        state = ga.loss_channel(state, "A", c.eta1)
-        state = ga.storage_retrieval_channel(state, coeffs, c.N_in, c.N_th)
-        amp_sq = pr.phase_noise_amplitude_sq(c, coeffs)
-        state = ga.phase_noise(state, c.sigma, amp_sq, mode="A")
-        state = ga.loss_channel(state, "A", c.eta2)
-        state = ga.loss_channel(state, "C", c.eta_c)
+    for state in map(public_state, configs):
         nu_min = ga.ppt_minimum_eigenvalue(state)
         rows.append((ga.negativity_from_nu(nu_min), nu_min, ga.ppt_witness(state), state))
     log_negativity, nu_min, witness, states = zip(*rows)
@@ -391,23 +397,88 @@ def test_gaussian_pipeline_errors_are_unchanged():
             sw.run_sweep(spec)
 
 
-def test_gaussian_readout_agrees_with_public_operations_at_overflow_edge():
-    # At N_th = 1e200 and 1e300 the determinants overflow: E_N reads 0.0,
-    # nu_min and the witness NaN.  The batch, single runs and the public
-    # operations share one readout, so they agree there too, NaN for NaN.
+def test_gaussian_readout_rejects_overflowed_determinants():
+    # At N_th = 1e200 and 1e300 the determinants overflow and the PPT
+    # radicand is NaN.  The batch, single runs, entanglement_metric and the
+    # public operations share one readout, and all of them raise there
+    # instead of reading E_N = 0.0 off a NaN nu_min.
     configs = [
         pr.ProtocolConfig(N_th=n_th, eta_c=eta_c) for n_th in (1e200, 1e300) for eta_c in (0.8, 1.0)
     ]
+    message = "^radicand nan below clamp band$"
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = pr.run_gaussian_protocol(configs)
-        singles = [pr.run_gaussian_protocol(config) for config in configs]
-        public = public_pipeline(configs)[:3]
-    for i, single in enumerate(singles):
-        outputs = (single.log_negativity, single.nu_min, single.witness)
-        assert np.array_equal(outputs, [column[i] for column in public], equal_nan=True)
-    for got, want in zip((batch.log_negativity, batch.nu_min, batch.witness), public):
-        assert np.array_equal(got, want, equal_nan=True)
-    assert np.all(batch.log_negativity == 0.0) and np.all(np.isnan(batch.nu_min))
+        with pytest.raises(ArithmeticError, match=message):
+            pr.run_gaussian_protocol(configs)
+        for config in configs:
+            with pytest.raises(ArithmeticError, match=message):
+                pr.run_gaussian_protocol(config)
+            with pytest.raises(ArithmeticError, match=message):
+                pr.entanglement_metric(config)
+            state = public_state(config)
+            with pytest.raises(ArithmeticError, match=message):
+                ga.ppt_minimum_eigenvalue(state)
+        spec = sw.SweepSpec(
+            base=pr.ProtocolConfig(),
+            axis1=sw.AxisSpec("y", (0.1, 0.5)),
+            series=sw.AxisSpec("N_th", (1.0, 1e200, 1e300)),
+        )
+        with pytest.raises(
+            RuntimeError,
+            match=r"^sweep point \(y=0.1, N_th=1e\+200\) failed: radicand nan below clamp band$",
+        ) as caught:
+            sw.run_sweep(spec)
+    assert isinstance(caught.value.__cause__, ArithmeticError)
+
+
+def extreme_configs(n, seed):
+    """Seeded configs of both engines far outside the figures' domain: N_D,
+    x, N_in and N_th log-uniform from 1e-6 up to 1e300, sigma log-uniform up
+    to 1e3, r up to 20."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(hi):
+        return float(10.0 ** rng.uniform(-6.0, hi))
+
+    return [
+        pr.ProtocolConfig(
+            engine=("gaussian", "fock")[int(rng.integers(2))],
+            r=float(rng.uniform(0.0, 20.0)),
+            N_D=log_uniform(300.0),
+            y=float(rng.uniform(1e-6, 1.0)),
+            x=log_uniform(300.0),
+            N_in=log_uniform(300.0),
+            N_th=log_uniform(300.0),
+            sigma=log_uniform(3.0),
+            eta1=float(rng.uniform()),
+            eta2=float(rng.uniform()),
+            eta_c=float(rng.uniform()),
+            phase_noise_convention=pr.PHASE_NOISE_CONVENTIONS[int(rng.integers(2))],
+        )
+        for _ in range(n)
+    ]
+
+
+def test_no_successful_run_warns_or_reads_non_finite():
+    # Every run either fails with a named error or succeeds without a warning
+    # and with a finite metric, witness and (gaussian) nu_min.  Warnings are
+    # recorded rather than raised: a NumPy overflow warning raised as an
+    # error would replace the error the failing run names.
+    succeeded = {"gaussian": 0, "fock": 0}
+    for config in extreme_configs(3000, seed=20261019):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                ((metric, witness),) = pr._evaluate([config])
+            except (ArithmeticError, ValueError):
+                continue
+            outputs = [metric, witness]
+            if config.engine == "gaussian":
+                outputs.append(pr.run_gaussian_protocol(config).nu_min)
+        assert not caught, (config, [str(w.message) for w in caught])
+        assert all(math.isfinite(value) for value in outputs), (config, outputs)
+        succeeded[config.engine] += 1
+    # both engines succeed often enough to check
+    assert min(succeeded.values()) > 20, succeeded
 
 
 def test_gaussian_output_covariance_has_five_nonzero_entries():

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import sys
-import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -12,28 +11,11 @@ import pytest
 
 from micromacro import channel as ch
 from micromacro import cli
-from micromacro import fock as fk
 from micromacro import protocol as pr
 from micromacro import sweep as sw
 
 DATA = Path(__file__).parent / "data"
 FOCK_BASE = dict(engine="fock", N_th=0.3, sigma=0.0, eta_c=1.0)
-
-
-@pytest.fixture
-def warning_engine(monkeypatch):
-    """run_fock_protocol that reports a TruncationWarning naming each point.
-
-    The Fock engine itself no longer warns; this stand-in keeps the warning
-    capture of run_sweep, _cmd_sweep and _cmd_threshold covered.
-    """
-    run = pr.run_fock_protocol
-
-    def warned(config):
-        warnings.warn(f"probe at N_D={config.N_D:.6g}, y={config.y:.6g}", fk.TruncationWarning)
-        return run(config)
-
-    monkeypatch.setattr(pr, "run_fock_protocol", warned)
 
 
 def test_axis_spec_validation():
@@ -170,14 +152,14 @@ def test_run_sweep_layout_and_ordering():
     assert lines[4].split(",")[3] == f"{pr.entanglement_metric(probe):.12g}"
 
 
-def test_run_sweep_deterministic_across_workers(warning_engine):
+def test_run_sweep_deterministic_across_workers():
     gaussian = sw.SweepSpec(
         base=pr.ProtocolConfig(),
         axis1=sw.AxisSpec("y", sw.linear_grid(0.05, 0.6, 8)),
         series=sw.AxisSpec("N_in", (0.0, 1.0, 10.0)),
     )
     # Gaussian sweeps run as one batch and Fock sweeps point by point, both
-    # on one thread; the warning engine puts lines in the Fock sidecar.
+    # on one thread.
     fock = sw.SweepSpec(
         base=pr.ProtocolConfig(**FOCK_BASE),
         axis1=sw.AxisSpec("y", (0.1, 0.3)),
@@ -189,7 +171,6 @@ def test_run_sweep_deterministic_across_workers(warning_engine):
             assert sw.run_sweep(spec, workers=workers) == serial
         with pytest.raises(ValueError):
             sw.run_sweep(spec, workers=0)
-    assert sw.run_sweep(fock)[1], "expected the engine's warnings in the sidecar"
 
 
 def test_run_sweep_reports_failing_coordinates():
@@ -249,20 +230,6 @@ def test_gaussian_sweep_cells_equal_single_point_metrics():
         for y in spec.axis1.values
     ]
     assert [row[2:] for row in rows] == expected
-
-
-def test_run_sweep_collects_truncation_warnings(warning_engine):
-    spec = sw.SweepSpec(
-        base=pr.ProtocolConfig(**FOCK_BASE),
-        axis1=sw.AxisSpec("y", (0.1, 0.5)),
-        series=sw.AxisSpec("N_D", (1.0, 2.0)),
-    )
-    csv_text, sidecar = sw.run_sweep(spec)
-    assert len(csv_text.splitlines()) == 3
-    # sorted and de-duplicated "Category: message" lines, one per point here
-    assert sidecar == tuple(
-        f"TruncationWarning: probe at N_D={n_d}, y={y}" for n_d in (1, 2) for y in (0.1, 0.5)
-    )
 
 
 def test_preset_fig2_matches_documented_base():
@@ -353,14 +320,6 @@ def test_preset_unknown_name():
         sw.preset("fig9")
     with pytest.raises(ValueError):
         sw.preset_base("fig9")
-
-
-def test_preset_bases_serialize_round_trip():
-    for name in sw.PRESET_NAMES:
-        base = sw.preset_base(name)
-        text = cli.format_config(base)
-        rebuilt = pr.config_from_mapping(cli.parse_config_text(text))
-        assert rebuilt == base, name
 
 
 def test_parse_config_text():
@@ -458,43 +417,12 @@ def test_cli_axis_count_is_parsed_as_an_integer(tmp_path, capsys, n, error):
         assert captured.err == f"error: {error}\n"
 
 
-def test_cli_sweep_writes_sidecar_log(tmp_path, warning_engine):
-    out = tmp_path / "fock.csv"
-    code = cli.main([
-        "sweep", "--config", "/dev/null",
-        "--set", "engine=fock", "--set", "N_th=0.3", "--set", "N_D=1",
-        "--set", "axis1=y", "--set", "axis1_values=0.5",
-        "--out", str(out),
-    ])
-    assert code == 0
-    log = tmp_path / "fock.csv.log"
-    assert log.read_text(encoding="utf-8") == "TruncationWarning: probe at N_D=1, y=0.5\n"
-
-
-def test_cli_sweep_without_warnings_writes_no_sidecar(tmp_path):
-    # The closed-form Fock engine does not warn, so figA1 leaves no log.
+def test_cli_sweep_without_warnings_writes_no_sidecar(tmp_path, capsys):
+    # No engine warns, so figA1 writes its CSV alone and nothing to stderr.
     out = tmp_path / "figA1.csv"
     assert cli.main(["sweep", "--preset", "figA1", "--out", str(out)]) == 0
     assert out.exists() and not (tmp_path / "figA1.csv.log").exists()
-
-
-def test_cli_preset_threshold_warnings_go_to_sidecar(tmp_path, capsys, warning_engine):
-    # figA1 searches its N_D axis while the spec is assembled, before the
-    # sweep runs; those warnings belong in the sidecar too, never on stderr.
-    out = tmp_path / "figA1.csv"
-    with warnings.catch_warnings(record=True) as leaked:
-        warnings.simplefilter("always")
-        assert cli.main(["sweep", "--preset", "figA1", "--out", str(out)]) == 0
-    assert leaked == []
-    assert capsys.readouterr().err == ""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        csv_text, sweep_lines = sw.run_sweep(sw.preset("figA1"))
-    assert out.read_bytes() == csv_text.encode("utf-8")
-    log = (tmp_path / "figA1.csv.log").read_text(encoding="utf-8").splitlines()
-    assert log == sorted(set(log))
-    assert set(sweep_lines) < set(log)
-    assert all(line.startswith("TruncationWarning: ") for line in log)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cli_sweep_determinism_across_workers(tmp_path):
@@ -512,43 +440,10 @@ def test_cli_threshold_command(capsys):
         "threshold", "--preset", "fig5", "--param", "eta1", "--lo", "0.1", "--hi", "0.9",
     ])
     assert code == 0
-    out = capsys.readouterr().out
-    value = float(out.split("=")[1])
+    out, err = capsys.readouterr()
+    value = pr.find_threshold(pr.ProtocolConfig(), "eta1", (0.1, 0.9))
+    assert (out, err) == (f"eta1_threshold = {value:.12g}\n", "")
     assert 0.3 <= value <= 0.5
-
-
-def test_cli_threshold_reports_warnings_as_lines(capsys, warning_engine):
-    # The warning engine warns at every probe; the warnings reach stderr as
-    # sorted "Category: message" lines, never as Python's warning display
-    # with its source line.
-    args = [
-        "threshold", "--set", "engine=fock", "--set", "N_th=0.3",
-        "--param", "N_D", "--lo", "1", "--hi", "1e5", "--tol", "1",
-    ]
-    with warnings.catch_warnings(record=True) as leaked:
-        warnings.simplefilter("always")
-        code = cli.main(args)
-    assert code == 0
-    assert leaked == []
-    out, err = capsys.readouterr()
-    config = pr.ProtocolConfig(engine="fock", N_th=0.3)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = pr.find_threshold(config, "N_D", (1.0, 1e5), tol=1.0)
-    assert out == f"N_D_threshold = {value:.12g}\n"
-    lines = err.splitlines()
-    assert lines == list(sw.warning_lines(caught)) and lines
-    assert all(line.startswith("TruncationWarning: probe at N_D=") for line in lines)
-    # a failed search reports its warnings too, before the error
-    code = cli.main([
-        "threshold", "--set", "engine=fock", "--param", "N_D", "--lo", "2", "--hi", "40",
-    ])
-    assert code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    *lines, error = err.splitlines()
-    assert lines == [f"TruncationWarning: probe at N_D={n_d}, y=0.1" for n_d in (2, 40)]
-    assert error.startswith("error: no entanglement threshold in [2.0, 40.0]")
 
 
 @pytest.mark.parametrize(
@@ -574,7 +469,9 @@ def test_cli_threshold_bracket_error(capsys):
         "threshold", "--preset", "fig2", "--param", "y", "--lo", "0.2", "--hi", "0.3",
     ])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", "error: no entanglement threshold in [0.2, 0.3]: metric is positive at both ends\n"
+    )
 
 
 def test_cli_threshold_rejects_nan_tol(capsys):
