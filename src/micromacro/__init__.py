@@ -35,7 +35,6 @@ _NAMES = {
     ),
     "fock": (
         "FockDensityMatrix",
-        "TwoQubitState",
         "concurrence",
         "displacement_matrix",
         "linear_channel_apply",

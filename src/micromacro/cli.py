@@ -316,7 +316,10 @@ def main(argv=None):
         return 2
     try:
         return ns.handler(ns)
-    except (ValueError, KeyError, ArithmeticError, RuntimeError, OSError, TypeError) as exc:
+    # a Warning arrives as an exception when warnings are errors (PYTHONWARNINGS=error)
+    except (
+        ValueError, KeyError, ArithmeticError, RuntimeError, OSError, TypeError, Warning
+    ) as exc:
         # str() of a KeyError is the repr of its message: print the message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -1,11 +1,12 @@
 """Fock-space engine for the single-photon-level description.
 
-The protocol projects its closed-form {0,1}^2 block with ``qubit_project``.
+The protocol projects its closed-form {0,1}^2 block with ``qubit_project``,
+which returns the renormalized 4x4 matrix and its weight.
 ``wootters_difference`` and the truncated channels are its references; the
 channels work with density matrices on a photon-number basis truncated at
 n_levels per mode, each channel on one mode: loss and quantum-limited
 amplification as photon-shift Kraus sums (each Kraus operator moves the
-photon number by a fixed k; weights from a cached binomial table), Gaussian
+photon number by a fixed k, with binomial weights), Gaussian
 dephasing as an elementwise kernel in the eigenbasis of the truncated X
 quadrature.  Loss and dephasing preserve the trace at any cutoff; the
 amplifier drops the weight it pushes past the cutoff.  Mode ordering for
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,36 +63,15 @@ class FockDensityMatrix:
         return float(np.real(np.trace(self.data)))
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
-    """4x4 density matrix in the {|0>,|1>}^2 subspace, basis order |a c>: 00,01,10,11."""
-
-    matrix: np.ndarray
-    projection_probability: float
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@lru_cache(maxsize=None)
 def annihilation_matrix(n_levels):
     """Truncated annihilation operator: a|n> = sqrt(n)|n-1>."""
     if n_levels < 2:
         raise ValueError("need at least 2 levels")
-    a = np.diag(np.sqrt(np.arange(1.0, n_levels)), k=1)
-    a.setflags(write=False)
-    return a
+    return np.diag(np.sqrt(np.arange(1.0, n_levels)), k=1)
 
 
-@lru_cache(maxsize=None)
 def number_matrix(n_levels):
-    n = np.diag(np.arange(float(n_levels)))
-    n.setflags(write=False)
-    return n
+    return np.diag(np.arange(float(n_levels)))
 
 
 def displacement_matrix(alpha, n_levels):
@@ -108,14 +87,10 @@ def displacement_matrix(alpha, n_levels):
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-@lru_cache(maxsize=None)
 def position_eigensystem(n_levels):
     """Eigenvalues and real orthogonal eigenvectors of the truncated X = (a + a^dag)/sqrt(2)."""
     a = annihilation_matrix(n_levels)
-    x, v = np.linalg.eigh((a + a.T) / math.sqrt(2.0))
-    x.setflags(write=False)
-    v.setflags(write=False)
-    return x, v
+    return np.linalg.eigh((a + a.T) / math.sqrt(2.0))
 
 
 def thermal_weights(n_mean, n_levels, renormalize=True):
@@ -196,30 +171,17 @@ def _on_mode(rho, mode, fn):
     _check_mode(mode)
     t = np.moveaxis(_as_tensor(rho), (mode, mode + 2), (2, 3))
     out = np.moveaxis(fn(t), (2, 3), (mode, mode + 2))
-    return _built(rho.dims, out.reshape(rho.data.shape))
+    return FockDensityMatrix(rho.dims, out.reshape(rho.data.shape))
 
 
-def _built(dims, data):
-    """A state on an array a channel built from a valid state: frozen in place,
-    not copied or re-checked.  The channels keep it Hermitian."""
-    data.setflags(write=False)
-    rho = object.__new__(FockDensityMatrix)
-    object.__setattr__(rho, "dims", dims)
-    object.__setattr__(rho, "data", data)
-    return rho
-
-
-@lru_cache(maxsize=None)
 def _binomial_table(d):
-    """Read-only d x d float table of C(m + k, k), rows k and columns m.
+    """d x d float table of C(m + k, k), rows k and columns m.
 
     Only m + k < d is ever used; the rest of the table is 0.
     """
-    table = np.array(
+    return np.array(
         [[float(math.comb(m + k, k)) if m + k < d else 0.0 for m in range(d)] for k in range(d)]
     )
-    table.setflags(write=False)
-    return table
 
 
 def _shift_kraus_sum(t, step, k_powers, m_powers):
@@ -329,15 +291,16 @@ def phase_noise_average(rho, variance, mode=0):
 def qubit_project(rho):
     """Project a two-mode state onto the {|0>,|1>} x {|0>,|1>} subspace.
 
-    Returns the renormalized 4x4 block together with the weight it carried
-    (projection_probability).  Raises if essentially no weight survives.
+    Returns the pair (matrix, probability): the renormalized 4x4 block, basis
+    order |a c> = 00, 01, 10, 11, and the weight it carried.  Raises if
+    essentially no weight survives.
     """
     r4 = _as_tensor(rho)
-    block = r4[:2, :2, :2, :2].reshape(4, 4).copy()
+    block = r4[:2, :2, :2, :2].reshape(4, 4)
     p = float(np.real(np.trace(block)))
     if p < 1e-12:
         raise ArithmeticError(f"qubit projection weight {p} is degenerate")
-    return TwoQubitState(block / p, p)
+    return block / p, p
 
 
 _Y_Y = np.kron(
@@ -345,14 +308,14 @@ _Y_Y = np.kron(
 ).real  # (sigma_y x sigma_y) is real in this basis
 
 
-def wootters_difference(state):
-    """Unclamped Wootters difference l1 - l2 - l3 - l4 of a two-qubit density matrix.
+def wootters_difference(matrix):
+    """Unclamped Wootters difference l1 - l2 - l3 - l4 of a 4x4 two-qubit density matrix.
 
     l_i are the decreasing square roots of the eigenvalues of
     rho (Y x Y) rho* (Y x Y) (Wootters, PRL 80, 2245 (1998)).  Positive iff
     the state is entangled, and then equal to its concurrence.
     """
-    m = state.matrix if isinstance(state, TwoQubitState) else np.asarray(state, dtype=complex)
+    m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {m.shape}")
     spin_flipped = _Y_Y @ m.conj() @ _Y_Y
@@ -364,13 +327,13 @@ def wootters_difference(state):
     return float(lam[0] - lam[1] - lam[2] - lam[3])
 
 
-def concurrence(state):
-    """Wootters concurrence C = max(0, l1 - l2 - l3 - l4) of a two-qubit density matrix.
+def concurrence(matrix):
+    """Wootters concurrence C = max(0, l1 - l2 - l3 - l4) of a 4x4 two-qubit density matrix.
 
     1 for Bell states, 0 for separable states; a Werner state
     p|Psi-><Psi-| + (1-p) I/4 gives max(0, (3p-1)/2).  See wootters_difference.
     """
-    return max(0.0, wootters_difference(state))
+    return max(0.0, wootters_difference(matrix))
 
 
 def quadrature_moments(rho):

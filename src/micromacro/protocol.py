@@ -14,8 +14,8 @@ and quantifying the surviving entanglement.  Two engines implement it:
   stages compose into one Gaussian channel and mode C only sees loss
   (Weedbrook et al., RMP 84, 621 (2012)).
 
-Both engines evaluate in the displaced frame and run mode A's stages from
-one list of per-stage terms (``_mode_a_stages``).  The macroscopic
+Both engines evaluate in the displaced frame and run mode A's stages through
+one function (``_through_mode_a``).  The macroscopic
 displacement never touches the simulated state and enters only through the
 phase-noise variance picked up by the bright beam, proportional to
 N_D sigma^2.  ``entanglement_metric``, ``find_threshold`` and sweeps reach
@@ -223,16 +223,20 @@ def phase_noise_amplitude_sq(config, coeffs):
     return config.eta1 * coeffs.c1**2 * config.N_D
 
 
-def _mode_a_stages(config, coeffs):
-    """Mode A's stages, loss eta1, storage channel with the phase noise that
-    follows it, and loss eta2, as per-point (amplitude, power, added, jitter):
-    X -> amplitude X, a variance v -> power v + added, plus jitter on P's."""
+def _through_mode_a(config, coeffs, a_x, a_p, k_x, k_p):
+    """(a_x, a_p, k_x, k_p) after mode A's stages: loss eta1, the storage
+    channel with the phase noise that follows it, and loss eta2.  Each stage
+    maps X -> amplitude X, so a variance v -> power v + added, plus the phase
+    noise's jitter on P's, and a correlation k -> k amplitude."""
     variance = ch._phase_variance(config.sigma, phase_noise_amplitude_sq(config, coeffs))
-    return (
+    for amplitude, power, added, jitter in (
         (*ch._loss_terms(config.eta1), 0.0),
         (*ch._storage_terms(coeffs, config.N_in, config.N_th), variance),
         (*ch._loss_terms(config.eta2), 0.0),
-    )
+    ):
+        a_x, a_p = power * a_x + added, power * a_p + added + jitter
+        k_x, k_p = k_x * amplitude, k_p * amplitude
+    return a_x, a_p, k_x, k_p
 
 
 @dataclass(frozen=True)
@@ -316,12 +320,8 @@ def run_gaussian_protocol(config):
             coeffs = channels[c.x, c.y] = ch.channel_coefficients(c.x, c.y)
         # a stage at eta = 1 or without noise leaves every entry bit for bit
         # as it is (1 a + 0 = a, 1 k = k), so none is skipped
-        d, k = ch._tmsv_entries(c.r)
-        a_x = a_p = b = d
-        k_x, k_p = k, 0.0 - k
-        for amplitude, power, added, jitter in _mode_a_stages(c, coeffs):
-            a_x, a_p = power * a_x + added, power * a_p + added + jitter
-            k_x, k_p = k_x * amplitude, k_p * amplitude
+        b, k = ch._tmsv_entries(c.r)
+        a_x, a_p, k_x, k_p = _through_mode_a(c, coeffs, b, b, k, 0.0 - k)
         amplitude, power, added = ch._loss_terms(c.eta_c)
         b, k_x, k_p = power * b + added, k_x * amplitude, k_p * amplitude
         # the zeros carry the 4x4 operations' signs: the storage channel's
@@ -361,9 +361,7 @@ def _qubit_block(config):
     X-state: each entry is two products of pair terms, P's of A's composed
     channel and Q's of C's loss (README, "The Fock engine's closed form")."""
     coeffs = ch.channel_coefficients(config.x, config.y)
-    gain, n_x, n_p = 1.0, 0.0, 0.0
-    for amplitude, power, added, jitter in _mode_a_stages(config, coeffs):
-        gain, n_x, n_p = gain * amplitude, power * n_x + added, power * n_p + added + jitter
+    n_x, n_p, gain, _ = _through_mode_a(config, coeffs, 0.0, 0.0, 1.0, 1.0)
     amplitude, _, added = ch._loss_terms(config.eta_c)
     c_a, p01, p23, p02, p03, p4 = _pair_terms(gain, n_x, n_p)
     c_c, q01, q23, q02, q03, q4 = _pair_terms(amplitude, added, added)
@@ -383,9 +381,9 @@ def run_fock_protocol(config):
 
     In the displaced frame the input is (|1 0> + |0 1>)/sqrt(2) on modes
     (A, C), N_D enters only through the phase-noise variance and the
-    undisplacement is the identity.  `_mode_a_stages` compose into one
-    Gaussian channel (gain t, added noise n_x and n_p) and C is pure loss, so
-    `_qubit_block` gives the output's {0,1}^2 block exactly;
+    undisplacement is the identity.  Mode A's stages (`_through_mode_a`)
+    compose into one Gaussian channel (gain t, added noise n_x and n_p) and C
+    is pure loss, so `_qubit_block` gives the output's {0,1}^2 block exactly;
     fock.qubit_project reads its weight and renormalizes it.  The witness is
     2 max(|rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)) of
     that X-state (Yu & Eberly), its roots clamped by channel._clamped_sqrt.
@@ -394,13 +392,13 @@ def run_fock_protocol(config):
 
     if config.engine != "fock":
         raise ValueError(f"fock pipeline called with engine={config.engine!r}")
-    qubits = fk.qubit_project(fk.FockDensityMatrix((2, 2), _qubit_block(config)))
-    rho = qubits.matrix.real.tolist()
+    qubits, probability = fk.qubit_project(fk.FockDensityMatrix((2, 2), _qubit_block(config)))
+    rho = qubits.real.tolist()
     witness = 2.0 * max(
         abs(rho[1][2]) - ch._clamped_sqrt(rho[0][0] * rho[3][3], 1.0),
         abs(rho[0][3]) - ch._clamped_sqrt(rho[1][1] * rho[2][2], 1.0),
     )
-    return FockProtocolResult(max(0.0, witness), qubits.projection_probability, witness)
+    return FockProtocolResult(max(0.0, witness), probability, witness)
 
 
 def _evaluate(configs):
@@ -576,20 +574,22 @@ class FeasibilityReport:
     resolved_sideband: bool
     adiabatic: bool
     detectable: bool
-    ratio_threshold: float
     notes: tuple
 
 
-def feasibility(params, ratio_threshold=5.0, detectable_limit=0.2):
+RATIO_THRESHOLD = 5.0
+DETECTABLE_LIMIT = 0.2
+
+
+def feasibility(params):
     """Derive the channel operating point from physical platform parameters.
 
     Outputs: adiabatic coupling G = g^2 / kappa; damping ratio x = gamma / G;
     coupling parameters y_G = e^{-G tau} and y_G' = e^{-(G + gamma) tau};
     bath occupation N_th from the Bose-Einstein distribution at (omega_m, T);
     counter-rotating suppression (kappa / omega_m)^2; thermal decoherence time
-    1 / (N_th gamma).  Regime flags use ratio_threshold (default 5x) for the
-    "much greater than" conditions and detectable_limit (default 0.2) for
-    N_th * x.
+    1 / (N_th gamma).  Regime flags use RATIO_THRESHOLD (5x) for the "much
+    greater than" conditions and DETECTABLE_LIMIT (0.2) for N_th * x.
 
     A bath so cold that hbar omega_m / (k_B T) overflows expm1, or k_B T
     underflows, has N_th = exp(-hbar omega_m / (k_B T)), 0.0 once that
@@ -637,10 +637,9 @@ def feasibility(params, ratio_threshold=5.0, detectable_limit=0.2):
         N_th=N_th,
         suppression=suppression,
         decoherence_time=decoherence_time,
-        resolved_sideband=params.omega_m >= ratio_threshold * params.kappa,
-        adiabatic=params.kappa >= ratio_threshold * params.g,
-        detectable=N_th * x <= detectable_limit,
-        ratio_threshold=ratio_threshold,
+        resolved_sideband=params.omega_m >= RATIO_THRESHOLD * params.kappa,
+        adiabatic=params.kappa >= RATIO_THRESHOLD * params.g,
+        detectable=N_th * x <= DETECTABLE_LIMIT,
         notes=notes,
     )
 

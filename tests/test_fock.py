@@ -135,12 +135,6 @@ def test_annihilation_matrix_entries():
         fk.annihilation_matrix(1)
 
 
-def test_cached_operators_are_read_only():
-    a = fk.annihilation_matrix(6)
-    with pytest.raises(ValueError):
-        a[0, 0] = 5.0
-
-
 def test_displacement_matrix_is_unitary_and_coherent():
     d = fk.displacement_matrix(0.5, 24)
     assert np.allclose(d @ d.conj().T, np.eye(24), atol=1e-12)
@@ -206,8 +200,8 @@ def test_single_photon_entangled_input_structure():
     assert abs(reduced_c[0, 0] - 0.5) < 1e-12
     assert abs(reduced_c[1, 1] - 0.5) < 1e-12
     assert abs(reduced_c[0, 1]) < 1e-12
-    qubits = fk.qubit_project(rho)
-    assert abs(qubits.projection_probability - 1.0) < 1e-12
+    qubits, probability = fk.qubit_project(rho)
+    assert abs(probability - 1.0) < 1e-12
     assert abs(fk.concurrence(qubits) - 1.0) < 1e-10
 
 
@@ -304,7 +298,8 @@ def test_linear_channel_matches_beam_splitter_cascade():
     coeffs = ga.channel_coefficients(config.x, config.y)
     rho = fk.pure_loss_channel(fk.single_photon_entangled_input(0.0, (16, 2)), 0, config.eta1)
     rho = cascade_linear_channel(rho, coeffs, config.N_in, config.N_th)
-    cascade = fk.concurrence(fk.qubit_project(fk.pure_loss_channel(rho, 0, config.eta2)))
+    qubits, _ = fk.qubit_project(fk.pure_loss_channel(rho, 0, config.eta2))
+    cascade = fk.concurrence(qubits)
     assert abs(pr.run_fock_protocol(config).concurrence - cascade) < 1e-6
 
 
@@ -381,13 +376,13 @@ def test_channels_reject_bad_mode(mode):
 
 def test_each_channel_builds_one_density_matrix(monkeypatch):
     built = []
-    original = fk._built
+    original = fk.FockDensityMatrix.__post_init__
 
-    def counting(dims, data):
-        built.append(data)
-        return original(dims, data)
+    def counting(rho):
+        built.append(rho.dims)
+        original(rho)
 
-    monkeypatch.setattr(fk, "_built", counting)
+    monkeypatch.setattr(fk.FockDensityMatrix, "__post_init__", counting)
     rho = random_state((6, 6), seed=3)
     coeffs = ga.channel_coefficients(0.01, 0.1)
     calls = (
@@ -478,7 +473,8 @@ def test_phase_noise_average_concurrence_non_increasing_in_variance():
     values = []
     for variance in (0.0, 0.5, 1.0, 2.0, 4.0, 6.0):
         noisy = fk.phase_noise_average(rho, variance, mode=0)
-        values.append(fk.concurrence(fk.qubit_project(noisy)))
+        qubits, _ = fk.qubit_project(noisy)
+        values.append(fk.concurrence(qubits))
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), values
 
 
@@ -522,9 +518,12 @@ def test_qubit_project_thermal_weight():
     vac = np.zeros((16, 16), dtype=complex)
     vac[0, 0] = 1.0
     rho = fk.FockDensityMatrix((16, 16), np.kron(th.data, vac))
-    qubits = fk.qubit_project(rho)
-    assert abs(qubits.projection_probability - THERMAL1_QUBIT_WEIGHT) < 1e-12
-    assert abs(np.real(np.trace(qubits.matrix)) - 1.0) < 1e-12
+    qubits, probability = fk.qubit_project(rho)
+    assert abs(probability - THERMAL1_QUBIT_WEIGHT) < 1e-12
+    assert qubits.shape == (4, 4)
+    assert abs(np.real(np.trace(qubits)) - 1.0) < 1e-12
+    # one thermal photon in A, C in vacuum: a product state
+    assert fk.concurrence(qubits) == 0.0
 
 
 def test_qubit_project_degenerate_error():

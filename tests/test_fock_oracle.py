@@ -35,8 +35,8 @@ def truncated_pipeline(config, dims):
     rho = fk.phase_noise_average(rho, variance, 0)
     rho = fk.pure_loss_channel(rho, 0, config.eta2)
     rho = fk.pure_loss_channel(rho, 1, config.eta_c)
-    qubits = fk.qubit_project(rho)
-    return fk.concurrence(qubits), qubits.projection_probability
+    qubits, probability = fk.qubit_project(rho)
+    return fk.concurrence(qubits), probability
 
 
 def _engine(config):
@@ -116,7 +116,7 @@ def test_witness_is_the_wootters_difference_of_the_projected_block():
     entangled = 0
     for config in configs:
         witness = pr.run_fock_protocol(config).witness
-        qubits = fk.qubit_project(fk.FockDensityMatrix((2, 2), pr._qubit_block(config)))
+        qubits, _ = fk.qubit_project(fk.FockDensityMatrix((2, 2), pr._qubit_block(config)))
         reference = fk.wootters_difference(qubits)
         assert (witness > 0.0) == (reference > 0.0), config
         if reference > 0.0:

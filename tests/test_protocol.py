@@ -881,7 +881,8 @@ def test_engine_consistency_on_entanglement_verdict():
         rho = fk.linear_channel_apply(
             fk.two_mode_squeezed_state(r, (16, 16)), coeffs, n_in, n_th
         )
-        m = fk.qubit_project(rho).matrix.reshape(2, 2, 2, 2)
+        qubits, _ = fk.qubit_project(rho)
+        m = qubits.reshape(2, 2, 2, 2)
         partial_transpose = m.transpose(0, 3, 2, 1).reshape(4, 4)
         fock_entangled = np.linalg.eigvalsh(partial_transpose)[0] < -1e-10
         assert gauss_entangled == fock_entangled, (x, y, n_in, n_th, r)
@@ -934,11 +935,13 @@ def test_feasibility_presets_frozen_values():
 
 def test_feasibility_flags_and_ratio_threshold():
     nanobeam = pr.FEASIBILITY_PRESETS["nanobeam"]
-    # omega_m / kappa = 7.4 and kappa / g = 12.5: both pass at 5x, the
-    # sideband flag drops at a 10x requirement.
-    strict = pr.feasibility(nanobeam, ratio_threshold=10.0)
-    assert not strict.resolved_sideband and strict.adiabatic
-    assert any("tau" in note for note in strict.notes)
+    # omega_m / kappa = 7.4 and kappa / g = 12.5: both pass at 5x
+    report = pr.feasibility(nanobeam)
+    assert report.resolved_sideband and report.adiabatic
+    # omega_m / kappa = 4 fails the 5x requirement; kappa / g is unchanged
+    slow = pr.feasibility(dataclasses.replace(nanobeam, omega_m=4 * nanobeam.kappa))
+    assert not slow.resolved_sideband and slow.adiabatic
+    assert any("tau" in note for note in slow.notes)
 
 
 def test_feasibility_reports_a_frozen_bath():

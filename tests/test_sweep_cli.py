@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -482,6 +483,18 @@ def test_cli_threshold_rejects_nan_tol(capsys):
     assert code == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: tol=nan must be a number\n")
+
+
+def test_cli_threshold_reports_a_warning_raised_as_error(capsys):
+    # with warnings as errors, the overflowed determinant's RuntimeWarning
+    # is an exception: the command reports it as an error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([
+            "threshold", "--set", "N_th=1e200", "--param", "eta1", "--lo", "0", "--hi", "1",
+        ])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: overflow encountered in det\n")
 
 
 def test_cli_feasibility_preset(capsys):
