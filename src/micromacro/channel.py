@@ -4,8 +4,8 @@ Quadratures are X = (a + a^dag)/sqrt(2), P = -i(a - a^dag)/sqrt(2), so the
 vacuum variance is 1/2.  Each helper computes one point's terms of one
 pipeline stage: the squeezed input's entries (``_tmsv_entries``), pure loss
 (``_loss_terms``), the mechanical storage/retrieval channel
-(``channel_coefficients`` and ``_storage_terms``), phase noise
-(``_phase_variance``), and the PPT readout of a two-mode covariance from its
+(``channel_coefficients``, ``_storage_channel`` per channel and
+``_storage_added``), phase noise (``_phase_variance``), and the PPT readout of a two-mode covariance from its
 Sigma and det V (``_ppt_readout``).  The public Gaussian operations
 (:mod:`micromacro.gaussian`) apply them to 4x4 arrays, and the protocol
 pipeline composes them per config for both engines.  Nothing here imports
@@ -116,19 +116,18 @@ def _loss_terms(eta):
     return math.sqrt(eta), eta, (1.0 - eta) * VACUUM_VARIANCE
 
 
-def _storage_terms(coeffs, n_initial, n_bath):
-    """One point's (amplitude, power, added noise) of the storage channel."""
-    if n_initial < 0 or n_bath < 0:
-        raise ValueError("thermal occupations must be >= 0")
+def _storage_channel(coeffs):
+    """Closure-checked per-channel terms (-c1, c1^2, c2^2, f1^2 / 2, f2^2)."""
     if coeffs.closure_defect > 1e-10:
         raise ValueError(f"channel coefficients violate closure by {coeffs.closure_defect}")
     c1 = coeffs.c1
-    added = (
-        coeffs.c2_mag**2 * (n_initial + VACUUM_VARIANCE)
-        + coeffs.f1**2 * VACUUM_VARIANCE
-        + coeffs.f2**2 * (n_bath + VACUUM_VARIANCE)
-    )
-    return -c1, c1 * c1, added
+    return -c1, c1 * c1, coeffs.c2_mag**2, coeffs.f1**2 * VACUUM_VARIANCE, coeffs.f2**2
+
+
+def _storage_added(channel, n_initial, n_bath):
+    """One point's added noise c2^2 (n_initial + 1/2) + f1^2 / 2 + f2^2 (n_bath + 1/2)."""
+    _, _, c2_sq, f1_term, f2_sq = channel
+    return c2_sq * (n_initial + VACUUM_VARIANCE) + f1_term + f2_sq * (n_bath + VACUUM_VARIANCE)
 
 
 def _phase_variance(sigma, amp_sq):
@@ -141,26 +140,38 @@ def _ppt_witness(total, det_v):
 
 
 def _clamped_sqrt(value, scale):
-    # NaN fails every comparison, so `not value >= ...` rejects it too
-    if not value >= -RADICAND_CLAMP * max(scale, 1.0):
+    # NaN fails every comparison, so `not value >= ...` rejects it too.
+    # max(a, b) is written out as `b if b > a else a`, the builtin's choice
+    # for signed zeros and NaN too, because its call costs more than the rest.
+    if not value >= -RADICAND_CLAMP * (1.0 if 1.0 > scale else scale):
         raise ArithmeticError(f"radicand {value} below clamp band")
-    return math.sqrt(max(value, 0.0))
+    return math.sqrt(0.0 if 0.0 > value else value)
+
+
+def _nu_minus(total, det_v):
+    """One point's nu_- and the root sqrt(total^2 - 4 det V), radicands clamped."""
+    square = total * total
+    root = _clamped_sqrt(square - 4.0 * det_v, square)
+    return _clamped_sqrt(0.5 * (total - root), total), root
 
 
 def _nu_pair(total, det_v):
     """One point's nu_-+ = sqrt((total -+ sqrt(total^2 - 4 det V)) / 2), radicands clamped."""
-    square = total * total
-    root = _clamped_sqrt(square - 4.0 * det_v, square)
-    return _clamped_sqrt(0.5 * (total - root), total), _clamped_sqrt(0.5 * (total + root), total)
+    nu_minus, root = _nu_minus(total, det_v)
+    return nu_minus, _clamped_sqrt(0.5 * (total + root), total)
 
 
 def _negativity(nu):
     if not nu > 0.0:  # NaN included
         raise ArithmeticError(f"degenerate PPT symplectic eigenvalue {nu}")
-    return max(0.0, -math.log(2.0 * nu))
+    negativity = -math.log(2.0 * nu)
+    return negativity if negativity > 0.0 else 0.0
 
 
 def _ppt_readout(total, det_v):
-    """One point's (nu_min, witness, E_N) from the partially transposed Sigma and det V."""
-    nu = _nu_pair(total, det_v)[0]
+    """One point's (nu_min, witness, E_N) from the partially transposed Sigma and det V.
+
+    Skipping nu_+ skips no failure: its radicand 0.5 (Sigma + root) is at
+    least nu_-'s 0.5 (Sigma - root), under the same clamp band."""
+    nu = _nu_minus(total, det_v)[0]
     return nu, _ppt_witness(total, det_v), _negativity(nu)

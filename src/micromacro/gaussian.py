@@ -9,11 +9,12 @@ the same ordering.  Mode A is the bright/stored mode, mode C is the companion
 mode that never enters the mechanical channel.
 
 The operations act on one state with scalar parameters and reject a batch.
-They check their arguments, apply one helper per stage (``_tmsv_entries``,
-``_loss_terms``, ``_storage_terms``, ``_phase_variance``) to the 4x4 arrays and
-read out through ``_ppt_minors``.  The batched protocol pipeline applies the
-same helpers to the five nonzero covariance entries of each config and reads
-out its batch through ``_ppt_minors`` and the per-point ``_ppt_readout``.
+They check their arguments, apply the helpers of each stage (``_tmsv_entries``,
+``_loss_terms``, ``_storage_channel`` and ``_storage_added``, ``_phase_variance``)
+to the 4x4 arrays and read out through ``_ppt_minors``.  The batched protocol
+pipeline applies the same helpers to the five nonzero covariance entries of
+each config and reads out its batch through ``_ppt_minors`` and the per-point
+``_ppt_readout``, which computes nu_- alone.
 Those helpers, ``channel_coefficients`` and the constants live in
 :mod:`micromacro.channel`, which needs no NumPy; ``channel_coefficients``,
 ``ChannelCoefficients`` and the constants are re-exported here.
@@ -36,7 +37,8 @@ from .channel import (
     _nu_pair,
     _phase_variance,
     _ppt_witness,
-    _storage_terms,
+    _storage_added,
+    _storage_channel,
     _tmsv_entries,
     channel_coefficients,
 )
@@ -217,8 +219,11 @@ def storage_retrieval_channel(state, coeffs, n_initial, n_bath, mode="A"):
     untouched mode scale by -c1, and the untouched mode is unchanged.
     """
     _one(state, coeffs, n_initial, n_bath)
-    terms = _storage_terms(coeffs, n_initial, n_bath)
-    return _finite(*_update_mode(state.mean, state.cov, mode, *terms))
+    if n_initial < 0 or n_bath < 0:
+        raise ValueError("thermal occupations must be >= 0")
+    channel = _storage_channel(coeffs)
+    added = _storage_added(channel, n_initial, n_bath)
+    return _finite(*_update_mode(state.mean, state.cov, mode, *channel[:2], added))
 
 
 def phase_noise(state, sigma, amp_sq, mode="A"):

@@ -223,20 +223,22 @@ def phase_noise_amplitude_sq(config, coeffs):
     return config.eta1 * coeffs.c1**2 * config.N_D
 
 
-def _through_mode_a(config, coeffs, a_x, a_p, k_x, k_p):
+def _through_mode_a(config, coeffs, channel, a_x, a_p, k_x, k_p):
     """(a_x, a_p, k_x, k_p) after mode A's stages: loss eta1, the storage
     channel with the phase noise that follows it, and loss eta2.  Each stage
     maps X -> amplitude X, so a variance v -> power v + added, plus the phase
-    noise's jitter on P's, and a correlation k -> k amplitude."""
-    variance = ch._phase_variance(config.sigma, phase_noise_amplitude_sq(config, coeffs))
-    for amplitude, power, added, jitter in (
-        (*ch._loss_terms(config.eta1), 0.0),
-        (*ch._storage_terms(coeffs, config.N_in, config.N_th), variance),
-        (*ch._loss_terms(config.eta2), 0.0),
-    ):
-        a_x, a_p = power * a_x + added, power * a_p + added + jitter
-        k_x, k_p = k_x * amplitude, k_p * amplitude
-    return a_x, a_p, k_x, k_p
+    noise's jitter on P's, and a correlation k -> k amplitude.  `channel` is
+    the storage channel's per-channel terms, ``channel._storage_channel(coeffs)``."""
+    amplitude, power, added = ch._loss_terms(config.eta1)
+    a_x, a_p = power * a_x + added, power * a_p + added
+    k_x, k_p = k_x * amplitude, k_p * amplitude
+    amplitude, power = channel[:2]
+    added = ch._storage_added(channel, config.N_in, config.N_th)
+    jitter = ch._phase_variance(config.sigma, phase_noise_amplitude_sq(config, coeffs))
+    a_x, a_p = power * a_x + added, power * a_p + added + jitter
+    k_x, k_p = k_x * amplitude, k_p * amplitude
+    amplitude, power, added = ch._loss_terms(config.eta2)
+    return power * a_x + added, power * a_p + added, k_x * amplitude, k_p * amplitude
 
 
 @dataclass(frozen=True)
@@ -291,14 +293,15 @@ def run_gaussian_protocol(config):
     Every stage on mode A acts on each quadrature separately and mode C only
     sees loss, so the covariance keeps the form [[a_x, 0, k_x, 0],
     [0, a_p, 0, k_p], [k_x, 0, b, 0], [0, k_p, 0, b]].  Each config propagates
-    these five Python floats with the per-point helpers of the public
-    operations, by the same IEEE operations in the same order as their 4x4
-    arithmetic, whose other entries only ever multiply or add zeros.  The
-    batch's covariances are then read out by the same determinants, and each
-    config's (Sigma, det V) pair, as Python floats, by the public operations'
-    per-point readout ``channel._ppt_readout``.  So every field is bit for bit
-    what the composed public operations give, signed zeros of the covariance
-    included.
+    these five Python floats with the helpers of the public operations, by
+    the same IEEE operations in the same order as their 4x4 arithmetic,
+    whose other entries only ever multiply or add zeros; what configs share
+    runs once per distinct (x, y) or r in a call.  The batch's covariances
+    are then read out by the same determinants, and each config's
+    (Sigma, det V) pair, as Python floats, by the public operations'
+    per-point readout ``channel._ppt_readout``.  So every field is bit for
+    bit what the composed public operations give, signed zeros of the
+    covariance included.
     """
     import numpy as np
 
@@ -312,24 +315,29 @@ def run_gaussian_protocol(config):
         if c.engine != "gaussian":
             raise ValueError(f"gaussian pipeline called with engine={c.engine!r}")
 
-    channels = {}  # one channel_coefficients call per distinct (x, y)
-    covs = []
+    # the storage channel's per-channel terms (and closure check) once per
+    # (x, y), the squeezed entries once per r and sign: -0.0 == 0.0 as a key,
+    # but r = -0.0 gives k = -0.0
+    channels, squeezed, entries = {}, {}, []
     for c in configs:
-        coeffs = channels.get((c.x, c.y))
-        if coeffs is None:
-            coeffs = channels[c.x, c.y] = ch.channel_coefficients(c.x, c.y)
+        storage = channels.get((c.x, c.y))
+        if storage is None:
+            coeffs = ch.channel_coefficients(c.x, c.y)
+            storage = channels[c.x, c.y] = coeffs, ch._storage_channel(coeffs)
+        signed_r = c.r, math.copysign(1.0, c.r)
+        tmsv = squeezed.get(signed_r)
+        if tmsv is None:
+            tmsv = squeezed[signed_r] = ch._tmsv_entries(c.r)
         # a stage at eta = 1 or without noise leaves every entry bit for bit
         # as it is (1 a + 0 = a, 1 k = k), so none is skipped
-        b, k = ch._tmsv_entries(c.r)
-        a_x, a_p, k_x, k_p = _through_mode_a(c, coeffs, b, b, k, 0.0 - k)
+        b, k = tmsv
+        a_x, a_p, k_x, k_p = _through_mode_a(c, *storage, b, b, k, 0.0 - k)
         amplitude, power, added = ch._loss_terms(c.eta_c)
         b, k_x, k_p = power * b + added, k_x * amplitude, k_p * amplitude
         # the zeros carry the 4x4 operations' signs: the storage channel's
         # -c1 makes the cross-blocks' zeros -0.0
-        covs.append(
-            (a_x, 0.0, k_x, -0.0, 0.0, a_p, -0.0, k_p, k_x, -0.0, b, 0.0, -0.0, k_p, 0.0, b)
-        )
-    cov = np.array(covs).reshape(-1, 4, 4)
+        entries += (a_x, 0.0, k_x, -0.0, 0.0, a_p, -0.0, k_p, k_x, -0.0, b, 0.0, -0.0, k_p, 0.0, b)
+    cov = np.fromiter(entries, float, len(entries)).reshape(-1, 4, 4)
     # valid configs: only an overflow can make an entry non-finite
     state = ga._finite(np.zeros(cov.shape[:-1]), cov)
     total, det_v = ga._ppt_minors(cov)
@@ -361,7 +369,8 @@ def _qubit_block(config):
     X-state: each entry is two products of pair terms, P's of A's composed
     channel and Q's of C's loss (README, "The Fock engine's closed form")."""
     coeffs = ch.channel_coefficients(config.x, config.y)
-    n_x, n_p, gain, _ = _through_mode_a(config, coeffs, 0.0, 0.0, 1.0, 1.0)
+    channel = ch._storage_channel(coeffs)
+    n_x, n_p, gain, _ = _through_mode_a(config, coeffs, channel, 0.0, 0.0, 1.0, 1.0)
     amplitude, _, added = ch._loss_terms(config.eta_c)
     c_a, p01, p23, p02, p03, p4 = _pair_terms(gain, n_x, n_p)
     c_c, q01, q23, q02, q03, q4 = _pair_terms(amplitude, added, added)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from micromacro import channel as ch
 from micromacro import gaussian as ga
 
 # Frozen closed-form references (30-digit evaluation, truncated to double).
@@ -268,6 +269,21 @@ def test_storage_retrieval_channel_rejects_bad_inputs():
         ga.storage_retrieval_channel(ga.vacuum_state(), broken, 0.0, 0.0)
 
 
+def test_storage_retrieval_channel_names_closure_and_occupation_failures():
+    coeffs = ga.channel_coefficients(0.01, 0.1)
+    # f1^2 raised by 1e-9 breaks the closure identity by about that much
+    broken = ga.ChannelCoefficients(
+        x=coeffs.x, y=coeffs.y, c1=coeffs.c1, c2_mag=coeffs.c2_mag,
+        f1=math.sqrt(coeffs.f1**2 + 1e-9), f2=coeffs.f2,
+    )
+    with pytest.raises(ValueError, match=r"^channel coefficients violate closure by ") as error:
+        ga.storage_retrieval_channel(ga.tmsv_state(0.5), broken, 1.0, 10.0)
+    assert float(str(error.value).rsplit(" ", 1)[1]) == pytest.approx(1e-9, rel=1e-3)
+    for n_initial, n_bath in ((-1.0, 0.0), (0.0, -1e-300)):
+        with pytest.raises(ValueError, match=r"^thermal occupations must be >= 0$"):
+            ga.storage_retrieval_channel(ga.tmsv_state(0.5), coeffs, n_initial, n_bath)
+
+
 def test_phase_noise_adds_momentum_variance_only():
     state = ga.tmsv_state(0.5)
     noisy = ga.phase_noise(state, 0.01, 5000.0, mode="A")
@@ -362,6 +378,59 @@ def test_ppt_witness_factorizes_and_signs_entanglement():
     witness, entangled = np.array(witness), np.array(entangled)
     assert witness.shape == (n,) and 50 < entangled.sum() < n - 50
     assert np.array_equal(witness > 0.0, entangled)
+
+
+def test_ppt_readout_nu_is_nu_pair_nu_minus_bit_for_bit():
+    # The readout computes nu_- alone.  nu_+'s radicand 0.5 (Sigma + root)
+    # is at least nu_-'s 0.5 (Sigma - root) and shares its clamp band, so
+    # nu_+ cannot fail where nu_- passes, and skipping it changes no outcome.
+    def readout(total, det_v):
+        try:
+            return ch._ppt_readout(total, det_v)[0].hex()
+        except ArithmeticError as error:
+            return str(error)
+
+    def pair(total, det_v):
+        try:
+            nu = ch._nu_pair(total, det_v)[0]
+        except ArithmeticError as error:
+            return str(error)
+        # the readout's E_N rejects a zero nu_-
+        return nu.hex() if nu > 0.0 else f"degenerate PPT symplectic eigenvalue {nu}"
+
+    rng = np.random.default_rng(21)
+    pairs = []
+    for nu_minus, ratio in zip(rng.uniform(0.05, 3.0, 500), rng.uniform(1.0, 50.0, 500)):
+        nu_plus = nu_minus * ratio
+        pairs.append((nu_minus**2 + nu_plus**2, (nu_minus * nu_plus) ** 2))
+    # the root's radicand Sigma^2 - 4 det V at the edge of its clamp band
+    edges = []
+    for total in rng.uniform(0.1, 10.0, 100):
+        square = total * total
+        det_v = (square + ch.RADICAND_CLAMP * max(square, 1.0)) / 4.0
+        for ulps in range(-4, 5):
+            edges.append((total, det_v + ulps * math.ulp(det_v)))
+    # nu_-'s radicand 0.5 (Sigma - root) at the edge of its band: Sigma
+    # itself where det V = 0, about det V / Sigma where det V < 0
+    for edge in (-ch.RADICAND_CLAMP, -1.5 * ch.RADICAND_CLAMP):
+        for ulps in range(-4, 5):
+            edges.append((edge + ulps * math.ulp(edge), 0.0))
+            edges.append((2.0, 2.0 * (edge + ulps * math.ulp(edge))))
+    nan, inf = math.nan, math.inf
+    special = [(nan, 0.25), (1.0, nan), (inf, 1.0), (1.0, 1.0), (0.5, 0.0625), (0.0, 0.0)]
+    for case in (pairs, edges, special):
+        assert [readout(*p) for p in case] == [pair(*p) for p in case]
+    assert [readout(*p) for p in special] == [
+        "radicand nan below clamp band",
+        "radicand nan below clamp band",
+        "radicand nan below clamp band",
+        "radicand -3.0 below clamp band",
+        (0.5).hex(),
+        "degenerate PPT symplectic eigenvalue 0.0",
+    ]
+    # both sides of each band edge are covered
+    below = sum(readout(*p).endswith("below clamp band") for p in edges)
+    assert 50 < below < len(edges) - 50
 
 
 def test_state_validation_rejects_asymmetric_covariance():

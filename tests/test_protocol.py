@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -846,6 +847,67 @@ def test_channel_coefficients_run_once_per_distinct_pair_in_a_call(monkeypatch):
     pr.find_threshold(pr.ProtocolConfig(), "eta1", (0.0, 1.0))
     assert len(pipeline_calls[0]) == 2
     assert len(calls) == len(pipeline_calls) > 2
+
+
+def test_storage_channel_and_squeezed_input_run_once_per_distinct_value_in_a_call(monkeypatch):
+    counts = {"_storage_channel": 0, "_tmsv_entries": 0}
+    for name in counts:
+        helper = getattr(ch, name)
+
+        def counted(*args, name=name, helper=helper):
+            counts[name] += 1
+            return helper(*args)
+
+        monkeypatch.setattr(ch, name, counted)
+    spec = sw.SweepSpec(
+        base=pr.ProtocolConfig(),
+        axis1=sw.AxisSpec("x", sw.linear_grid(0.0, 0.3, 16)),
+        axis2=sw.AxisSpec("y", sw.linear_grid(0.01, 0.99, 16)),
+        series=sw.AxisSpec("N_in", (0.0, 1.0, 10.0)),
+    )
+    sw.run_sweep(spec)
+    assert counts == {"_storage_channel": 256, "_tmsv_entries": 1}
+    # a threshold search runs each of them once per pipeline call, the two
+    # bracket ends included
+    pipeline_calls = []
+    run = pr.run_gaussian_protocol
+    monkeypatch.setattr(
+        pr, "run_gaussian_protocol", lambda configs: pipeline_calls.append(configs) or run(configs)
+    )
+    counts.update(dict.fromkeys(counts, 0))
+    pr.find_threshold(pr.ProtocolConfig(), "eta1", (0.0, 1.0))
+    assert len(pipeline_calls[0]) == 2
+    assert counts == dict.fromkeys(counts, len(pipeline_calls))
+
+
+def test_gaussian_batch_keeps_signed_zeros_of_shared_values():
+    # r = -0.0 gives the correlation k = -0.0 and eta = -0.0 the amplitude
+    # -0.0, while 0.0 == -0.0 as a dict key; x = -0.0 flips no output bit
+    configs = [
+        pr.ProtocolConfig(r=r, x=x, y=y, eta1=eta1, eta2=eta2, eta_c=eta_c)
+        for r, x, y, eta1, eta2, eta_c in itertools.product(
+            (0.0, -0.0), (0.0, -0.0), (0.1, 0.995), *[(0.0, -0.0, 1.0)] * 3
+        )
+    ]
+    batch = pr.run_gaussian_protocol(configs)
+    for i, config in enumerate(configs):
+        single = pr.run_gaussian_protocol(config)
+        for field in ("log_negativity", "nu_min", "witness"):
+            assert getattr(single, field).hex() == float(getattr(batch, field)[i]).hex(), config
+        assert single.output_state.cov.tobytes() == batch.output_state.cov[i].tobytes(), config
+    # the signs do reach the output: both signs of a zero correlation occur
+    signs = {math.copysign(1.0, k) for k in batch.output_state.cov[:, 0, 2].tolist()}
+    assert signs == {1.0, -1.0}
+
+
+@pytest.mark.parametrize("engine", pr.ENGINES)
+def test_pipelines_reject_coefficients_that_violate_closure(monkeypatch, engine):
+    build = ch.channel_coefficients
+    monkeypatch.setattr(
+        ch, "channel_coefficients", lambda x, y: dataclasses.replace(build(x, y), f1=1.0)
+    )
+    with pytest.raises(ValueError, match=r"^channel coefficients violate closure by "):
+        pr.entanglement_metric(pr.ProtocolConfig(engine=engine))
 
 
 def test_find_threshold_rejects_nan_tol_before_any_probe(monkeypatch):
