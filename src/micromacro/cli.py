@@ -165,15 +165,19 @@ def _cmd_threshold(ns):
 
 
 def _cmd_feasibility(ns):
+    if not (ns.preset or ns.config):
+        print("feasibility needs --preset or --config", file=sys.stderr)
+        return 2
+    fields = dataclasses.fields(pr.FeasibilityInput)
+    values = {}
+    for key, raw in _file_mapping(ns.config).items():
+        if key not in {field.name for field in fields}:
+            raise ValueError(f"unknown feasibility field {key!r}")
+        values[key] = pr._number(key, raw)
     if ns.preset:
-        params = pr.FEASIBILITY_PRESETS[ns.preset]
-    elif ns.config:
-        fields = dataclasses.fields(pr.FeasibilityInput)
-        values = {}
-        for key, raw in _file_mapping(ns.config).items():
-            if key not in {field.name for field in fields}:
-                raise ValueError(f"unknown feasibility field {key!r}")
-            values[key] = pr._number(key, raw)
+        # the file's fields overlay the preset's
+        params = dataclasses.replace(pr.FEASIBILITY_PRESETS[ns.preset], **values)
+    else:
         missing = [
             field.name for field in fields
             if field.default is dataclasses.MISSING and field.name not in values
@@ -181,9 +185,6 @@ def _cmd_feasibility(ns):
         if missing:
             raise ValueError(f"missing feasibility field {', '.join(map(repr, missing))}")
         params = pr.FeasibilityInput(**values)
-    else:
-        print("feasibility needs --preset or --config", file=sys.stderr)
-        return 2
     report = pr.feasibility(params)
     print(f"G_rad_per_s = {report.G:.12g}")
     print(f"G_over_2pi_Hz = {report.G / (2.0 * math.pi):.12g}")

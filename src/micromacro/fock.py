@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import channel as ch
 
 HERMITICITY_TOL = 1e-10
 
@@ -226,19 +227,19 @@ def linear_channel_apply(rho, coeffs, n_initial, n_bath):
     sqrt(C(m+k, k)) ((G-1)/G)^{k/2} G^{-(m+1)/2} (Caruso, Giovannetti & Holevo,
     NJP 8, 310 (2006); Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)).  The
     amplifier drops the weight it pushes past the cutoff, so 1 - trace of the
-    result is that truncation error.
+    result is that truncation error.  The closure check and the squares
+    c1^2, c2^2 and f2^2 are the Gaussian channel's (channel._storage_channel).
     """
-    if coeffs.closure_defect > 1e-10:
-        raise ValueError(f"channel coefficients violate closure by {coeffs.closure_defect}")
+    _, c1_sq, c2_sq, _, f2_sq = ch._storage_channel(coeffs)
     if n_initial < 0 or n_bath < 0:
         raise ValueError("thermal occupations must be >= 0")
-    gain = 1.0 + coeffs.c2_mag**2 * n_initial + coeffs.f2**2 * n_bath
+    gain = 1.0 + c2_sq * n_initial + f2_sq * n_bath
     ratio = (gain - 1.0) / gain
 
     def storage(t):
         n = np.arange(t.shape[-1])
         t = t * (-1.0) ** np.add.outer(n, n)  # the parity flip a -> -a
-        t = _loss(t, coeffs.c1**2 / gain)
+        t = _loss(t, c1_sq / gain)
         if gain > 1.0:
             d = t.shape[-1]
             t = _shift_kraus_sum(

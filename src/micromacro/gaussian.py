@@ -8,13 +8,16 @@ mean vector (X_A, P_A, X_C, P_C) and the symmetrized 4x4 covariance matrix in
 the same ordering.  Mode A is the bright/stored mode, mode C is the companion
 mode that never enters the mechanical channel.
 
-The operations act on one state with scalar parameters and reject a batch.
-They check their arguments, apply the helpers of each stage (``_tmsv_entries``,
+A ``GaussianTwoModeState`` holds exactly one state, and every operation
+builds its output through the class's checked constructor.  The operations
+take one state and scalar parameters, and reject an array parameter.  They
+check their arguments, apply the helpers of each stage (``_tmsv_entries``,
 ``_loss_terms``, ``_storage_channel`` and ``_storage_added``, ``_phase_variance``)
-to the 4x4 arrays and read out through ``_ppt_minors``.  The batched protocol
-pipeline applies the same helpers to the five nonzero covariance entries of
-each config and reads out its batch through ``_ppt_minors`` and the per-point
-``_ppt_readout``, which computes nu_- alone.
+to the 4x4 arrays and read out through ``_ppt_minors``.  The protocol
+pipeline (``protocol._gaussian_batch``) applies the same helpers to the five
+nonzero covariance entries of each config, stacks a call's covariances and
+reads them out through ``_ppt_minors`` and the per-point ``_ppt_readout``,
+which computes nu_- alone.
 Those helpers, ``channel_coefficients`` and the constants live in
 :mod:`micromacro.channel`, which needs no NumPy; ``channel_coefficients``,
 ``ChannelCoefficients`` and the constants are re-exported here.
@@ -62,29 +65,26 @@ def _mode_slices(mode):
 
 
 def _one(*arguments):
-    """Reject a batch state or an array parameter, which single-state
-    indexing such as mean[own] would slice along the batch."""
+    """Reject an array parameter, which an operation on one state would
+    broadcast or slice along its axis."""
     for value in arguments:
-        if isinstance(value, GaussianTwoModeState):
-            if value.mean.shape != (4,):
-                raise ValueError(f"expected one state, got mean shape {value.mean.shape}")
-        elif np.ndim(value):
+        if np.ndim(value):
             raise ValueError(f"expected a scalar parameter, got shape {np.shape(value)}")
 
 
 @dataclass(frozen=True)
 class GaussianTwoModeState:
-    """Mean vector and covariance matrix of a two-mode Gaussian state, or a batch.
+    """Mean vector and covariance matrix of one two-mode Gaussian state.
 
     Attributes
     ----------
-    mean : ndarray, shape (..., 4)
+    mean : ndarray, shape (4,)
         First moments (X_A, P_A, X_C, P_C).
-    cov : ndarray, shape (..., 4, 4)
+    cov : ndarray, shape (4, 4)
         Symmetrized covariance matrix, vacuum variance 1/2 on the diagonal.
 
-    The leading axes are the batch shape, () for a single state.  Only the
-    protocol pipeline returns a batch; the operations take one state.
+    Construction copies both arrays, makes them read-only and rejects any
+    other shape, a non-finite entry and an asymmetric covariance.
     """
 
     mean: np.ndarray
@@ -93,36 +93,18 @@ class GaussianTwoModeState:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.cov, dtype=float)
-        if mean.ndim < 1 or mean.shape[-1] != 4:
-            raise ValueError(f"mean must have shape (..., 4), got {mean.shape}")
-        if cov.shape != mean.shape[:-1] + (4, 4):
-            raise ValueError(f"cov must have shape {mean.shape[:-1] + (4, 4)}, got {cov.shape}")
+        if mean.shape != (4,):
+            raise ValueError(f"mean must have shape (4,), got shape {mean.shape}")
+        if cov.shape != (4, 4):
+            raise ValueError(f"cov must have shape (4, 4), got shape {cov.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("non-finite entry in mean or cov")
-        if cov.size and np.abs(cov - cov.swapaxes(-1, -2)).max() > SYMMETRY_TOL:
+        if np.abs(cov - cov.T).max() > SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-
-
-def _frozen(mean, cov):
-    """A state on arrays an operation built from a valid state: frozen in place,
-    not copied.  The operations keep the covariance symmetric entry by entry."""
-    mean.setflags(write=False)
-    cov.setflags(write=False)
-    state = object.__new__(GaussianTwoModeState)
-    object.__setattr__(state, "mean", mean)
-    object.__setattr__(state, "cov", cov)
-    return state
-
-
-def _finite(mean, cov):
-    """The state on `mean` and `cov`, after checking that an addition did not overflow."""
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise ValueError("non-finite entry in mean or cov")
-    return _frozen(mean, cov)
 
 
 def vacuum_state():
@@ -141,7 +123,7 @@ def tmsv_state(r):
     d, c = _tmsv_entries(r)
     m = 0.0 - c  # +0.0 at r = 0, as the pipeline's k_p
     cov = np.array([[d, 0.0, c, 0.0], [0.0, d, 0.0, m], [c, 0.0, d, 0.0], [0.0, m, 0.0, d]])
-    return _frozen(np.zeros(4), cov)  # finite for r < 20
+    return GaussianTwoModeState(np.zeros(4), cov)
 
 
 def displace(state, mode, alpha):
@@ -150,13 +132,13 @@ def displace(state, mode, alpha):
     Shifts the mean of the chosen mode by (sqrt(2) Re alpha, sqrt(2) Im alpha)
     and leaves the covariance matrix untouched.
     """
-    _one(state, alpha)
+    _one(alpha)
     alpha = complex(alpha)
     x = _mode_slices(mode)[0].start  # the mode's X quadrature, P follows it
     mean = state.mean.copy()
     mean[x] += math.sqrt(2.0) * alpha.real
     mean[x + 1] += math.sqrt(2.0) * alpha.imag
-    return _finite(mean, state.cov)
+    return GaussianTwoModeState(mean, state.cov)
 
 
 def _update_mode(mean, cov, mode, amplitude, power, added):
@@ -192,14 +174,13 @@ def loss_channel(state, mode, eta):
     eta*block + (1 - eta)*(1/2)*I and the cross-correlation block scales by
     sqrt(eta).  eta = 1 is the identity, eta = 0 replaces the mode by vacuum.
     """
-    _one(state, eta)
+    _one(eta)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmission eta={eta} outside [0, 1]")
     _mode_slices(mode)  # a bad mode fails even where eta = 1 leaves the state alone
     if eta == 1.0:
         return state
-    # a mix of a finite state and vacuum: finite
-    return _frozen(*_update_mode(state.mean, state.cov, mode, *_loss_terms(eta)))
+    return GaussianTwoModeState(*_update_mode(state.mean, state.cov, mode, *_loss_terms(eta)))
 
 
 def storage_retrieval_channel(state, coeffs, n_initial, n_bath, mode="A"):
@@ -218,12 +199,12 @@ def storage_retrieval_channel(state, coeffs, n_initial, n_bath, mode="A"):
     The treated mode's mean maps to -c1 * mean, cross-correlations with the
     untouched mode scale by -c1, and the untouched mode is unchanged.
     """
-    _one(state, coeffs, n_initial, n_bath)
+    _one(coeffs, n_initial, n_bath)
     if n_initial < 0 or n_bath < 0:
         raise ValueError("thermal occupations must be >= 0")
     channel = _storage_channel(coeffs)
     added = _storage_added(channel, n_initial, n_bath)
-    return _finite(*_update_mode(state.mean, state.cov, mode, *channel[:2], added))
+    return GaussianTwoModeState(*_update_mode(state.mean, state.cov, mode, *channel[:2], added))
 
 
 def phase_noise(state, sigma, amp_sq, mode="A"):
@@ -235,7 +216,7 @@ def phase_noise(state, sigma, amp_sq, mode="A"):
     amplitude; the non-enhanced O(sigma^2) corrections are dropped).  The mean
     and every other covariance entry are unchanged.
     """
-    _one(state, sigma, amp_sq)
+    _one(sigma, amp_sq)
     if not 0.0 <= sigma < math.inf:  # NaN fails too
         raise ValueError(f"phase jitter sigma={sigma} must be finite and >= 0")
     if not 0.0 <= amp_sq < math.inf:
@@ -246,11 +227,11 @@ def phase_noise(state, sigma, amp_sq, mode="A"):
         return state
     cov = state.cov.copy()
     cov[p, p] += added
-    return _finite(state.mean, cov)
+    return GaussianTwoModeState(state.mean, cov)
 
 
 def _minors(cov):
-    """det A, det B, det C and det V of one covariance, or of a batch."""
+    """det A, det B, det C and det V of one covariance, or of a stack of them."""
     blocks = np.linalg.det(cov[..., _BLOCK_ROWS, _BLOCK_COLUMNS])
     return blocks[..., 0], blocks[..., 1], blocks[..., 2], np.linalg.det(cov)
 
@@ -268,7 +249,6 @@ def symplectic_eigenvalues(state):
     nu_+- = sqrt((Delta +- sqrt(Delta^2 - 4 det V)) / 2).  A state is physical
     iff nu_- >= 1/2 (uncertainty principle) and pure iff both equal 1/2.
     """
-    _one(state)
     a, b, c, v = _minors(state.cov)
     return _nu_pair(a + b + 2.0 * c, v)
 
@@ -292,7 +272,6 @@ def ppt_minimum_eigenvalue(state):
     nu_min = sqrt((Sigma - sqrt(Sigma^2 - 4 det V)) / 2).  The two-mode state
     is entangled iff nu_min < 1/2.
     """
-    _one(state)
     return _nu_pair(*_ppt_minors(state.cov))[0]
 
 
@@ -307,7 +286,6 @@ def ppt_witness(state):
     before further loss (Serafini, Illuminati & De Siena, J. Phys. B 37, L21
     (2004)), as the phase noise is.
     """
-    _one(state)
     return float(_ppt_witness(*_ppt_minors(state.cov)))
 
 

@@ -19,7 +19,9 @@ one function (``_through_mode_a``).  The macroscopic
 displacement never touches the simulated state and enters only through the
 phase-noise variance picked up by the bright beam, proportional to
 N_D sigma^2.  ``entanglement_metric``, ``find_threshold`` and sweeps reach
-the engines through one dispatch, ``_evaluate``.
+the engines through one dispatch, ``_evaluate``: a call's gaussian configs
+run as one private batch (``_gaussian_batch``), fock configs one at a time.
+``run_gaussian_protocol`` and ``run_fock_protocol`` each take one config.
 
 Both engines compose the per-point terms of :mod:`micromacro.channel`, which
 needs no NumPy.  Each engine runner imports NumPy and its engine module when
@@ -243,12 +245,11 @@ def _through_mode_a(config, coeffs, channel, a_x, a_p, k_x, k_p):
 
 @dataclass(frozen=True)
 class GaussianProtocolResult:
-    """Outcome of one gaussian-engine pipeline run, or of a batch of runs.
+    """Outcome of one gaussian-engine pipeline run.
 
-    For a batch every field is an array with one entry per config, and
-    ``output_state`` is the batch of output states.  The output state is in
-    the displaced frame, so its mean is zero.  ``witness`` is the signed,
-    unclamped PPT witness of the output covariance (gaussian.ppt_witness).
+    The output state is in the displaced frame, so its mean is zero.
+    ``witness`` is the signed, unclamped PPT witness of the output covariance
+    (gaussian.ppt_witness).
     """
 
     log_negativity: float
@@ -271,24 +272,9 @@ class FockProtocolResult:
     witness: float
 
 
-def run_gaussian_protocol(config):
-    """Run the covariance-matrix pipeline and quantify output entanglement.
-
-    Order: squeezed input -> loss eta1 on A -> storage/retrieval channel ->
-    phase noise on A -> loss eta2 on A -> loss eta_c on C -> log-negativity.
-    The state is followed in the displaced frame: every stage is a Gaussian
-    channel, covariant under displacement (Weedbrook et al., RMP 84, 621
-    (2012)), so displacing A by sqrt(N_D) and back leaves the covariance as
-    it is and N_D enters only through the phase-noise variance.  The output
-    mean is zero.
-
-    Parameters
-    ----------
-    config : ProtocolConfig or sequence of ProtocolConfig
-        Each must have engine == "gaussian".  A sequence runs as one batch,
-        the only batched Gaussian path, and gives a result whose fields are
-        arrays, one entry per config; each entry is bit-identical to that
-        config run alone, which is the batch of size 1.
+def _gaussian_batch(configs):
+    """Each gaussian config's (nu_min, witness, log_negativity), as Python
+    floats, and the (n, 4, 4) array of their output covariances.
 
     Every stage on mode A acts on each quadrature separately and mode C only
     sees loss, so the covariance keeps the form [[a_x, 0, k_x, 0],
@@ -296,21 +282,17 @@ def run_gaussian_protocol(config):
     these five Python floats with the helpers of the public operations, by
     the same IEEE operations in the same order as their 4x4 arithmetic,
     whose other entries only ever multiply or add zeros; what configs share
-    runs once per distinct (x, y) or r in a call.  The batch's covariances
+    runs once per distinct (x, y) or r in a call.  The call's covariances
     are then read out by the same determinants, and each config's
     (Sigma, det V) pair, as Python floats, by the public operations'
-    per-point readout ``channel._ppt_readout``.  So every field is bit for
+    per-point readout ``channel._ppt_readout``.  So every value is bit for
     bit what the composed public operations give, signed zeros of the
-    covariance included.
+    covariance included, whatever else the call holds.
     """
     import numpy as np
 
     from . import gaussian as ga
 
-    single = isinstance(config, ProtocolConfig)
-    configs = [config] if single else list(config)
-    if not configs:
-        raise ValueError("no configs to evaluate")
     for c in configs:
         if c.engine != "gaussian":
             raise ValueError(f"gaussian pipeline called with engine={c.engine!r}")
@@ -339,18 +321,40 @@ def run_gaussian_protocol(config):
         entries += (a_x, 0.0, k_x, -0.0, 0.0, a_p, -0.0, k_p, k_x, -0.0, b, 0.0, -0.0, k_p, 0.0, b)
     cov = np.fromiter(entries, float, len(entries)).reshape(-1, 4, 4)
     # valid configs: only an overflow can make an entry non-finite
-    state = ga._finite(np.zeros(cov.shape[:-1]), cov)
+    if not np.isfinite(cov).all():
+        raise ValueError("non-finite entry in mean or cov")
     total, det_v = ga._ppt_minors(cov)
-    nu_min, witness, log_negativity = zip(
-        *map(ch._ppt_readout, total.tolist(), det_v.tolist())
-    )
-    if single:
-        return GaussianProtocolResult(
-            log_negativity[0], nu_min[0], ga._frozen(state.mean[0], cov[0]), witness[0]
+    return list(map(ch._ppt_readout, total.tolist(), det_v.tolist())), cov
+
+
+def run_gaussian_protocol(config):
+    """Run the covariance-matrix pipeline on one config and quantify output entanglement.
+
+    Order: squeezed input -> loss eta1 on A -> storage/retrieval channel ->
+    phase noise on A -> loss eta2 on A -> loss eta_c on C -> log-negativity.
+    The state is followed in the displaced frame: every stage is a Gaussian
+    channel, covariant under displacement (Weedbrook et al., RMP 84, 621
+    (2012)), so displacing A by sqrt(N_D) and back leaves the covariance as
+    it is and N_D enters only through the phase-noise variance.  The output
+    mean is zero.
+
+    `config` must be one ProtocolConfig with engine == "gaussian"; a list or
+    a tuple of configs raises TypeError.  The run is ``_gaussian_batch`` on
+    ``[config]``, so every field is bit for bit what the composed public
+    operations give and what a sweep or a search reads for the same config.
+    """
+    if not isinstance(config, ProtocolConfig):
+        raise TypeError(
+            f"run_gaussian_protocol takes one ProtocolConfig, got {type(config).__name__}; "
+            "a sequence of configs is no longer run as a batch"
         )
-    return GaussianProtocolResult(
-        np.array(log_negativity), np.array(nu_min), state, np.array(witness)
-    )
+    import numpy as np
+
+    from . import gaussian as ga
+
+    ((nu_min, witness, log_negativity),), cov = _gaussian_batch([config])
+    state = ga.GaussianTwoModeState(np.zeros(4), cov[0])
+    return GaussianProtocolResult(log_negativity, nu_min, state, witness)
 
 
 def _pair_terms(t, n_x, n_p):
@@ -411,12 +415,12 @@ def run_fock_protocol(config):
 
 
 def _evaluate(configs):
-    """Each config's (metric, witness), from the engine of the first config:
-    gaussian configs run as one batch, fock configs one at a time.  A config
-    of another engine is rejected by that engine's pipeline."""
+    """Each config's (metric, witness) as Python floats, from the engine of
+    the first config: gaussian configs run as one ``_gaussian_batch`` call,
+    fock configs one ``run_fock_protocol`` at a time.  A config of another
+    engine is rejected by that engine's pipeline."""
     if configs[0].engine == "gaussian":
-        batch = run_gaussian_protocol(configs)
-        return list(zip(batch.log_negativity.tolist(), batch.witness.tolist()))
+        return [(e_n, witness) for _, witness, e_n in _gaussian_batch(configs)[0]]
     return [(r.concurrence, r.witness) for r in map(run_fock_protocol, configs)]
 
 
@@ -449,8 +453,8 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     the phase-noise variance 2 |alpha_eff|^2 sigma^2.  So the steps of a sigma
     search are taken on u = sigma^2 (width, step floor and midpoint stay in
     sigma), and an N_D or sigma search converges after one secant step.  The
-    two bracket ends run as one gaussian batch, bit-identical to two single
-    runs.  Each probe's config is derived from `config` (ProtocolConfig's
+    two bracket ends run as one ``_evaluate`` call, bit-identical to two
+    single runs.  Each probe's config is derived from `config` (ProtocolConfig's
     ``_derived``) after its value passes the parameter's field check, so a
     bracket end outside the field's domain raises ProtocolConfig's
     ValueError.  Deterministic: no randomness, fixed iteration pattern.

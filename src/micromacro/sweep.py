@@ -114,9 +114,11 @@ def run_sweep(spec, workers=1):
 
     Each axis value passes its field's ProtocolConfig check once, and every
     point's config is derived from the base without checking again (see
-    ProtocolConfig).  All points are evaluated by one call on the calling
-    thread, as one batch for the gaussian engine and one at a time in sweep
-    order for the fock engine.  `workers` is accepted for compatibility and
+    ProtocolConfig).  All points are evaluated by one ``protocol._evaluate``
+    call on the calling thread: one private batch readout
+    (``protocol._gaussian_batch``) for the gaussian engine, bit for bit each
+    point's ``run_gaussian_protocol``, and one run at a time in sweep order
+    for the fock engine.  `workers` is accepted for compatibility and
     must be >= 1, but has no effect, so output cannot depend on it.
 
     Where a check or that call raises, the points are re-run one at a time,

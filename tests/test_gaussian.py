@@ -6,12 +6,14 @@ random parameter draws.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from micromacro import channel as ch
 from micromacro import gaussian as ga
+from micromacro import protocol as pr
 
 # Frozen closed-form references (30-digit evaluation, truncated to double).
 TMSV_DIAG_R05 = 0.771540317407622  # sinh(0.5)^2 + 1/2
@@ -85,21 +87,25 @@ def test_channels_reject_bad_mode(mode):
 
 
 ONE = ga.tmsv_state(0.5)
-BATCH = ga.GaussianTwoModeState(np.zeros((2, 4)), np.stack([ONE.cov, ONE.cov]))
 PAIR = np.array([0.25, 0.5])
 COEFFS = ga.channel_coefficients(0.01, 0.1)
+
+
+def batch():
+    """Two states stacked, which GaussianTwoModeState rejects."""
+    return ga.GaussianTwoModeState(np.zeros((2, 4)), np.stack([ONE.cov, ONE.cov]))
 
 
 @pytest.mark.parametrize(
     "call",
     [
         pytest.param(lambda: ga.tmsv_state(PAIR), id="tmsv_state-r"),
-        pytest.param(lambda: ga.displace(BATCH, "A", 1.0), id="displace-state"),
+        pytest.param(lambda: ga.displace(batch(), "A", 1.0), id="displace-state"),
         pytest.param(lambda: ga.displace(ONE, "A", PAIR), id="displace-alpha"),
-        pytest.param(lambda: ga.loss_channel(BATCH, "A", 0.5), id="loss_channel-state"),
+        pytest.param(lambda: ga.loss_channel(batch(), "A", 0.5), id="loss_channel-state"),
         pytest.param(lambda: ga.loss_channel(ONE, "A", PAIR), id="loss_channel-eta"),
         pytest.param(
-            lambda: ga.storage_retrieval_channel(BATCH, COEFFS, 1.0, 10.0),
+            lambda: ga.storage_retrieval_channel(batch(), COEFFS, 1.0, 10.0),
             id="storage_retrieval_channel-state",
         ),
         pytest.param(
@@ -114,23 +120,67 @@ COEFFS = ga.channel_coefficients(0.01, 0.1)
             lambda: ga.storage_retrieval_channel(ONE, COEFFS, 1.0, PAIR),
             id="storage_retrieval_channel-n_bath",
         ),
-        pytest.param(lambda: ga.phase_noise(BATCH, 0.01, 5000.0), id="phase_noise-state"),
+        pytest.param(lambda: ga.phase_noise(batch(), 0.01, 5000.0), id="phase_noise-state"),
         pytest.param(lambda: ga.phase_noise(ONE, PAIR, 5000.0), id="phase_noise-sigma"),
         pytest.param(lambda: ga.phase_noise(ONE, 0.01, PAIR), id="phase_noise-amp_sq"),
-        pytest.param(lambda: ga.symplectic_eigenvalues(BATCH), id="symplectic_eigenvalues"),
-        pytest.param(lambda: ga.physicality_check(BATCH), id="physicality_check-state"),
+        pytest.param(lambda: ga.symplectic_eigenvalues(batch()), id="symplectic_eigenvalues"),
+        pytest.param(lambda: ga.physicality_check(batch()), id="physicality_check-state"),
         pytest.param(lambda: ga.physicality_check(ONE, PAIR), id="physicality_check-tol"),
-        pytest.param(lambda: ga.ppt_minimum_eigenvalue(BATCH), id="ppt_minimum_eigenvalue"),
-        pytest.param(lambda: ga.ppt_witness(BATCH), id="ppt_witness"),
-        pytest.param(lambda: ga.log_negativity(BATCH), id="log_negativity"),
+        pytest.param(lambda: ga.ppt_minimum_eigenvalue(batch()), id="ppt_minimum_eigenvalue"),
+        pytest.param(lambda: ga.ppt_witness(batch()), id="ppt_witness"),
+        pytest.param(lambda: ga.log_negativity(batch()), id="log_negativity"),
         pytest.param(lambda: ga.negativity_from_nu(PAIR), id="negativity_from_nu"),
     ],
 )
 def test_operations_reject_batches(call):
-    # The operations act on one state: a batch would be sliced along its
-    # leading axis by single-state indexing, so it fails loudly, naming the shape.
-    with pytest.raises(ValueError, match=r"^expected .* shape \((2, 4|2,)\)$"):
+    # The operations act on one state and scalar parameters: an array
+    # parameter would be broadcast or sliced along its axis, and a batch of
+    # states cannot be built, so either fails loudly, naming the shape.
+    with pytest.raises(ValueError, match=r"^(expected|mean must have) .* shape \((2, 4|2,)\)$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "mean_shape, cov_shape, message",
+    [
+        ((2, 4), (2, 4, 4), "mean must have shape (4,), got shape (2, 4)"),
+        ((4,), (2, 4, 4), "cov must have shape (4, 4), got shape (2, 4, 4)"),
+    ],
+    ids=["batch-mean", "batch-cov"],
+)
+def test_state_holds_exactly_one_state(mean_shape, cov_shape, message):
+    # the shapes are checked first, so the entries do not matter
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ga.GaussianTwoModeState(np.zeros(mean_shape), np.zeros(cov_shape))
+
+
+def test_each_operation_builds_one_checked_state(monkeypatch):
+    # every operation's output, and the single pipeline run's, passes the
+    # class's checks exactly once; an identity stage returns its input
+    built = []
+    original = ga.GaussianTwoModeState.__post_init__
+
+    def counting(state):
+        built.append(np.shape(state.cov))
+        original(state)
+
+    monkeypatch.setattr(ga.GaussianTwoModeState, "__post_init__", counting)
+    calls = (
+        ga.vacuum_state,
+        lambda: ga.tmsv_state(0.5),
+        lambda: ga.displace(ONE, "A", 1.0 - 0.5j),
+        lambda: ga.loss_channel(ONE, "C", 0.5),
+        lambda: ga.storage_retrieval_channel(ONE, COEFFS, 1.0, 10.0),
+        lambda: ga.phase_noise(ONE, 0.01, 5000.0),
+        lambda: pr.run_gaussian_protocol(pr.ProtocolConfig()),
+    )
+    for call in calls:
+        built.clear()
+        call()
+        assert built == [(4, 4)]
+    built.clear()
+    assert ga.loss_channel(ONE, "A", 1.0) is ONE and ga.phase_noise(ONE, 0.0, 5000.0) is ONE
+    assert built == []
 
 
 def test_component_variance_macroscopicity():

@@ -164,9 +164,16 @@ def test_engine_dispatch_errors():
     with pytest.raises(ValueError):
         pr.run_fock_protocol(pr.ProtocolConfig())
     with pytest.raises(ValueError, match="engine='fock'"):
-        pr.run_gaussian_protocol([pr.ProtocolConfig(), pr.ProtocolConfig(engine="fock")])
-    with pytest.raises(ValueError, match="no configs"):
-        pr.run_gaussian_protocol([])
+        pr._evaluate([pr.ProtocolConfig(), pr.ProtocolConfig(engine="fock")])
+
+
+@pytest.mark.parametrize("configs", [list, tuple], ids=["list", "tuple"])
+def test_run_gaussian_protocol_takes_one_config(configs):
+    # many configs run through _evaluate; the public run takes exactly one
+    batch = configs([pr.ProtocolConfig(), pr.ProtocolConfig(y=0.5)])
+    message = rf"^run_gaussian_protocol takes one ProtocolConfig, got {configs.__name__};"
+    with pytest.raises(TypeError, match=message):
+        pr.run_gaussian_protocol(batch)
 
 
 def random_gaussian_configs(n, seed):
@@ -235,6 +242,22 @@ def test_derived_configs_equal_constructed_ones(monkeypatch):
             same(derived, dataclasses.replace(base, **{parameter: getattr(derived, parameter)}))
 
 
+def gaussian_batch(configs):
+    """E_N, nu_min, witness and output covariance of each config in one
+    gaussian call, as arrays with one entry per config: E_N and the witness
+    as _evaluate returns them, nu_min and the covariances from the private
+    batch readout that _evaluate reads them from."""
+    evaluated = pr._evaluate(configs)
+    readouts, cov = pr._gaussian_batch(configs)
+    assert {type(v) for pair in evaluated for v in pair} == {float}
+    assert [(e.hex(), w.hex()) for e, w in evaluated] == [
+        (e.hex(), w.hex()) for _, w, e in readouts
+    ]
+    log_negativity, witness = map(np.array, zip(*evaluated))
+    nu_min = np.array([nu for nu, _, _ in readouts])
+    return SimpleNamespace(log_negativity=log_negativity, nu_min=nu_min, witness=witness, cov=cov)
+
+
 def test_gaussian_batch_is_bit_identical_to_single_points():
     configs = random_gaussian_configs(1200, seed=20261018)
     for edge in (
@@ -243,16 +266,16 @@ def test_gaussian_batch_is_bit_identical_to_single_points():
         lambda c: c.phase_noise_convention == "paper_literal",
     ):
         assert sum(map(edge, configs)) >= 100
-    batch = pr.run_gaussian_protocol(configs)
+    batch = gaussian_batch(configs)
     assert batch.log_negativity.shape == batch.nu_min.shape == (len(configs),)
-    assert batch.output_state.cov.shape == (len(configs), 4, 4)
+    assert batch.cov.shape == (len(configs), 4, 4)
     for i, config in enumerate(configs):
         single = pr.run_gaussian_protocol(config)
         assert single.log_negativity == batch.log_negativity[i], config
         assert single.nu_min == batch.nu_min[i], config
-        assert single.output_state.cov.tobytes() == batch.output_state.cov[i].tobytes(), config
+        assert single.witness == batch.witness[i], config
+        assert single.output_state.cov.tobytes() == batch.cov[i].tobytes(), config
         assert np.all(single.output_state.mean == 0.0), config
-    assert np.all(batch.output_state.mean == 0.0)
     # both entangled and separable outputs are covered
     assert 100 < np.count_nonzero(batch.log_negativity) < len(configs) - 100
 
@@ -301,12 +324,12 @@ def scalar_reference(config):
 
 def test_gaussian_batch_is_bit_identical_to_scalar_reference():
     configs = random_gaussian_configs(3000, seed=7)
-    batch = pr.run_gaussian_protocol(configs)
+    batch = gaussian_batch(configs)
     for i, config in enumerate(configs):
         log_negativity, nu, cov = scalar_reference(config)
         assert batch.log_negativity[i] == log_negativity, config
         assert batch.nu_min[i] == nu, config
-        assert np.array_equal(batch.output_state.cov[i], cov), config
+        assert np.array_equal(batch.cov[i], cov), config
 
 
 def public_state(c):
@@ -323,17 +346,17 @@ def public_state(c):
 
 
 def public_pipeline(configs):
-    """(E_N, nu_min, witness, output state) of a list of configs from the
+    """(E_N, nu_min, witness, output states) of a list of configs from the
     public, argument-checking operations composed in the pipeline's order,
-    in the displaced frame, one config at a time, stacked into arrays and a
-    batch state."""
+    in the displaced frame, one config at a time, stacked into arrays; the
+    states' means and covariances are stacked as `.mean` and `.cov`."""
     rows = []
     for state in map(public_state, configs):
         nu_min = ga.ppt_minimum_eigenvalue(state)
         rows.append((ga.negativity_from_nu(nu_min), nu_min, ga.ppt_witness(state), state))
     log_negativity, nu_min, witness, states = zip(*rows)
-    state = ga.GaussianTwoModeState(
-        np.array([s.mean for s in states]), np.array([s.cov for s in states])
+    state = SimpleNamespace(
+        mean=np.array([s.mean for s in states]), cov=np.array([s.cov for s in states])
     )
     return np.array(log_negativity), np.array(nu_min), np.array(witness), state
 
@@ -343,13 +366,13 @@ def test_gaussian_pipeline_equals_composed_public_operations():
     # the public operations, composed one config at a time, must give the
     # same bits to a batch and to single runs, and so must the scalar reference.
     configs = random_gaussian_configs(1200, seed=20261019)
-    batch = pr.run_gaussian_protocol(configs)
+    batch = gaussian_batch(configs)
     log_negativity, nu_min, witness, state = public_pipeline(configs)
     assert np.array_equal(batch.log_negativity, log_negativity)
     assert np.array_equal(batch.nu_min, nu_min)
     assert np.array_equal(batch.witness, witness)
-    assert np.all(batch.output_state.mean == 0.0) and np.all(state.mean == 0.0)
-    assert np.array_equal(batch.output_state.cov, state.cov)
+    assert np.all(state.mean == 0.0)
+    assert np.array_equal(batch.cov, state.cov)
     for config in configs[:200]:
         single = pr.run_gaussian_protocol(config)
         log_negativity, nu_min, witness, state = public_pipeline([config])
@@ -367,11 +390,8 @@ def test_gaussian_pipeline_equals_composed_public_operations():
 
 def test_gaussian_result_witness_is_the_output_ppt_witness():
     configs = random_gaussian_configs(1200, seed=11)
-    batch = pr.run_gaussian_protocol(configs)
-    per_config = [
-        ga.ppt_witness(ga.GaussianTwoModeState(mean, cov))
-        for mean, cov in zip(batch.output_state.mean, batch.output_state.cov)
-    ]
+    batch = gaussian_batch(configs)
+    per_config = [ga.ppt_witness(ga.GaussianTwoModeState(np.zeros(4), cov)) for cov in batch.cov]
     assert np.array_equal(batch.witness, per_config)
     # the sign is the verdict wherever the witness is above round-off (product
     # states and the like give witnesses of a few ulps either side of 0)
@@ -393,6 +413,8 @@ def test_gaussian_pipeline_errors_are_unchanged():
             pr.run_gaussian_protocol(pr.ProtocolConfig(sigma=1e200))
         with pytest.raises(ValueError, match="non-finite entry in mean or cov"):
             ga.phase_noise(ga.tmsv_state(0.5), 1e200, 5000.0)
+        with pytest.raises(ValueError, match="non-finite entry in mean or cov"):
+            ga.displace(ga.displace(ga.vacuum_state(), "A", 1e308), "A", 1e308)
         spec = sw.SweepSpec(base=pr.ProtocolConfig(), axis1=sw.AxisSpec("sigma", (0.01, 1e200)))
         with pytest.raises(RuntimeError, match=r"\(sigma=1e\+200\) failed: non-finite"):
             sw.run_sweep(spec)
@@ -400,16 +422,16 @@ def test_gaussian_pipeline_errors_are_unchanged():
 
 def test_gaussian_readout_rejects_overflowed_determinants():
     # At N_th = 1e200 and 1e300 the determinants overflow and the PPT
-    # radicand is NaN.  The batch, single runs, entanglement_metric and the
-    # public operations share one readout, and all of them raise there
-    # instead of reading E_N = 0.0 off a NaN nu_min.
+    # radicand is NaN.  The batch (_evaluate), single runs,
+    # entanglement_metric and the public operations share one readout, and
+    # all of them raise there instead of reading E_N = 0.0 off a NaN nu_min.
     configs = [
         pr.ProtocolConfig(N_th=n_th, eta_c=eta_c) for n_th in (1e200, 1e300) for eta_c in (0.8, 1.0)
     ]
     message = "^radicand nan below clamp band$"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ArithmeticError, match=message):
-            pr.run_gaussian_protocol(configs)
+            pr._evaluate(configs)
         for config in configs:
             with pytest.raises(ArithmeticError, match=message):
                 pr.run_gaussian_protocol(config)
@@ -490,19 +512,20 @@ def test_gaussian_output_covariance_has_five_nonzero_entries():
     pattern = np.array(
         [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=bool
     )
-    state = pr.run_gaussian_protocol(configs).output_state
-    assert np.all(state.cov[:, ~pattern] == 0.0)
-    assert np.array_equal(state.cov[:, 2, 2], state.cov[:, 3, 3])
-    assert np.array_equal(state.cov, state.cov.swapaxes(-1, -2))
-    assert np.all(state.mean == 0.0)
+    cov = pr._gaussian_batch(configs)[1]
+    assert np.all(cov[:, ~pattern] == 0.0)
+    assert np.array_equal(cov[:, 2, 2], cov[:, 3, 3])
+    assert np.array_equal(cov, cov.swapaxes(-1, -2))
+    for config in configs[:100]:
+        assert np.all(pr.run_gaussian_protocol(config).output_state.mean == 0.0), config
     # the pattern is not empty: correlations and unequal A variances occur
-    assert np.count_nonzero(state.cov[:, 0, 2]) > 100
-    assert np.count_nonzero(state.cov[:, 0, 0] != state.cov[:, 1, 1]) > 100
+    assert np.count_nonzero(cov[:, 0, 2]) > 100
+    assert np.count_nonzero(cov[:, 0, 0] != cov[:, 1, 1]) > 100
     # == cannot tell -0.0 from 0.0; the covariance's bytes, signed zeros
     # included, are those of the composed public operations.  Their mean is
     # zero too, with a -0.0 where the storage channel's -c1 scales it.
     public = public_pipeline(configs)[3]
-    assert state.cov.tobytes() == public.cov.tobytes()
+    assert cov.tobytes() == public.cov.tobytes()
     assert np.all(public.mean == 0.0)
 
 
@@ -636,23 +659,25 @@ def _check_threshold_contract(critical, config, parameter, bracket, tol):
     assert below != above, (parameter, critical, config)
 
 
-def _count_runs(monkeypatch, name):
+def _count_runs(monkeypatch):
+    """The list of configs that reach the engines, one entry per probe,
+    counted where every sweep, search and entanglement_metric meets them:
+    protocol._evaluate."""
     calls = []
-    run = getattr(pr, name)
+    evaluate = pr._evaluate
 
-    def counted(config, *args, **kwargs):
-        # one entry per probe: a batch adds each of its configs
-        calls.extend([config] if isinstance(config, pr.ProtocolConfig) else config)
-        return run(config, *args, **kwargs)
+    def counted(configs):
+        calls.extend(configs)
+        return evaluate(configs)
 
-    monkeypatch.setattr(pr, name, counted)
+    monkeypatch.setattr(pr, "_evaluate", counted)
     return calls
 
 
 @pytest.mark.parametrize("convention", pr.PHASE_NOISE_CONVENTIONS)
 def test_find_threshold_lies_within_half_tol_of_bisected_crossing(convention, monkeypatch):
     rng = np.random.default_rng(20261018)
-    calls = _count_runs(monkeypatch, "run_gaussian_protocol")
+    calls = _count_runs(monkeypatch)
     evaluations = bisection_evaluations = 0
     for parameter, (bracket, tol) in THRESHOLD_SEARCHES.items():
         found = 0
@@ -670,6 +695,8 @@ def test_find_threshold_lies_within_half_tol_of_bisected_crossing(convention, mo
             found += 1
             del calls[:]
             critical = pr.find_threshold(config, parameter, bracket, tol)
+            # both bracket ends and at least one probe between them
+            assert len(calls) >= 3, (parameter, len(calls))
             evaluations += len(calls)
             _check_threshold_contract(critical, config, parameter, bracket, tol)
             bisection_evaluations += 2 + math.ceil(math.log2((bracket[1] - bracket[0]) / tol))
@@ -680,7 +707,7 @@ def test_find_threshold_lies_within_half_tol_of_bisected_crossing(convention, mo
 @pytest.mark.parametrize("seed", [6, 8])
 def test_fock_find_threshold_lies_within_half_tol_of_bisected_crossing(seed, monkeypatch):
     rng = np.random.default_rng(seed)
-    calls = _count_runs(monkeypatch, "run_fock_protocol")
+    calls = _count_runs(monkeypatch)
     evaluations = []
     for _ in range(2):
         config = pr.ProtocolConfig(
@@ -694,25 +721,25 @@ def test_fock_find_threshold_lies_within_half_tol_of_bisected_crossing(seed, mon
             evaluations.append(len(calls))
             _check_threshold_contract(critical, config, parameter, bracket, tol)
     # 9 to 10 with the X-state witness setting the steps; bisection takes 19 and 18
-    assert max(evaluations) <= 12, evaluations
+    assert min(evaluations) >= 3 and max(evaluations) <= 12, evaluations
 
 
 def test_find_threshold_fig3_displacement_search_takes_few_evaluations(monkeypatch):
     # The gaussian witness is linear in N_D, so the secant step from the two
     # bracket ends lands on the crossing and one step of tol/2 closes the
     # bracket.  Bisection took 26 evaluations here.
-    calls = _count_runs(monkeypatch, "run_gaussian_protocol")
+    calls = _count_runs(monkeypatch)
     critical = pr.find_threshold(pr.ProtocolConfig(sigma=0.005), "N_D", (1.0, 1e7), tol=1.0)
-    assert len(calls) <= 5, [c.N_D for c in calls]
+    assert 3 <= len(calls) <= 5, [c.N_D for c in calls]
     assert abs(critical - 48636.945) < 0.5
 
 
 def test_find_threshold_fig3_displacement_search_takes_three_pipeline_calls(monkeypatch):
     # The two bracket ends run as one batch, then the secant step and the
-    # step of tol/2 run alone: 4 probes in 3 calls.
-    probes = _count_runs(monkeypatch, "run_gaussian_protocol")
-    batches, run = [], pr.run_gaussian_protocol
-    monkeypatch.setattr(pr, "run_gaussian_protocol", lambda c: batches.append(c) or run(c))
+    # step of tol/2 run alone: 4 probes in 3 calls of _evaluate.
+    probes = _count_runs(monkeypatch)
+    batches, evaluate = [], pr._evaluate
+    monkeypatch.setattr(pr, "_evaluate", lambda c: batches.append(c) or evaluate(c))
     pr.find_threshold(pr.ProtocolConfig(sigma=0.005), "N_D", (1.0, 1e7), tol=1.0)
     assert (len(probes), len(batches)) == (4, 3), [c.N_D for c in probes]
 
@@ -727,7 +754,7 @@ def test_find_threshold_matches_closed_form_phase_noise_root(convention, monkeyp
         a, b, c, v = (np.linalg.det(m) for m in (cov[:2, :2], cov[2:, 2:], cov[:2, 2:], cov))
         return v - (a + b - 2.0 * c) / 4.0 + 1.0 / 16.0
 
-    calls = _count_runs(monkeypatch, "run_gaussian_protocol")
+    calls = _count_runs(monkeypatch)
     for n_d in (2000.0, 5000.0, 20000.0):
         config = pr.ProtocolConfig(N_D=n_d, phase_noise_convention=convention)
         f0 = margin(dataclasses.replace(config, sigma=0.0))
@@ -738,7 +765,7 @@ def test_find_threshold_matches_closed_form_phase_noise_root(convention, monkeyp
         del calls[:]
         critical = pr.find_threshold(config, "sigma", (0.0, 0.1), tol=1e-6)
         assert abs(critical - root) <= 0.5e-6, f"N_D={n_d}: {critical} vs {root}"
-        assert len(calls) <= 4, [c.sigma for c in calls]
+        assert 3 <= len(calls) <= 4, [c.sigma for c in calls]
 
 
 def test_find_threshold_batched_ends_match_single_runs(monkeypatch):
@@ -752,26 +779,24 @@ def test_find_threshold_batched_ends_match_single_runs(monkeypatch):
             sigma=rng.uniform(0.0, 0.01), eta1=rng.uniform(0.7, 1.0),
         )
         ends = [dataclasses.replace(config, **{parameter: end}) for end in bracket]
-        batch = pr.run_gaussian_protocol(ends)
+        batch = pr._evaluate(ends)
         for i, end in enumerate(ends):
             single = pr.run_gaussian_protocol(end)
-            assert batch.log_negativity[i] == single.log_negativity, (parameter, i)
-            assert batch.witness[i] == single.witness, (parameter, i)
+            assert batch[i][0] == single.log_negativity, (parameter, i)
+            assert batch[i][1] == single.witness, (parameter, i)
         searches.append((config, parameter, bracket, tol))
     batched = [pr.find_threshold(*search) for search in searches]
-    run = pr.run_gaussian_protocol
+    singles = []
 
     def one_at_a_time(configs):
-        if isinstance(configs, pr.ProtocolConfig):
-            return run(configs)
-        runs = [run(c) for c in configs]
-        return SimpleNamespace(
-            log_negativity=np.array([r.log_negativity for r in runs]),
-            witness=np.array([r.witness for r in runs]),
-        )
+        singles.extend(configs)
+        runs = [pr.run_gaussian_protocol(c) for c in configs]
+        return [(r.log_negativity, r.witness) for r in runs]
 
-    monkeypatch.setattr(pr, "run_gaussian_protocol", one_at_a_time)
+    monkeypatch.setattr(pr, "_evaluate", one_at_a_time)
     assert [pr.find_threshold(*search) for search in searches] == batched
+    # every probe of the second round ran alone
+    assert len(singles) >= 3 * len(searches)
 
 
 # (config, parameter, bracket) of searches whose crossing is far from 0
@@ -791,10 +816,9 @@ def test_find_threshold_ends_for_tol_below_float_spacing(search, tol):
     config, parameter, bracket = FINE_SEARCHES[search]
     code = (
         "from micromacro import protocol as pr\n"
-        "probes, run = [], pr.run_gaussian_protocol\n"
-        "batch = lambda cs: [cs] if isinstance(cs, pr.ProtocolConfig) else cs\n"
-        f"count = lambda cs: probes.extend(c.{parameter} for c in batch(cs))\n"
-        "pr.run_gaussian_protocol = lambda cs: count(cs) or run(cs)\n"
+        "probes, evaluate = [], pr._evaluate\n"
+        f"count = lambda cs: probes.extend(c.{parameter} for c in cs)\n"
+        "pr._evaluate = lambda cs: count(cs) or evaluate(cs)\n"
         f"config = pr.config_from_mapping({pr.config_to_mapping(config)!r})\n"
         f"print(repr([pr.find_threshold(config, {parameter!r}, {bracket!r}, {tol!r}), probes]))\n"
     )
@@ -840,9 +864,9 @@ def test_channel_coefficients_run_once_per_distinct_pair_in_a_call(monkeypatch):
     # each later single probe, so every pipeline call computes it once
     del calls[:]
     pipeline_calls = []
-    run = pr.run_gaussian_protocol
+    evaluate = pr._evaluate
     monkeypatch.setattr(
-        pr, "run_gaussian_protocol", lambda configs: pipeline_calls.append(configs) or run(configs)
+        pr, "_evaluate", lambda configs: pipeline_calls.append(configs) or evaluate(configs)
     )
     pr.find_threshold(pr.ProtocolConfig(), "eta1", (0.0, 1.0))
     assert len(pipeline_calls[0]) == 2
@@ -870,9 +894,9 @@ def test_storage_channel_and_squeezed_input_run_once_per_distinct_value_in_a_cal
     # a threshold search runs each of them once per pipeline call, the two
     # bracket ends included
     pipeline_calls = []
-    run = pr.run_gaussian_protocol
+    evaluate = pr._evaluate
     monkeypatch.setattr(
-        pr, "run_gaussian_protocol", lambda configs: pipeline_calls.append(configs) or run(configs)
+        pr, "_evaluate", lambda configs: pipeline_calls.append(configs) or evaluate(configs)
     )
     counts.update(dict.fromkeys(counts, 0))
     pr.find_threshold(pr.ProtocolConfig(), "eta1", (0.0, 1.0))
@@ -889,14 +913,14 @@ def test_gaussian_batch_keeps_signed_zeros_of_shared_values():
             (0.0, -0.0), (0.0, -0.0), (0.1, 0.995), *[(0.0, -0.0, 1.0)] * 3
         )
     ]
-    batch = pr.run_gaussian_protocol(configs)
+    batch = gaussian_batch(configs)
     for i, config in enumerate(configs):
         single = pr.run_gaussian_protocol(config)
         for field in ("log_negativity", "nu_min", "witness"):
             assert getattr(single, field).hex() == float(getattr(batch, field)[i]).hex(), config
-        assert single.output_state.cov.tobytes() == batch.output_state.cov[i].tobytes(), config
+        assert single.output_state.cov.tobytes() == batch.cov[i].tobytes(), config
     # the signs do reach the output: both signs of a zero correlation occur
-    signs = {math.copysign(1.0, k) for k in batch.output_state.cov[:, 0, 2].tolist()}
+    signs = {math.copysign(1.0, k) for k in batch.cov[:, 0, 2].tolist()}
     assert signs == {1.0, -1.0}
 
 
@@ -911,12 +935,16 @@ def test_pipelines_reject_coefficients_that_violate_closure(monkeypatch, engine)
 
 
 def test_find_threshold_rejects_nan_tol_before_any_probe(monkeypatch):
+    runs = _count_runs(monkeypatch)
     for engine in pr.ENGINES:
-        runs = _count_runs(monkeypatch, f"run_{engine}_protocol")
         config = pr.ProtocolConfig(engine=engine)
         with pytest.raises(ValueError, match=r"^tol=nan must be a number$"):
             pr.find_threshold(config, "eta1", (0.0, 1.0), tol=float("nan"))
         assert runs == [], engine
+        # the counter sees this engine's runs
+        pr.entanglement_metric(config)
+        assert runs == [config], engine
+        del runs[:]
     # negative and infinite tol keep their meaning: the float-spacing floor
     # and the bracket midpoint
     config = pr.ProtocolConfig()
@@ -1066,8 +1094,11 @@ def test_feasibility_input_validation():
 
 
 def test_find_threshold_rejects_a_parameter_that_is_not_a_float_field(monkeypatch):
-    calls = _count_runs(monkeypatch, "run_gaussian_protocol")
+    calls = _count_runs(monkeypatch)
     for parameter in ("foo", "fock_dims", "engine"):
         with pytest.raises(ValueError, match=f"parameter '{parameter}' is not a float config"):
             pr.find_threshold(pr.ProtocolConfig(), parameter, (0.0, 1.0))
     assert calls == []
+    # the counter sees a search's probes
+    pr.find_threshold(pr.ProtocolConfig(), "eta1", (0.0, 1.0))
+    assert len(calls) >= 3

@@ -516,6 +516,30 @@ def test_cli_feasibility_config_file(tmp_path, capsys):
     assert "N_th = " in out and "decoherence_time_s = " in out
 
 
+def test_cli_feasibility_config_file_overlays_the_preset(tmp_path, capsys):
+    # the file's fields replace the preset's, the others stay the preset's
+    assert cli.main(["feasibility", "--preset", "nanobeam"]) == 0
+    preset = capsys.readouterr().out
+    assert "\nN_th = 10.7704352251\n" in preset
+    conf = tmp_path / "warm.conf"
+    conf.write_text("T = 50\n", encoding="utf-8")
+    assert cli.main(["feasibility", "--preset", "nanobeam", "--config", str(conf)]) == 0
+    out, err = capsys.readouterr()
+    warm = dataclasses.replace(pr.FEASIBILITY_PRESETS["nanobeam"], T=50.0)
+    assert f"\nN_th = {pr.feasibility(warm).N_th:.12g}\n" in out and err == ""
+    assert "\nN_th = 10.7704352251\n" not in out
+    # G, x and the flags other than `detectable` follow from the untouched fields
+    changed = {a.split(" = ")[0] for a, b in zip(preset.splitlines(), out.splitlines()) if a != b}
+    assert changed == {"N_th", "decoherence_time_s", "detectable"}, changed
+
+
+def test_cli_feasibility_config_file_cannot_add_q_to_a_gamma_preset(tmp_path, capsys):
+    conf = tmp_path / "q.conf"
+    conf.write_text("Q = 1e6\n", encoding="utf-8")
+    assert cli.main(["feasibility", "--preset", "nanobeam", "--config", str(conf)]) == 1
+    assert capsys.readouterr() == ("", "error: provide exactly one of gamma or Q\n")
+
+
 @pytest.mark.parametrize("name", ["omega_m", "T", "gamma"])
 def test_cli_feasibility_rejects_infinite_values(tmp_path, capsys, name):
     fields = dict(omega_m="2.3e10", kappa="3.1e9", g="2.5e8", gamma="2.2e5", tau="1e-7", T="2.0")
