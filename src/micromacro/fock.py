@@ -46,7 +46,7 @@ class FockDensityMatrix:
         dims = tuple(int(d) for d in self.dims)
         if any(d < 2 for d in dims):
             raise ValueError(f"every mode needs >= 2 levels, got {dims}")
-        n = int(np.prod(dims))
+        n = math.prod(dims)
         data = np.array(self.data, dtype=complex)
         if data.shape != (n, n):
             raise ValueError(f"data shape {data.shape} does not match dims {dims}")

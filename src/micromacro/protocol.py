@@ -19,9 +19,12 @@ one function (``_through_mode_a``).  The macroscopic
 displacement never touches the simulated state and enters only through the
 phase-noise variance picked up by the bright beam, proportional to
 N_D sigma^2.  ``entanglement_metric``, ``find_threshold`` and sweeps reach
-the engines through one dispatch, ``_evaluate``: a call's gaussian configs
-run as one private batch (``_gaussian_batch``), fock configs one at a time.
-``run_gaussian_protocol`` and ``run_fock_protocol`` each take one config.
+the engines through one dispatch, ``_evaluate``, which takes a base config
+and its points: each point is the tuple of its ten float fields in
+``_FLOAT_FIELDS`` order, and the engine and phase-noise convention are the
+base's.  A call's gaussian points run as one private batch
+(``_gaussian_batch``), fock points one at a time.  ``run_gaussian_protocol``
+and ``run_fock_protocol`` each take one config.
 
 Both engines compose the per-point terms of :mod:`micromacro.channel`, which
 needs no NumPy.  Each engine runner imports NumPy and its engine module when
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -87,11 +91,12 @@ class ProtocolConfig:
 
     Construction, and so ``dataclasses.replace``, checks every field against
     the one per-field table ``_CHECKS`` and raises ValueError naming the
-    first field that fails.  Sweeps and threshold searches build their many
-    configs from one valid config instead: each new value passes its field's
-    check once (``_checked``), and ``_derived`` copies the valid config with
-    the checked values, running no check.  A derived config equals the
-    constructed one field for field, under ``==`` and ``hash`` too.
+    first field that fails.  A config is the validated type at the API
+    boundary; inside the pipeline a point is the tuple of its ten float
+    fields (``_point``).  Sweeps and threshold searches build no config per
+    point: each new value passes its field's check once (``_checked``) and
+    is written into the valid base config's tuple, which so equals the tuple
+    of the constructor's config for the same fields.
     """
 
     r: float = 0.5
@@ -154,19 +159,6 @@ def _checked(name, value):
     return value
 
 
-def _derived(config, changes):
-    """`config` with the fields in `changes` replaced, without running a check.
-
-    The unchecked counterpart of dataclasses.replace: `config` must be valid
-    and every changed value must have passed `_checked`, so the result equals
-    the constructor's config for the same fields.
-    """
-    derived = object.__new__(ProtocolConfig)
-    derived.__dict__.update(config.__dict__)
-    derived.__dict__.update(changes)
-    return derived
-
-
 def _integer(name, value):
     """`value` as an int; ValueError if it is not integral."""
     if not float(value).is_integer():
@@ -187,6 +179,8 @@ _FLOAT_FIELDS = (
 )
 _STR_FIELDS = ("engine", "phase_noise_convention")
 CONFIG_FIELDS = _FLOAT_FIELDS + _STR_FIELDS
+# a config's point: the tuple of its float fields, in _FLOAT_FIELDS order
+_point = operator.attrgetter(*_FLOAT_FIELDS)
 
 
 def config_to_mapping(config):
@@ -220,26 +214,35 @@ def phase_noise_amplitude_sq(config, coeffs):
     acts (after the input loss eta1 and the channel): eta1 c1^2 N_D.  The two
     agree as eta1 -> 1 and x -> 0.
     """
-    if config.phase_noise_convention == "paper_literal":
-        return config.N_D * (1.0 - config.y**2) ** 2
-    return config.eta1 * coeffs.c1**2 * config.N_D
+    _, N_D, y, _, _, _, _, eta1, _, _ = _point(config)
+    return _amplitude_sq(config.phase_noise_convention, N_D, y, eta1, coeffs)
 
 
-def _through_mode_a(config, coeffs, channel, a_x, a_p, k_x, k_p):
+def _amplitude_sq(convention, N_D, y, eta1, coeffs):
+    """phase_noise_amplitude_sq of one point's values."""
+    if convention == "paper_literal":
+        return N_D * (1.0 - y**2) ** 2
+    return eta1 * coeffs.c1**2 * N_D
+
+
+def _through_mode_a(point, convention, coeffs, channel, a_x, a_p, k_x, k_p):
     """(a_x, a_p, k_x, k_p) after mode A's stages: loss eta1, the storage
     channel with the phase noise that follows it, and loss eta2.  Each stage
     maps X -> amplitude X, so a variance v -> power v + added, plus the phase
-    noise's jitter on P's, and a correlation k -> k amplitude.  `channel` is
-    the storage channel's per-channel terms, ``channel._storage_channel(coeffs)``."""
-    amplitude, power, added = ch._loss_terms(config.eta1)
+    noise's jitter on P's, and a correlation k -> k amplitude.  `point` is
+    the point's float tuple (``_point``), `coeffs` its storage channel's
+    coefficients and `channel` their per-channel terms,
+    ``channel._storage_channel(coeffs)``."""
+    _, N_D, y, _, N_in, N_th, sigma, eta1, eta2, _ = point
+    amplitude, power, added = ch._loss_terms(eta1)
     a_x, a_p = power * a_x + added, power * a_p + added
     k_x, k_p = k_x * amplitude, k_p * amplitude
     amplitude, power = channel[:2]
-    added = ch._storage_added(channel, config.N_in, config.N_th)
-    jitter = ch._phase_variance(config.sigma, phase_noise_amplitude_sq(config, coeffs))
+    added = ch._storage_added(channel, N_in, N_th)
+    jitter = ch._phase_variance(sigma, _amplitude_sq(convention, N_D, y, eta1, coeffs))
     a_x, a_p = power * a_x + added, power * a_p + added + jitter
     k_x, k_p = k_x * amplitude, k_p * amplitude
-    amplitude, power, added = ch._loss_terms(config.eta2)
+    amplitude, power, added = ch._loss_terms(eta2)
     return power * a_x + added, power * a_p + added, k_x * amplitude, k_p * amplitude
 
 
@@ -272,18 +275,20 @@ class FockProtocolResult:
     witness: float
 
 
-def _gaussian_batch(configs):
-    """Each gaussian config's (nu_min, witness, log_negativity), as Python
-    floats, and the (n, 4, 4) array of their output covariances.
+def _gaussian_batch(points, convention):
+    """Each gaussian point's (nu_min, witness, log_negativity), as Python
+    floats, and the (n, 4, 4) array of their output covariances.  `points`
+    are float tuples (``_point``) of valid configs that share the phase-noise
+    `convention`.
 
     Every stage on mode A acts on each quadrature separately and mode C only
     sees loss, so the covariance keeps the form [[a_x, 0, k_x, 0],
-    [0, a_p, 0, k_p], [k_x, 0, b, 0], [0, k_p, 0, b]].  Each config propagates
+    [0, a_p, 0, k_p], [k_x, 0, b, 0], [0, k_p, 0, b]].  Each point propagates
     these five Python floats with the helpers of the public operations, by
     the same IEEE operations in the same order as their 4x4 arithmetic,
-    whose other entries only ever multiply or add zeros; what configs share
+    whose other entries only ever multiply or add zeros; what points share
     runs once per distinct (x, y) or r in a call.  The call's covariances
-    are then read out by the same determinants, and each config's
+    are then read out by the same determinants, and each point's
     (Sigma, det V) pair, as Python floats, by the public operations'
     per-point readout ``channel._ppt_readout``.  So every value is bit for
     bit what the composed public operations give, signed zeros of the
@@ -293,34 +298,31 @@ def _gaussian_batch(configs):
 
     from . import gaussian as ga
 
-    for c in configs:
-        if c.engine != "gaussian":
-            raise ValueError(f"gaussian pipeline called with engine={c.engine!r}")
-
     # the storage channel's per-channel terms (and closure check) once per
     # (x, y), the squeezed entries once per r and sign: -0.0 == 0.0 as a key,
     # but r = -0.0 gives k = -0.0
     channels, squeezed, entries = {}, {}, []
-    for c in configs:
-        storage = channels.get((c.x, c.y))
+    for point in points:
+        r, _, y, x, _, _, _, _, _, eta_c = point
+        storage = channels.get((x, y))
         if storage is None:
-            coeffs = ch.channel_coefficients(c.x, c.y)
-            storage = channels[c.x, c.y] = coeffs, ch._storage_channel(coeffs)
-        signed_r = c.r, math.copysign(1.0, c.r)
+            coeffs = ch.channel_coefficients(x, y)
+            storage = channels[x, y] = coeffs, ch._storage_channel(coeffs)
+        signed_r = r, math.copysign(1.0, r)
         tmsv = squeezed.get(signed_r)
         if tmsv is None:
-            tmsv = squeezed[signed_r] = ch._tmsv_entries(c.r)
+            tmsv = squeezed[signed_r] = ch._tmsv_entries(r)
         # a stage at eta = 1 or without noise leaves every entry bit for bit
         # as it is (1 a + 0 = a, 1 k = k), so none is skipped
         b, k = tmsv
-        a_x, a_p, k_x, k_p = _through_mode_a(c, *storage, b, b, k, 0.0 - k)
-        amplitude, power, added = ch._loss_terms(c.eta_c)
+        a_x, a_p, k_x, k_p = _through_mode_a(point, convention, *storage, b, b, k, 0.0 - k)
+        amplitude, power, added = ch._loss_terms(eta_c)
         b, k_x, k_p = power * b + added, k_x * amplitude, k_p * amplitude
         # the zeros carry the 4x4 operations' signs: the storage channel's
         # -c1 makes the cross-blocks' zeros -0.0
         entries += (a_x, 0.0, k_x, -0.0, 0.0, a_p, -0.0, k_p, k_x, -0.0, b, 0.0, -0.0, k_p, 0.0, b)
     cov = np.fromiter(entries, float, len(entries)).reshape(-1, 4, 4)
-    # valid configs: only an overflow can make an entry non-finite
+    # valid points: only an overflow can make an entry non-finite
     if not np.isfinite(cov).all():
         raise ValueError("non-finite entry in mean or cov")
     total, det_v = ga._ppt_minors(cov)
@@ -340,19 +342,24 @@ def run_gaussian_protocol(config):
 
     `config` must be one ProtocolConfig with engine == "gaussian"; a list or
     a tuple of configs raises TypeError.  The run is ``_gaussian_batch`` on
-    ``[config]``, so every field is bit for bit what the composed public
-    operations give and what a sweep or a search reads for the same config.
+    the config's one point, so every field is bit for bit what the composed
+    public operations give and what a sweep or a search reads for the same
+    config.
     """
     if not isinstance(config, ProtocolConfig):
         raise TypeError(
             f"run_gaussian_protocol takes one ProtocolConfig, got {type(config).__name__}; "
             "a sequence of configs is no longer run as a batch"
         )
+    if config.engine != "gaussian":
+        raise ValueError(f"gaussian pipeline called with engine={config.engine!r}")
     import numpy as np
 
     from . import gaussian as ga
 
-    ((nu_min, witness, log_negativity),), cov = _gaussian_batch([config])
+    ((nu_min, witness, log_negativity),), cov = _gaussian_batch(
+        [_point(config)], config.phase_noise_convention
+    )
     state = ga.GaussianTwoModeState(np.zeros(4), cov[0])
     return GaussianProtocolResult(log_negativity, nu_min, state, witness)
 
@@ -368,14 +375,17 @@ def _pair_terms(t, n_x, n_p):
     return 1.0 / math.sqrt(a_x * a_p), p01, p23, p02, p03, p01 * p23 + p02 * p02 + p03 * p03
 
 
-def _qubit_block(config):
+def _qubit_block(point, convention):
     """The output's unnormalized {0,1}^2 block over |a c> = 00, 01, 10, 11, an
     X-state: each entry is two products of pair terms, P's of A's composed
-    channel and Q's of C's loss (README, "The Fock engine's closed form")."""
-    coeffs = ch.channel_coefficients(config.x, config.y)
+    channel and Q's of C's loss (README, "The Fock engine's closed form").
+    `point` is a valid config's float tuple (``_point``), `convention` its
+    phase-noise convention."""
+    _, _, y, x, _, _, _, _, _, eta_c = point
+    coeffs = ch.channel_coefficients(x, y)
     channel = ch._storage_channel(coeffs)
-    n_x, n_p, gain, _ = _through_mode_a(config, coeffs, channel, 0.0, 0.0, 1.0, 1.0)
-    amplitude, _, added = ch._loss_terms(config.eta_c)
+    n_x, n_p, gain, _ = _through_mode_a(point, convention, coeffs, channel, 0.0, 0.0, 1.0, 1.0)
+    amplitude, _, added = ch._loss_terms(eta_c)
     c_a, p01, p23, p02, p03, p4 = _pair_terms(gain, n_x, n_p)
     c_c, q01, q23, q02, q03, q4 = _pair_terms(amplitude, added, added)
     scale = 0.5 * c_a * c_c
@@ -401,27 +411,39 @@ def run_fock_protocol(config):
     2 max(|rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)) of
     that X-state (Yu & Eberly), its roots clamped by channel._clamped_sqrt.
     """
-    from . import fock as fk
-
     if config.engine != "fock":
         raise ValueError(f"fock pipeline called with engine={config.engine!r}")
-    qubits, probability = fk.qubit_project(fk.FockDensityMatrix((2, 2), _qubit_block(config)))
+    return FockProtocolResult(*_fock_readout(_point(config), config.phase_noise_convention))
+
+
+def _fock_readout(point, convention):
+    """run_fock_protocol's (concurrence, projection probability, witness) of
+    one point's float tuple (``_point``) under the phase-noise `convention`."""
+    from . import fock as fk
+
+    block = fk.FockDensityMatrix((2, 2), _qubit_block(point, convention))
+    qubits, probability = fk.qubit_project(block)
     rho = qubits.real.tolist()
     witness = 2.0 * max(
         abs(rho[1][2]) - ch._clamped_sqrt(rho[0][0] * rho[3][3], 1.0),
         abs(rho[0][3]) - ch._clamped_sqrt(rho[1][1] * rho[2][2], 1.0),
     )
-    return FockProtocolResult(max(0.0, witness), probability, witness)
+    return max(0.0, witness), probability, witness
 
 
-def _evaluate(configs):
-    """Each config's (metric, witness) as Python floats, from the engine of
-    the first config: gaussian configs run as one ``_gaussian_batch`` call,
-    fock configs one ``run_fock_protocol`` at a time.  A config of another
-    engine is rejected by that engine's pipeline."""
-    if configs[0].engine == "gaussian":
-        return [(e_n, witness) for _, witness, e_n in _gaussian_batch(configs)[0]]
-    return [(r.concurrence, r.witness) for r in map(run_fock_protocol, configs)]
+def _evaluate(base, points):
+    """Each point's (metric, witness) as Python floats.
+
+    `base` is a valid ProtocolConfig that sets the engine and the
+    phase-noise convention; `points` are float tuples in ``_FLOAT_FIELDS``
+    order (``_point``) whose every value has passed its field's check, as
+    the base's own tuple does.  Gaussian points run as one
+    ``_gaussian_batch`` call, fock points one at a time, each bit for bit
+    the config's run_gaussian_protocol or run_fock_protocol."""
+    convention = base.phase_noise_convention
+    if base.engine == "gaussian":
+        return [(e_n, witness) for _, witness, e_n in _gaussian_batch(points, convention)[0]]
+    return [(c, witness) for c, _, witness in (_fock_readout(p, convention) for p in points)]
 
 
 def entanglement_metric(config):
@@ -430,7 +452,7 @@ def entanglement_metric(config):
     Log-negativity for the gaussian engine, concurrence of the projected qubit
     pair for the fock engine.  Both are exactly zero for separable outputs.
     """
-    return _evaluate([config])[0][0]
+    return _evaluate(config, [_point(config)])[0][0]
 
 
 def find_threshold(config, parameter, bracket, tol=1e-5):
@@ -454,10 +476,11 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     search are taken on u = sigma^2 (width, step floor and midpoint stay in
     sigma), and an N_D or sigma search converges after one secant step.  The
     two bracket ends run as one ``_evaluate`` call, bit-identical to two
-    single runs.  Each probe's config is derived from `config` (ProtocolConfig's
-    ``_derived``) after its value passes the parameter's field check, so a
-    bracket end outside the field's domain raises ProtocolConfig's
-    ValueError.  Deterministic: no randomness, fixed iteration pattern.
+    single runs.  Each probe is `config`'s float tuple with the probed value
+    written in after it passes the parameter's field check, so no config is
+    built per probe and a bracket end outside the field's domain raises
+    ProtocolConfig's ValueError.  Deterministic: no randomness, fixed
+    iteration pattern.
 
     Raises
     ------
@@ -475,6 +498,11 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     if math.isnan(tol):
         raise ValueError("tol=nan must be a number")
     square = parameter == "sigma"  # steps on u = sigma^2, where the witness is linear
+    point, index = list(_point(config)), _FLOAT_FIELDS.index(parameter)
+
+    def probe(v):
+        point[index] = _checked(parameter, v)
+        return tuple(point)
 
     def coord(v):
         return v * v if square else v
@@ -484,9 +512,7 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
 
     def signed(*values):
         out = []
-        for metric, witness in _evaluate(
-            [_derived(config, {parameter: _checked(parameter, v)}) for v in values]
-        ):
+        for metric, witness in _evaluate(config, [probe(v) for v in values]):
             entangled = metric > ZERO_METRIC_TOL
             magnitude = max(float(witness if entangled else -witness), _TINY)
             out.append(magnitude if entangled else -magnitude)

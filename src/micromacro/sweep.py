@@ -10,7 +10,9 @@ byte-identical across runs.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import protocol as pr
@@ -112,14 +114,16 @@ def run_sweep(spec, workers=1):
     (perfbench) reads the CSV as the pair's first element, so the empty
     tuple stays until ROADMAP item 1 changes that read.
 
-    Each axis value passes its field's ProtocolConfig check once, and every
-    point's config is derived from the base without checking again (see
-    ProtocolConfig).  All points are evaluated by one ``protocol._evaluate``
-    call on the calling thread: one private batch readout
-    (``protocol._gaussian_batch``) for the gaussian engine, bit for bit each
-    point's ``run_gaussian_protocol``, and one run at a time in sweep order
-    for the fock engine.  `workers` is accepted for compatibility and
-    must be >= 1, but has no effect, so output cannot depend on it.
+    Each axis value passes its field's ProtocolConfig check once, and no
+    config is built per point: each point is the base's float tuple
+    (``protocol._point``) with its axis values written in.  All points are
+    evaluated by one ``protocol._evaluate`` call on the calling thread, which
+    takes the engine and phase-noise convention from the base: one private
+    batch readout (``protocol._gaussian_batch``) for the gaussian engine,
+    bit for bit each point's ``run_gaussian_protocol``, and one run at a
+    time in sweep order for the fock engine.  `workers` is accepted for
+    compatibility and must be >= 1, but has no effect, so output cannot
+    depend on it.
 
     Where a check or that call raises, the points are re-run one at a time,
     each config built by ProtocolConfig's constructor, and the first failing
@@ -130,34 +134,37 @@ def run_sweep(spec, workers=1):
         raise ValueError(f"workers={workers} must be >= 1")
     axis2_values = spec.axis2.values if spec.axis2 is not None else (None,)
     series_values = spec.series.values if spec.series is not None else (None,)
+    # sweep order: axis2 outermost, then axis1, then the series
+    axes = [axis for axis in (spec.axis2, spec.axis1, spec.series) if axis is not None]
+    coordinates = list(itertools.product(*(axis.values for axis in axes)))
 
-    points = []
-    for v2 in axis2_values:
-        for v1 in spec.axis1.values:
-            for vs in series_values:
-                override = {spec.axis1.parameter: v1}
-                if v2 is not None:
-                    override[spec.axis2.parameter] = v2
-                if vs is not None:
-                    override[spec.series.parameter] = vs
-                points.append(override)
-
-    def evaluate(override):
+    def evaluate(values):
+        override = {axis.parameter: v for axis, v in zip(axes, values)}
         try:
             return pr.entanglement_metric(dataclasses.replace(spec.base, **override))
         except Exception as exc:
-            coords = ", ".join(f"{k}={_format(v)}" for k, v in override.items())
+            coords = ", ".join(
+                f"{axis.parameter}={_format(override[axis.parameter])}"
+                for axis in filter(None, (spec.axis1, spec.axis2, spec.series))
+            )
             raise RuntimeError(f"sweep point ({coords}) failed: {exc}") from exc
 
     try:
-        for axis in filter(None, (spec.axis1, spec.axis2, spec.series)):
+        for axis in axes:
             for value in axis.values:
                 pr._checked(axis.parameter, value)
-        configs = [pr._derived(spec.base, override) for override in points]
-        results = [metric for metric, _ in pr._evaluate(configs)]
+        # a point is the base's float tuple with its axis values written in:
+        # an axis's field is read from the values appended after the base's
+        appended = {axis.parameter: len(pr._FLOAT_FIELDS) + k for k, axis in enumerate(axes)}
+        pick = operator.itemgetter(
+            *(appended.get(name, i) for i, name in enumerate(pr._FLOAT_FIELDS))
+        )
+        base_point = pr._point(spec.base)
+        points = [pick(base_point + values) for values in coordinates]
+        results = [metric for metric, _ in pr._evaluate(spec.base, points)]
     except Exception:
-        for override in points:
-            evaluate(override)
+        for values in coordinates:
+            evaluate(values)
         raise
 
     metric = _metric_name(spec.base)

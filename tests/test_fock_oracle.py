@@ -96,7 +96,7 @@ def test_closed_form_pure_loss_limit():
         c1 = ga.channel_coefficients(config.x, config.y).c1
         transmission = c1**2 * config.eta1 * config.eta2
         coherence = -c1 * math.sqrt(config.eta1 * config.eta2 * config.eta_c) / 2.0
-        block = pr._qubit_block(config)
+        block = pr._qubit_block(pr._point(config), config.phase_noise_convention)
         assert abs(sum(block[i][i] for i in range(4)) - 1.0) < 1e-15, config
         assert abs(block[3][3]) < 1e-15 and block[0][3] == 0.0, config
         assert abs(block[1][1] - config.eta_c / 2.0) < 1e-15, config
@@ -116,7 +116,8 @@ def test_witness_is_the_wootters_difference_of_the_projected_block():
     entangled = 0
     for config in configs:
         witness = pr.run_fock_protocol(config).witness
-        qubits, _ = fk.qubit_project(fk.FockDensityMatrix((2, 2), pr._qubit_block(config)))
+        block = pr._qubit_block(pr._point(config), config.phase_noise_convention)
+        qubits, _ = fk.qubit_project(fk.FockDensityMatrix((2, 2), block))
         reference = fk.wootters_difference(qubits)
         assert (witness > 0.0) == (reference > 0.0), config
         if reference > 0.0:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -92,7 +93,7 @@ def _rejection(build):
 @pytest.mark.parametrize("field", pr._FLOAT_FIELDS)
 def test_derived_configs_reject_what_the_constructor_rejects(field):
     # A sweep checks each axis value once and a threshold search each probe,
-    # then derives configs without checking: both must reject a bad value
+    # then builds points without checking: both must reject a bad value
     # with the constructor's message, whatever axis carries it.
     assert set(OUT_OF_DOMAIN) == set(pr._FLOAT_FIELDS)
     base = pr.ProtocolConfig(N_th=0.3)
@@ -159,17 +160,15 @@ def test_gaussian_default_config_regression_pins():
 
 
 def test_engine_dispatch_errors():
-    with pytest.raises(ValueError):
-        pr.run_gaussian_protocol(pr.ProtocolConfig(engine="fock", N_th=0.1))
-    with pytest.raises(ValueError):
-        pr.run_fock_protocol(pr.ProtocolConfig())
     with pytest.raises(ValueError, match="engine='fock'"):
-        pr._evaluate([pr.ProtocolConfig(), pr.ProtocolConfig(engine="fock")])
+        pr.run_gaussian_protocol(pr.ProtocolConfig(engine="fock", N_th=0.1))
+    with pytest.raises(ValueError, match="engine='gaussian'"):
+        pr.run_fock_protocol(pr.ProtocolConfig())
 
 
 @pytest.mark.parametrize("configs", [list, tuple], ids=["list", "tuple"])
 def test_run_gaussian_protocol_takes_one_config(configs):
-    # many configs run through _evaluate; the public run takes exactly one
+    # many points run through _evaluate; the public run takes exactly one
     batch = configs([pr.ProtocolConfig(), pr.ProtocolConfig(y=0.5)])
     message = rf"^run_gaussian_protocol takes one ProtocolConfig, got {configs.__name__};"
     with pytest.raises(TypeError, match=message):
@@ -204,18 +203,41 @@ def random_gaussian_configs(n, seed):
 
 
 
-def test_derived_configs_equal_constructed_ones(monkeypatch):
-    # Sweeps and threshold searches derive their configs from a valid one
-    # without checking; each must equal the config the constructor builds
-    # from the same fields, under ==, hash and config_to_mapping.
-    def same(derived, built):
-        assert type(derived) is pr.ProtocolConfig
-        assert derived == built and hash(derived) == hash(built)
-        assert pr.config_to_mapping(derived) == pr.config_to_mapping(built)
+def configs_of(base, points):
+    """The constructor's configs of `points`, float tuples in _FLOAT_FIELDS
+    order, over the engine and convention of `base`."""
+    return [dataclasses.replace(base, **dict(zip(pr._FLOAT_FIELDS, p))) for p in points]
 
-    seen = []
-    evaluate = pr._evaluate
-    monkeypatch.setattr(pr, "_evaluate", lambda configs: seen.extend(configs) or evaluate(configs))
+
+def bits(point):
+    """A float tuple's values by float.hex, signed zeros included."""
+    return tuple(map(float.hex, point))
+
+
+def _record_runs(monkeypatch):
+    """The (base, point, (metric, witness)) of every point that reaches
+    protocol._evaluate."""
+    runs, evaluate = [], pr._evaluate
+
+    def recorded(base, points):
+        out = evaluate(base, points)
+        runs.extend((base, p, pair) for p, pair in zip(points, out))
+        return out
+
+    monkeypatch.setattr(pr, "_evaluate", recorded)
+    return runs
+
+
+def test_sweep_and_search_points_equal_constructed_configs(monkeypatch):
+    # Sweeps and threshold searches write checked values into a valid base's
+    # float tuple; each point must be the tuple of the config the constructor
+    # builds from the same fields, bit for bit, run under the base's engine
+    # and convention.
+    def same(point, built):
+        assert type(point) is tuple and {type(v) for v in point} == {float}
+        assert bits(point) == bits(pr._point(built))
+
+    seen = _record_runs(monkeypatch)
     rng = np.random.default_rng(23)
     for base in random_gaussian_configs(12, seed=23):
         fields = [str(f) for f in rng.choice(pr._FLOAT_FIELDS, 3, replace=False)]
@@ -231,24 +253,153 @@ def test_derived_configs_equal_constructed_ones(monkeypatch):
             for vs in axes[2].values
         ]
         assert len(seen) == len(built)
-        for derived, config in zip(seen, built):
-            same(derived, config)
+        for (passed, point, _), config in zip(seen, built):
+            assert passed is base
+            same(point, config)
     for parameter, (bracket, tol) in THRESHOLD_SEARCHES.items():
         base = pr.ProtocolConfig(sigma=0.005)
         del seen[:]
         pr.find_threshold(base, parameter, bracket, tol)
         assert len(seen) >= 3
-        for derived in seen:
-            same(derived, dataclasses.replace(base, **{parameter: getattr(derived, parameter)}))
+        index = pr._FLOAT_FIELDS.index(parameter)
+        for passed, point, _ in seen:
+            assert passed is base
+            same(point, dataclasses.replace(base, **{parameter: point[index]}))
+
+
+def test_a_sweep_builds_no_config_per_point(monkeypatch):
+    # A 768-point sweep runs on float tuples: it constructs no ProtocolConfig,
+    # and none is alive beyond those that were alive before it ran.
+    def alive():
+        return sum(isinstance(o, pr.ProtocolConfig) for o in gc.get_objects())
+
+    spec = sw.SweepSpec(
+        base=pr.ProtocolConfig(),
+        axis1=sw.AxisSpec("y", sw.linear_grid(0.01, 0.95, 16)),
+        axis2=sw.AxisSpec("x", sw.linear_grid(0.0, 0.05, 16)),
+        series=sw.AxisSpec("N_in", (0.0, 1.0, 10.0)),
+    )
+    built, counts, evaluate = [], [], pr._evaluate
+    check = pr.ProtocolConfig.__post_init__
+    monkeypatch.setattr(
+        pr.ProtocolConfig, "__post_init__", lambda self: built.append(1) or check(self)
+    )
+
+    def counted(base, points):
+        counts.append((len(points), alive()))
+        return evaluate(base, points)
+
+    monkeypatch.setattr(pr, "_evaluate", counted)
+    gc.collect()  # configs that earlier tests left in cycles
+    before = alive()
+    sw.run_sweep(spec)
+    assert counts == [(768, before)] and built == []
+    assert not hasattr(pr, "_derived")
+
+
+def sweep_configs(spec):
+    """The constructor's config of each sweep point, in sweep order: axis2
+    outermost, then axis1, then the series."""
+    axes = [a for a in (spec.axis2, spec.axis1, spec.series) if a is not None]
+    return [
+        dataclasses.replace(spec.base, **{a.parameter: v for a, v in zip(axes, values)})
+        for values in itertools.product(*(a.values for a in axes))
+    ]
+
+
+def single_run(config):
+    """(metric, witness) of the public run on one config."""
+    if config.engine == "gaussian":
+        result = pr.run_gaussian_protocol(config)
+        return result.log_negativity, result.witness
+    result = pr.run_fock_protocol(config)
+    return result.concurrence, result.witness
+
+
+def _assert_sweep_equals_single_runs(spec, runs):
+    expected = sweep_configs(spec)
+    assert len(runs) == len(expected)
+    for (base, point, pair), config in zip(runs, expected):
+        assert base is spec.base
+        assert bits(point) == bits(pr._point(config)), config
+        assert bits(pair) == bits(single_run(config)), config
+
+
+@pytest.mark.parametrize("engine", pr.ENGINES)
+def test_paper_literal_sweep_and_search_equal_single_runs(engine, monkeypatch):
+    # A point carries no convention: the pipeline takes it from the base, so
+    # a paper_literal sweep and search give, point for point, the bits of
+    # the public runs on the constructor's configs.
+    base = pr.ProtocolConfig(engine=engine, sigma=0.005, phase_noise_convention="paper_literal")
+    if engine == "fock":
+        base = dataclasses.replace(base, eta_c=1.0)
+    spec = sw.SweepSpec(
+        base=base,
+        axis1=sw.AxisSpec("y", sw.linear_grid(0.05, 0.95, 5)),
+        axis2=sw.AxisSpec("x", (0.0, 0.02)),
+        series=sw.AxisSpec("N_D", (0.0, 2e4, 1e5)),
+    )
+    runs = _record_runs(monkeypatch)
+    literal = sw.run_sweep(spec)[0]
+    _assert_sweep_equals_single_runs(spec, runs)
+    # the convention reaches the pipeline: the propagated mean reads otherwise
+    propagated = dataclasses.replace(base, phase_noise_convention="propagated_mean")
+    assert sw.run_sweep(dataclasses.replace(spec, base=propagated))[0] != literal
+    searches = [("N_D", (1.0, 1e7), 1.0), ("sigma", (0.0, 0.1), 1e-6)]
+    batched = []
+    for parameter, bracket, tol in searches:
+        del runs[:]
+        batched.append(pr.find_threshold(base, parameter, bracket, tol))
+        assert len(runs) >= 3, parameter
+        index = pr._FLOAT_FIELDS.index(parameter)
+        for passed, point, pair in runs:
+            assert passed is base
+            config = dataclasses.replace(base, **{parameter: point[index]})
+            assert bits(point) == bits(pr._point(config)), config
+            assert bits(pair) == bits(single_run(config)), config
+    monkeypatch.setattr(
+        pr, "_evaluate", lambda b, points: [single_run(c) for c in configs_of(b, points)]
+    )
+    singles = [pr.find_threshold(base, *search) for search in searches]
+    assert bits(singles) == bits(batched)
+
+
+@pytest.mark.parametrize("engine", pr.ENGINES)
+def test_sweep_points_keep_signed_zeros_of_axis_values(engine, monkeypatch):
+    # 0.0 == -0.0, but r = -0.0 gives the correlation k = -0.0: a point's
+    # tuple must carry each axis value's sign, on every axis role.
+    base = pr.ProtocolConfig(engine=engine, N_th=0.3)
+    runs = _record_runs(monkeypatch)
+    tops = {"r": 0.5, "x": 0.01, "N_D": 5000.0, "sigma": 0.01, "N_in": 1.0}
+    for names in (("r", "x", "sigma"), ("N_D", "N_in", "r"), ("sigma", "N_D", "N_in")):
+        axes = [sw.AxisSpec(name, (-0.0, tops[name])) for name in names]
+        spec = sw.SweepSpec(base, *axes)
+        del runs[:]
+        sw.run_sweep(spec)
+        _assert_sweep_equals_single_runs(spec, runs)
+        # the signs reach the points
+        assert {math.copysign(1.0, p[pr._FLOAT_FIELDS.index(names[0])]) for _, p, _ in runs} == {
+            1.0, -1.0
+        }
 
 
 def gaussian_batch(configs):
     """E_N, nu_min, witness and output covariance of each config in one
-    gaussian call, as arrays with one entry per config: E_N and the witness
-    as _evaluate returns them, nu_min and the covariances from the private
-    batch readout that _evaluate reads them from."""
-    evaluated = pr._evaluate(configs)
-    readouts, cov = pr._gaussian_batch(configs)
+    gaussian call per phase-noise convention, as arrays with one entry per
+    config: E_N and the witness as _evaluate returns them, nu_min and the
+    covariances from the private batch readout that _evaluate reads them
+    from."""
+    evaluated, readouts = [None] * len(configs), [None] * len(configs)
+    cov = np.empty((len(configs), 4, 4))
+    for convention in pr.PHASE_NOISE_CONVENTIONS:
+        index = [i for i, c in enumerate(configs) if c.phase_noise_convention == convention]
+        if not index:
+            continue
+        points = [pr._point(configs[i]) for i in index]
+        pairs = pr._evaluate(configs[index[0]], points)
+        rows, cov[index] = pr._gaussian_batch(points, convention)
+        for i, pair, row in zip(index, pairs, rows):
+            evaluated[i], readouts[i] = pair, row
     assert {type(v) for pair in evaluated for v in pair} == {float}
     assert [(e.hex(), w.hex()) for e, w in evaluated] == [
         (e.hex(), w.hex()) for _, w, e in readouts
@@ -431,7 +582,7 @@ def test_gaussian_readout_rejects_overflowed_determinants():
     message = "^radicand nan below clamp band$"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ArithmeticError, match=message):
-            pr._evaluate(configs)
+            pr._evaluate(configs[0], [pr._point(c) for c in configs])
         for config in configs:
             with pytest.raises(ArithmeticError, match=message):
                 pr.run_gaussian_protocol(config)
@@ -491,7 +642,7 @@ def test_no_successful_run_warns_or_reads_non_finite():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                ((metric, witness),) = pr._evaluate([config])
+                ((metric, witness),) = pr._evaluate(config, [pr._point(config)])
             except (ArithmeticError, ValueError):
                 continue
             outputs = [metric, witness]
@@ -512,7 +663,7 @@ def test_gaussian_output_covariance_has_five_nonzero_entries():
     pattern = np.array(
         [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=bool
     )
-    cov = pr._gaussian_batch(configs)[1]
+    cov = gaussian_batch(configs).cov
     assert np.all(cov[:, ~pattern] == 0.0)
     assert np.array_equal(cov[:, 2, 2], cov[:, 3, 3])
     assert np.array_equal(cov, cov.swapaxes(-1, -2))
@@ -660,15 +811,15 @@ def _check_threshold_contract(critical, config, parameter, bracket, tol):
 
 
 def _count_runs(monkeypatch):
-    """The list of configs that reach the engines, one entry per probe,
-    counted where every sweep, search and entanglement_metric meets them:
-    protocol._evaluate."""
+    """The list of configs whose points reach the engines, one entry per
+    probe, counted where every sweep, search and entanglement_metric meets
+    them: protocol._evaluate."""
     calls = []
     evaluate = pr._evaluate
 
-    def counted(configs):
-        calls.extend(configs)
-        return evaluate(configs)
+    def counted(base, points):
+        calls.extend(configs_of(base, points))
+        return evaluate(base, points)
 
     monkeypatch.setattr(pr, "_evaluate", counted)
     return calls
@@ -739,7 +890,7 @@ def test_find_threshold_fig3_displacement_search_takes_three_pipeline_calls(monk
     # step of tol/2 run alone: 4 probes in 3 calls of _evaluate.
     probes = _count_runs(monkeypatch)
     batches, evaluate = [], pr._evaluate
-    monkeypatch.setattr(pr, "_evaluate", lambda c: batches.append(c) or evaluate(c))
+    monkeypatch.setattr(pr, "_evaluate", lambda b, p: batches.append(p) or evaluate(b, p))
     pr.find_threshold(pr.ProtocolConfig(sigma=0.005), "N_D", (1.0, 1e7), tol=1.0)
     assert (len(probes), len(batches)) == (4, 3), [c.N_D for c in probes]
 
@@ -779,7 +930,7 @@ def test_find_threshold_batched_ends_match_single_runs(monkeypatch):
             sigma=rng.uniform(0.0, 0.01), eta1=rng.uniform(0.7, 1.0),
         )
         ends = [dataclasses.replace(config, **{parameter: end}) for end in bracket]
-        batch = pr._evaluate(ends)
+        batch = pr._evaluate(config, [pr._point(end) for end in ends])
         for i, end in enumerate(ends):
             single = pr.run_gaussian_protocol(end)
             assert batch[i][0] == single.log_negativity, (parameter, i)
@@ -788,7 +939,8 @@ def test_find_threshold_batched_ends_match_single_runs(monkeypatch):
     batched = [pr.find_threshold(*search) for search in searches]
     singles = []
 
-    def one_at_a_time(configs):
+    def one_at_a_time(base, points):
+        configs = configs_of(base, points)
         singles.extend(configs)
         runs = [pr.run_gaussian_protocol(c) for c in configs]
         return [(r.log_negativity, r.witness) for r in runs]
@@ -817,8 +969,8 @@ def test_find_threshold_ends_for_tol_below_float_spacing(search, tol):
     code = (
         "from micromacro import protocol as pr\n"
         "probes, evaluate = [], pr._evaluate\n"
-        f"count = lambda cs: probes.extend(c.{parameter} for c in cs)\n"
-        "pr._evaluate = lambda cs: count(cs) or evaluate(cs)\n"
+        f"count = lambda ps: probes.extend(p[{pr._FLOAT_FIELDS.index(parameter)}] for p in ps)\n"
+        "pr._evaluate = lambda base, ps: count(ps) or evaluate(base, ps)\n"
         f"config = pr.config_from_mapping({pr.config_to_mapping(config)!r})\n"
         f"print(repr([pr.find_threshold(config, {parameter!r}, {bracket!r}, {tol!r}), probes]))\n"
     )
@@ -866,7 +1018,7 @@ def test_channel_coefficients_run_once_per_distinct_pair_in_a_call(monkeypatch):
     pipeline_calls = []
     evaluate = pr._evaluate
     monkeypatch.setattr(
-        pr, "_evaluate", lambda configs: pipeline_calls.append(configs) or evaluate(configs)
+        pr, "_evaluate", lambda base, ps: pipeline_calls.append(ps) or evaluate(base, ps)
     )
     pr.find_threshold(pr.ProtocolConfig(), "eta1", (0.0, 1.0))
     assert len(pipeline_calls[0]) == 2
@@ -896,7 +1048,7 @@ def test_storage_channel_and_squeezed_input_run_once_per_distinct_value_in_a_cal
     pipeline_calls = []
     evaluate = pr._evaluate
     monkeypatch.setattr(
-        pr, "_evaluate", lambda configs: pipeline_calls.append(configs) or evaluate(configs)
+        pr, "_evaluate", lambda base, ps: pipeline_calls.append(ps) or evaluate(base, ps)
     )
     counts.update(dict.fromkeys(counts, 0))
     pr.find_threshold(pr.ProtocolConfig(), "eta1", (0.0, 1.0))
