@@ -270,6 +270,16 @@ def _cmd_selftest(_ns):
     return 0 if failures == 0 else 1
 
 
+def _positive_int(text):
+    """argparse type of --parallel: an integer >= 1, else a usage error."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="micromacro",
@@ -284,7 +294,9 @@ def build_parser():
         "--set", action="append", metavar="KEY=VALUE", help="override a single key"
     )
     p_sweep.add_argument("--out", metavar="FILE", help="CSV output path (default stdout)")
-    p_sweep.add_argument("--parallel", type=int, default=1, metavar="N", help="no effect (N >= 1)")
+    p_sweep.add_argument(
+        "--parallel", type=_positive_int, default=1, metavar="N", help="no effect (N >= 1)"
+    )
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_thr = sub.add_parser("threshold", help="find where entanglement vanishes")

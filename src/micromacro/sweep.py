@@ -102,8 +102,7 @@ def _metric_name(config):
     return "log_negativity" if config.engine == "gaussian" else "concurrence"
 
 
-def _format(value):
-    return f"{value:.12g}"
+_format = "{:.12g}".format
 
 
 def run_sweep(spec, workers=1):
@@ -125,79 +124,65 @@ def run_sweep(spec, workers=1):
     compatibility and must be >= 1, but has no effect, so output cannot
     depend on it.
 
-    Where a check or that call raises, the points are re-run one at a time,
-    each config built by ProtocolConfig's constructor, and the first failing
-    point in sweep order is re-raised with its sweep coordinates prepended
-    and the error as its cause.
+    Where a check or that call raises, the points are re-run one at a time
+    in sweep order, each point's ten fields checked in ``_FLOAT_FIELDS``
+    order (ProtocolConfig's order) before it is evaluated alone, so no
+    config is built on failure either.  The first failing point is re-raised
+    with its sweep coordinates (axis1, axis2, series) prepended and the
+    error as its cause; if no point fails alone, the batch's error is.
     """
     if workers < 1:
         raise ValueError(f"workers={workers} must be >= 1")
-    axis2_values = spec.axis2.values if spec.axis2 is not None else (None,)
-    series_values = spec.series.values if spec.series is not None else (None,)
     # sweep order: axis2 outermost, then axis1, then the series
     axes = [axis for axis in (spec.axis2, spec.axis1, spec.series) if axis is not None]
     coordinates = list(itertools.product(*(axis.values for axis in axes)))
-
-    def evaluate(values):
-        override = {axis.parameter: v for axis, v in zip(axes, values)}
-        try:
-            return pr.entanglement_metric(dataclasses.replace(spec.base, **override))
-        except Exception as exc:
-            coords = ", ".join(
-                f"{axis.parameter}={_format(override[axis.parameter])}"
-                for axis in filter(None, (spec.axis1, spec.axis2, spec.series))
-            )
-            raise RuntimeError(f"sweep point ({coords}) failed: {exc}") from exc
-
+    # a point is the base's float tuple with its axis values written in: an
+    # axis's field is read from the values appended after the base's
+    appended = {axis.parameter: len(pr._FLOAT_FIELDS) + k for k, axis in enumerate(axes)}
+    pick = operator.itemgetter(
+        *(appended.get(name, i) for i, name in enumerate(pr._FLOAT_FIELDS))
+    )
+    base_point = pr._point(spec.base)
+    points = [pick(base_point + values) for values in coordinates]
     try:
         for axis in axes:
             for value in axis.values:
                 pr._checked(axis.parameter, value)
-        # a point is the base's float tuple with its axis values written in:
-        # an axis's field is read from the values appended after the base's
-        appended = {axis.parameter: len(pr._FLOAT_FIELDS) + k for k, axis in enumerate(axes)}
-        pick = operator.itemgetter(
-            *(appended.get(name, i) for i, name in enumerate(pr._FLOAT_FIELDS))
-        )
-        base_point = pr._point(spec.base)
-        points = [pick(base_point + values) for values in coordinates]
         results = [metric for metric, _ in pr._evaluate(spec.base, points)]
     except Exception:
-        for values in coordinates:
-            evaluate(values)
+        named = [a.parameter for a in (spec.axis1, spec.axis2, spec.series) if a is not None]
+        for values, point in zip(coordinates, points):
+            try:
+                for name, value in zip(pr._FLOAT_FIELDS, point):
+                    pr._checked(name, value)
+                pr._evaluate(spec.base, [point])
+            except Exception as exc:
+                value_of = dict(zip((axis.parameter for axis in axes), values))
+                coords = ", ".join(f"{name}={_format(value_of[name])}" for name in named)
+                raise RuntimeError(f"sweep point ({coords}) failed: {exc}") from exc
         raise
 
+    # a row is its axis2 and axis1 values, then the results of its series
+    n_keys = len(axes) - (spec.series is not None)
+    n_series = len(spec.series.values) if spec.series is not None else 1
     metric = _metric_name(spec.base)
-    header = []
-    if spec.axis2 is not None:
-        header.append(spec.axis2.parameter)
-    header.append(spec.axis1.parameter)
+    header = [axis.parameter for axis in axes[:n_keys]]
     if spec.series is not None:
         header.extend(
             f"{metric}[{spec.series.parameter}={_format(v)}]" for v in spec.series.values
         )
     else:
         header.append(metric)
-
     lines = [",".join(header)]
-    n_series = len(series_values)
-    idx = 0
-    for v2 in axis2_values:
-        for v1 in spec.axis1.values:
-            row = []
-            if v2 is not None:
-                row.append(_format(v2))
-            row.append(_format(v1))
-            row.extend(_format(results[idx + k]) for k in range(n_series))
-            idx += n_series
-            lines.append(",".join(row))
+    lines.extend(
+        ",".join(map(_format, (*coordinates[i][:n_keys], *results[i : i + n_series])))
+        for i in range(0, len(coordinates), n_series)
+    )
     return "\n".join(lines) + "\n", ()
 
 
-def _threshold_axis(base, parameter, bracket, n, scale="linear", tol=None):
+def _threshold_axis(base, parameter, bracket, n, tol, scale="linear"):
     """Axis from 0 (or bracket lo) to 1.5x the entanglement-vanishing threshold."""
-    if tol is None:
-        tol = max(1e-5, 1e-5 * (bracket[1] - bracket[0]))
     critical = pr.find_threshold(base, parameter, bracket, tol=tol)
     if scale == "log":
         return AxisSpec(parameter, log_grid(bracket[0], 1.5 * critical, n))
@@ -246,7 +231,7 @@ def preset(name):
     if name == "fig4":
         return SweepSpec(
             base=base,
-            axis1=_threshold_axis(base, "x", (1e-6, 1.0), 40),
+            axis1=_threshold_axis(base, "x", (1e-6, 1.0), 40, tol=1e-5),
             series=AxisSpec("N_th", (1.0, 10.0, 100.0)),
         )
     if name == "fig5":

@@ -297,6 +297,30 @@ def test_a_sweep_builds_no_config_per_point(monkeypatch):
     assert not hasattr(pr, "_derived")
 
 
+def test_a_failing_sweep_builds_no_config(monkeypatch):
+    # The failure report re-runs the batch's own float tuples one at a time:
+    # it names the first failing point without building a ProtocolConfig or
+    # reading a point through entanglement_metric.
+    spec = sw.SweepSpec(
+        base=pr.ProtocolConfig(),
+        axis1=sw.AxisSpec("y", (0.1, 0.5, 1.5)),
+        series=sw.AxisSpec("N_in", (0.0, 1.0)),
+    )
+    built, read = [], []
+    check, metric = pr.ProtocolConfig.__post_init__, pr.entanglement_metric
+    monkeypatch.setattr(
+        pr.ProtocolConfig, "__post_init__", lambda self: built.append(1) or check(self)
+    )
+    monkeypatch.setattr(pr, "entanglement_metric", lambda c: read.append(1) or metric(c))
+    with pytest.raises(
+        RuntimeError,
+        match=r"^sweep point \(y=1.5, N_in=0\) failed: coupling parameter y=1.5 outside \(0, 1\]$",
+    ) as caught:
+        sw.run_sweep(spec)
+    assert type(caught.value.__cause__) is ValueError
+    assert (len(built), len(read)) == (0, 0)
+
+
 def sweep_configs(spec):
     """The constructor's config of each sweep point, in sweep order: axis2
     outermost, then axis1, then the series."""

@@ -213,6 +213,78 @@ def test_gaussian_batch_reports_first_failing_coordinates():
     assert isinstance(caught.value.__cause__, ValueError)
 
 
+@pytest.mark.parametrize(
+    "base, axes, message, cause",
+    [
+        # the engine failure at the second point comes before the bad y
+        (
+            {},
+            dict(axis2=("y", (0.1, 1.5)), axis1=("sigma", (0.01, 1e200))),
+            r"\(sigma=1e\+200, y=0.1\) failed: non-finite entry in mean or cov",
+            ValueError,
+        ),
+        (
+            FOCK_BASE,
+            dict(axis1=("y", (0.1, 1.5)), series=("N_th", (0.3, 1e15))),
+            r"\(y=0.1, N_th=1e\+15\) failed: qubit projection weight .* is degenerate",
+            ArithmeticError,
+        ),
+        # one point with two bad values: the first in field order is named,
+        # though the batch checks the axis2 value first
+        (
+            {},
+            dict(axis2=("eta1", (2.0,)), axis1=("y", (1.5,))),
+            r"\(y=1.5, eta1=2\) failed: coupling parameter y=1.5 outside \(0, 1\]",
+            ValueError,
+        ),
+    ],
+    ids=["gaussian-engine-before-field", "fock-engine-before-field", "two-bad-fields"],
+)
+def test_run_sweep_reports_the_first_failure_in_sweep_order(base, axes, message, cause):
+    spec = sw.SweepSpec(
+        base=pr.ProtocolConfig(**base),
+        **{role: sw.AxisSpec(*axis) for role, axis in axes.items()},
+    )
+    with pytest.raises(RuntimeError, match=f"^sweep point {message}$") as caught:
+        sw.run_sweep(spec)
+    assert isinstance(caught.value.__cause__, cause)
+
+
+def test_run_sweep_reports_a_warning_raised_as_error():
+    # tier-1 runs with warnings as errors: the overflowed determinant's
+    # RuntimeWarning fails the batch, and the point-by-point re-run names
+    # the first point that raises it, with the warning as cause
+    spec = sw.SweepSpec(
+        base=pr.ProtocolConfig(),
+        axis1=sw.AxisSpec("y", (0.1, 0.5)),
+        series=sw.AxisSpec("N_th", (1.0, 1e200)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            RuntimeError,
+            match=r"^sweep point \(y=0.1, N_th=1e\+200\) failed: overflow encountered in det$",
+        ) as caught:
+            sw.run_sweep(spec)
+    assert isinstance(caught.value.__cause__, RuntimeWarning)
+
+
+def test_run_sweep_reraises_a_batch_error_that_no_point_repeats(monkeypatch):
+    # where every point runs alone without error, the batch's own error is
+    # re-raised unchanged
+    evaluate = pr._evaluate
+
+    def batch_fails(base, points):
+        if len(points) > 1:
+            raise ArithmeticError("batch only")
+        return evaluate(base, points)
+
+    monkeypatch.setattr(pr, "_evaluate", batch_fails)
+    spec = sw.SweepSpec(base=pr.ProtocolConfig(), axis1=sw.AxisSpec("y", (0.1, 0.5)))
+    with pytest.raises(ArithmeticError, match="^batch only$"):
+        sw.run_sweep(spec)
+
+
 def test_gaussian_sweep_cells_equal_single_point_metrics():
     base = pr.ProtocolConfig(phase_noise_convention="paper_literal", eta2=1.0)
     spec = sw.SweepSpec(
@@ -640,13 +712,19 @@ def test_cli_sweep_needs_source(capsys):
     assert cli.main(["sweep"]) == 2
 
 
-def test_cli_usage_errors_exit_two():
+def test_cli_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["sweep", "--preset", "nonexistent"])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         cli.main(["bogus-command"])
     assert info.value.code == 2
+    capsys.readouterr()
+    # --parallel N has no effect, but an N below 1 is rejected as usage
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sweep", "--preset", "fig2", "--parallel", "0"])
+    assert info.value.code == 2
+    assert "argument --parallel: '0' is not an integer >= 1" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file_is_domain_error(capsys):
