@@ -3,13 +3,22 @@
 Quadratures are X = (a + a^dag)/sqrt(2), P = -i(a - a^dag)/sqrt(2), so the
 vacuum variance is 1/2.  Each helper computes one point's terms of one
 pipeline stage: the squeezed input's entries (``_tmsv_entries``), pure loss
-(``_loss_terms``), the mechanical storage/retrieval channel
-(``channel_coefficients``, ``_storage_channel`` per channel and
-``_storage_added``), phase noise (``_phase_variance``), and the PPT readout of a two-mode covariance from its
-Sigma and det V (``_ppt_readout``).  The public Gaussian operations
-(:mod:`micromacro.gaussian`) apply them to 4x4 arrays, and the protocol
-pipeline composes them per config for both engines.  Nothing here imports
-NumPy, so the CLI's feasibility report and argument handling never load it.
+(``_loss_terms``), the mechanical storage/retrieval channel, phase noise
+(``_phase_variance``), and the PPT readout of a two-mode covariance from its
+Sigma and det V (``_ppt_readout``).
+
+The storage channel's coefficients (c1, c2, f1, f2) of (x, y) come from one
+core, ``_coefficients``, and its closure-checked per-channel terms
+(-c1, c1^2, c2^2, f1^2 / 2, f2^2) from one function of them, ``_terms``.
+The public ``channel_coefficients``, ``ChannelCoefficients.closure_defect``
+and ``_storage_channel(coeffs)`` are built on the two; the protocol pipeline
+takes a channel's c1 and terms as one tuple per (x, y) from ``_channel``,
+which builds no ``ChannelCoefficients``, and adds each point's noise with
+``_storage_added``.  The public Gaussian operations
+(:mod:`micromacro.gaussian`) apply the helpers to 4x4 arrays, and the
+protocol pipeline composes them per config for both engines.  Nothing here
+imports NumPy, so the CLI's feasibility report and argument handling never
+load it.
 """
 
 from __future__ import annotations
@@ -46,9 +55,7 @@ class ChannelCoefficients:
     @property
     def closure_defect(self):
         """|c1^2 + c2_mag^2 + f1^2 + f2^2 - 1|, zero for a valid channel."""
-        return abs(
-            self.c1**2 + self.c2_mag**2 + self.f1**2 + self.f2**2 - 1.0
-        )
+        return _closure(self.c1, self.c2_mag, self.f1, self.f2)[0]
 
 
 def channel_coefficients(x, y):
@@ -76,13 +83,18 @@ def channel_coefficients(x, y):
     u = 1 - y^2 < SERIES_BELOW, f2's radicand comes from its series in u,
     because the closed form cancels terms of order x down to x u^2.
     """
+    return ChannelCoefficients(x, y, *_coefficients(x, y))
+
+
+def _coefficients(x, y):
+    """channel_coefficients' (c1, c2_mag, f1, f2) as a tuple of floats."""
     if x < 0 or not math.isfinite(x):
         raise ValueError(f"noise parameter x={x} must be finite and >= 0")
     if not (0.0 < y <= 1.0):
         raise ValueError(f"coupling parameter y={y} outside (0, 1]")
     if y == 1.0:
         # no light-mechanics exchange: the output is pure optical vacuum noise
-        return ChannelCoefficients(x=x, y=y, c1=0.0, c2_mag=0.0, f1=1.0, f2=0.0)
+        return 0.0, 0.0, 1.0, 0.0
     y2 = y * y
     one = 1.0 - y2
     c1 = one / (1.0 + x)
@@ -101,7 +113,7 @@ def channel_coefficients(x, y):
             raise ArithmeticError(f"negative radicand {rad} in channel coefficients")
     f1 = math.sqrt(max(rad1, 0.0)) / (1.0 + x)
     f2 = math.sqrt(max(rad2, 0.0)) / (1.0 + x)
-    return ChannelCoefficients(x=x, y=y, c1=c1, c2_mag=c2, f1=f1, f2=f2)
+    return c1, c2, f1, f2
 
 
 def _tmsv_entries(r):
@@ -116,12 +128,35 @@ def _loss_terms(eta):
     return math.sqrt(eta), eta, (1.0 - eta) * VACUUM_VARIANCE
 
 
+def _closure(c1, c2, f1, f2):
+    """(|c1^2 + c2^2 + f1^2 + f2^2 - 1|, c2^2, f1^2, f2^2): the closure defect
+    and the squares it shares with the per-channel terms."""
+    c2_sq, f1_sq, f2_sq = c2**2, f1**2, f2**2
+    return abs(c1**2 + c2_sq + f1_sq + f2_sq - 1.0), c2_sq, f1_sq, f2_sq
+
+
+def _terms(c1, c2, f1, f2):
+    """Closure-checked per-channel terms (-c1, c1 c1, c2^2, f1^2 / 2, f2^2).
+
+    c1 enters the closure sum as c1**2 and the power as c1 * c1, as in the
+    4x4 operations: the two can differ in the last bit."""
+    defect, c2_sq, f1_sq, f2_sq = _closure(c1, c2, f1, f2)
+    if defect > 1e-10:
+        raise ValueError(f"channel coefficients violate closure by {defect}")
+    return -c1, c1 * c1, c2_sq, f1_sq * VACUUM_VARIANCE, f2_sq
+
+
 def _storage_channel(coeffs):
-    """Closure-checked per-channel terms (-c1, c1^2, c2^2, f1^2 / 2, f2^2)."""
-    if coeffs.closure_defect > 1e-10:
-        raise ValueError(f"channel coefficients violate closure by {coeffs.closure_defect}")
-    c1 = coeffs.c1
-    return -c1, c1 * c1, coeffs.c2_mag**2, coeffs.f1**2 * VACUUM_VARIANCE, coeffs.f2**2
+    """The per-channel terms (``_terms``) of a ChannelCoefficients."""
+    return _terms(coeffs.c1, coeffs.c2_mag, coeffs.f1, coeffs.f2)
+
+
+def _channel(x, y):
+    """The pipeline's storage channel at (x, y): its c1 and its per-channel
+    terms, ``_storage_channel(channel_coefficients(x, y))``, without building
+    a ChannelCoefficients."""
+    c1, c2, f1, f2 = _coefficients(x, y)
+    return c1, _terms(c1, c2, f1, f2)
 
 
 def _storage_added(channel, n_initial, n_bath):

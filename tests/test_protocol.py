@@ -1014,70 +1014,92 @@ def test_find_threshold_ends_for_tol_below_float_spacing(search, tol):
     assert _entangled(config, parameter, below) != _entangled(config, parameter, above)
 
 
-def _count_coefficients(monkeypatch):
+def _count_helpers(monkeypatch, *names):
+    """Per protocol._evaluate call, its points and the arguments of each call
+    of the named channel helpers it makes, as [(points, {name: [args]})]."""
     calls = []
-    coefficients = ch.channel_coefficients
-
-    def counted(x, y):
-        calls.append((x, y))
-        return coefficients(x, y)
-
-    monkeypatch.setattr(ch, "channel_coefficients", counted)
-    return calls
-
-
-def test_channel_coefficients_run_once_per_distinct_pair_in_a_call(monkeypatch):
-    spec = sw.SweepSpec(
-        base=pr.ProtocolConfig(),
-        axis1=sw.AxisSpec("x", sw.linear_grid(0.0, 0.3, 16)),
-        axis2=sw.AxisSpec("y", sw.linear_grid(0.01, 0.99, 16)),
-        series=sw.AxisSpec("N_in", (0.0, 1.0, 10.0)),
-    )
-    calls = _count_coefficients(monkeypatch)
-    sw.run_sweep(spec)
-    assert len(calls) == len(set(calls)) == 256
-    # an eta1 search: the two bracket ends share one (x, y), and so does
-    # each later single probe, so every pipeline call computes it once
-    del calls[:]
-    pipeline_calls = []
-    evaluate = pr._evaluate
-    monkeypatch.setattr(
-        pr, "_evaluate", lambda base, ps: pipeline_calls.append(ps) or evaluate(base, ps)
-    )
-    pr.find_threshold(pr.ProtocolConfig(), "eta1", (0.0, 1.0))
-    assert len(pipeline_calls[0]) == 2
-    assert len(calls) == len(pipeline_calls) > 2
-
-
-def test_storage_channel_and_squeezed_input_run_once_per_distinct_value_in_a_call(monkeypatch):
-    counts = {"_storage_channel": 0, "_tmsv_entries": 0}
-    for name in counts:
+    for name in names:
         helper = getattr(ch, name)
 
         def counted(*args, name=name, helper=helper):
-            counts[name] += 1
+            calls[-1][1][name].append(args)
             return helper(*args)
 
         monkeypatch.setattr(ch, name, counted)
-    spec = sw.SweepSpec(
-        base=pr.ProtocolConfig(),
-        axis1=sw.AxisSpec("x", sw.linear_grid(0.0, 0.3, 16)),
-        axis2=sw.AxisSpec("y", sw.linear_grid(0.01, 0.99, 16)),
-        series=sw.AxisSpec("N_in", (0.0, 1.0, 10.0)),
-    )
-    sw.run_sweep(spec)
-    assert counts == {"_storage_channel": 256, "_tmsv_entries": 1}
-    # a threshold search runs each of them once per pipeline call, the two
-    # bracket ends included
-    pipeline_calls = []
     evaluate = pr._evaluate
-    monkeypatch.setattr(
-        pr, "_evaluate", lambda base, ps: pipeline_calls.append(ps) or evaluate(base, ps)
-    )
-    counts.update(dict.fromkeys(counts, 0))
-    pr.find_threshold(pr.ProtocolConfig(), "eta1", (0.0, 1.0))
-    assert len(pipeline_calls[0]) == 2
-    assert counts == dict.fromkeys(counts, len(pipeline_calls))
+
+    def tracked(base, points):
+        calls.append((points, {name: [] for name in names}))
+        return evaluate(base, points)
+
+    monkeypatch.setattr(pr, "_evaluate", tracked)
+    return calls
+
+
+def _signed_etas(points):
+    """The distinct (eta, sign of eta) of the points' three transmissions."""
+    return {(eta, math.copysign(1.0, eta)) for p in points for eta in p[7:]}
+
+
+GRID_16x16x3 = dict(
+    axis1=sw.AxisSpec("x", sw.linear_grid(0.0, 0.3, 16)),
+    axis2=sw.AxisSpec("y", sw.linear_grid(0.01, 0.99, 16)),
+    series=sw.AxisSpec("N_in", (0.0, 1.0, 10.0)),
+)
+# each engine's base with an eta1 threshold in [0, 1]
+SEARCH_BASES = {"gaussian": pr.ProtocolConfig(), "fock": pr.ProtocolConfig(**FOCK_BASE)}
+
+
+def test_channel_coefficients_run_once_per_distinct_pair_in_a_call(monkeypatch):
+    # the pipeline takes each storage channel from channel._channel
+    calls = _count_helpers(monkeypatch, "_channel")
+    for engine, base in SEARCH_BASES.items():
+        del calls[:]
+        sw.run_sweep(sw.SweepSpec(base=pr.ProtocolConfig(engine=engine), **GRID_16x16x3))
+        ((_, counts),) = calls
+        assert len(counts["_channel"]) == len(set(counts["_channel"])) == 256, engine
+        # an eta1 search: the two bracket ends share one (x, y), and so does
+        # each later single probe, so every pipeline call computes it once
+        del calls[:]
+        pr.find_threshold(base, "eta1", (0.0, 1.0))
+        assert len(calls[0][0]) == 2
+        assert len(calls) > 2
+        assert [len(counts["_channel"]) for _, counts in calls] == [1] * len(calls), engine
+
+
+def test_storage_channel_and_squeezed_input_run_once_per_distinct_value_in_a_call(monkeypatch):
+    names = ("_channel", "_tmsv_entries", "_loss_terms")
+    calls = _count_helpers(monkeypatch, *names)
+    for engine, base in SEARCH_BASES.items():
+        del calls[:]
+        sw.run_sweep(sw.SweepSpec(base=pr.ProtocolConfig(engine=engine), **GRID_16x16x3))
+        squeezed = int(engine == "gaussian")  # the fock input is no squeezed state
+        # eta1 = eta2 = eta_c = 0.8 at every point: one loss stage's terms
+        assert {name: len(args) for name, args in calls[0][1].items()} == {
+            "_channel": 256, "_tmsv_entries": squeezed, "_loss_terms": 1
+        }, engine
+        # a threshold search runs each of them once per pipeline call, the
+        # two bracket ends included, and pure loss once per distinct signed eta
+        del calls[:]
+        pr.find_threshold(base, "eta1", (0.0, 1.0))
+        assert len(calls[0][0]) == 2
+        for points, counts in calls:
+            assert len(counts["_channel"]) == 1, engine
+            assert len(counts["_tmsv_entries"]) == squeezed, engine
+            assert len(counts["_loss_terms"]) == len(_signed_etas(points)), engine
+        # -0.0 == 0.0 as a key, but sqrt(-0.0) is -0.0: the two zeros of an
+        # eta are distinct values, shared across eta1, eta2 and eta_c
+        del calls[:]
+        etas = (0.0, -0.0, 0.5, 1.0)
+        points = [
+            pr._point(dataclasses.replace(base, eta1=eta1, eta2=eta2, eta_c=eta_c))
+            for eta1, eta2, eta_c in itertools.product(etas, repeat=3)
+        ]
+        pr._evaluate(base, points)
+        ((_, counts),) = calls
+        signed = [(eta, math.copysign(1.0, eta)) for (eta,) in counts["_loss_terms"]]
+        assert len(signed) == len(set(signed)) == 4, engine
+        assert set(signed) == _signed_etas(points), engine
 
 
 def test_gaussian_batch_keeps_signed_zeros_of_shared_values():
@@ -1098,16 +1120,79 @@ def test_gaussian_batch_keeps_signed_zeros_of_shared_values():
     # the signs do reach the output: both signs of a zero correlation occur
     signs = {math.copysign(1.0, k) for k in batch.cov[:, 0, 2].tolist()}
     assert signs == {1.0, -1.0}
+    # and so does each eta's: a point whose eta1, eta2 or eta_c is -0.0 and
+    # its twin at 0.0, in the same batch, differ in some covariance bit
+    index = {bits(pr._point(c)): i for i, c in enumerate(configs)}
+    for name in ("eta1", "eta2", "eta_c"):
+        twins = [
+            (i, index[bits(pr._point(dataclasses.replace(c, **{name: -0.0})))])
+            for i, c in enumerate(configs)
+            if getattr(c, name) == 0.0 and math.copysign(1.0, getattr(c, name)) > 0
+        ]
+        assert any(batch.cov[i].tobytes() != batch.cov[j].tobytes() for i, j in twins), name
+
+
+def test_pipeline_builds_no_channel_coefficients(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ChannelCoefficients was built")
+
+    monkeypatch.setattr(ch, "ChannelCoefficients", refuse)
+    with pytest.raises(AssertionError):  # the patch reaches the public builder
+        ch.channel_coefficients(0.01, 0.1)
+    for engine, base in SEARCH_BASES.items():
+        sw.run_sweep(sw.SweepSpec(base=base, **GRID_16x16x3))
+        pr.find_threshold(base, "eta1", (0.0, 1.0))
+        points = [pr._point(dataclasses.replace(base, y=y)) for y in (0.1, 0.5, 1.0, 0.1)]
+        assert len(pr._evaluate(base, points)) == 4
+        pr.entanglement_metric(base)
+
+
+def _hex_or_error(function, x, y):
+    """function(x, y)'s (c1, terms) by float.hex, or its error's type and message."""
+    try:
+        c1, terms = function(x, y)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return c1.hex(), tuple(map(float.hex, terms))
+
+
+def _public_channel(x, y):
+    coeffs = ch.channel_coefficients(x, y)
+    return coeffs.c1, ch._storage_channel(coeffs)
+
+
+def test_pipeline_channel_is_the_public_channel_bit_for_bit():
+    rng = np.random.default_rng(20261020)
+    xs = [0.0, -0.0, *rng.uniform(0.0, 2.0, 40).tolist(), *(10.0 ** rng.uniform(-12, 3, 20)).tolist()]
+    # y = 1, the series branch (1 - y^2 < SERIES_BELOW) and either side of it
+    edge = math.sqrt(1.0 - ch.SERIES_BELOW)
+    ys = [1.0, edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0),
+          *(1.0 - 10.0 ** rng.uniform(-16, -2.5, 20)).tolist(),
+          *rng.uniform(1e-6, 1.0, 20).tolist()]
+    outcomes = [
+        (_hex_or_error(ch._channel, x, y), _hex_or_error(_public_channel, x, y))
+        for x in xs for y in ys
+    ]
+    assert all(private == public for private, public in outcomes)
+    # the draw mostly passes the closure check and reaches the series branch
+    assert sum(isinstance(private[1], tuple) for private, _ in outcomes) > 0.9 * len(outcomes)
+    assert sum(1.0 - y * y < ch.SERIES_BELOW for y in ys) > 10
+    # the same domain checks
+    for x, y in ((-0.1, 0.5), (math.inf, 0.5), (0.1, 0.0), (0.1, 1.5), (0.1, math.nan)):
+        assert _hex_or_error(ch._channel, x, y) == _hex_or_error(_public_channel, x, y)
+        assert _hex_or_error(ch._channel, x, y)[0] is ValueError
 
 
 @pytest.mark.parametrize("engine", pr.ENGINES)
 def test_pipelines_reject_coefficients_that_violate_closure(monkeypatch, engine):
-    build = ch.channel_coefficients
-    monkeypatch.setattr(
-        ch, "channel_coefficients", lambda x, y: dataclasses.replace(build(x, y), f1=1.0)
-    )
-    with pytest.raises(ValueError, match=r"^channel coefficients violate closure by "):
-        pr.entanglement_metric(pr.ProtocolConfig(engine=engine))
+    config = pr.ProtocolConfig(engine=engine)
+    defect = dataclasses.replace(ch.channel_coefficients(config.x, config.y), f1=1.0).closure_defect
+    core = ch._coefficients
+    monkeypatch.setattr(ch, "_coefficients", lambda x, y: (*core(x, y)[:2], 1.0, core(x, y)[3]))
+    with pytest.raises(
+        ValueError, match=rf"^channel coefficients violate closure by {re.escape(str(defect))}$"
+    ):
+        pr.entanglement_metric(config)
 
 
 def test_find_threshold_rejects_nan_tol_before_any_probe(monkeypatch):
