@@ -12,8 +12,8 @@ core, ``_coefficients``, and its closure-checked per-channel terms
 (-c1, c1^2, c2^2, f1^2 / 2, f2^2) from one function of them, ``_terms``.
 The public ``channel_coefficients``, ``ChannelCoefficients.closure_defect``
 and ``_storage_channel(coeffs)`` are built on the two; the protocol pipeline
-takes a channel's c1 and terms as one tuple per (x, y) from ``_channel``,
-which builds no ``ChannelCoefficients``, and adds each point's noise with
+takes a channel's terms as one tuple per (x, y) from ``_channel``, which
+builds no ``ChannelCoefficients``, and adds each point's noise with
 ``_storage_added``.  The public Gaussian operations
 (:mod:`micromacro.gaussian`) apply the helpers to 4x4 arrays, and the
 protocol pipeline composes them per config for both engines.  Nothing here
@@ -152,11 +152,10 @@ def _storage_channel(coeffs):
 
 
 def _channel(x, y):
-    """The pipeline's storage channel at (x, y): its c1 and its per-channel
-    terms, ``_storage_channel(channel_coefficients(x, y))``, without building
-    a ChannelCoefficients."""
-    c1, c2, f1, f2 = _coefficients(x, y)
-    return c1, _terms(c1, c2, f1, f2)
+    """The pipeline's storage channel at (x, y): its per-channel terms,
+    ``_storage_channel(channel_coefficients(x, y))``, without building a
+    ChannelCoefficients.  Its c1 is the negated first term."""
+    return _terms(*_coefficients(x, y))
 
 
 def _storage_added(channel, n_initial, n_bath):

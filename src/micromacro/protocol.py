@@ -225,59 +225,34 @@ def _amplitude_sq(convention, N_D, y, eta1, c1):
     return eta1 * c1**2 * N_D
 
 
-# A call's tables of the terms its points share: each maps a key to its
-# stage's terms, computed on the key's first use (``__missing__``), so a call
-# computes them once per distinct value.  A signed value v is keyed as
-# ``v or repr(v)``: -0.0 == 0.0 as a dict key, but sqrt(-0.0) is -0.0 and
-# r = -0.0 gives k = -0.0, so a zero is keyed by its repr, which ``float``
-# reads back with its sign.
-
-
 class _Channels(dict):
-    """The storage channel's (c1, terms) per (x, y), ``channel._channel``.
-    x = -0.0 and 0.0 share a channel: they give the same c1 and terms."""
+    """A call's storage channels: the per-channel terms of each (x, y),
+    ``channel._channel``, computed on the pair's first use, so once per
+    distinct (x, y).  x = -0.0 and 0.0 give the same terms."""
 
     def __missing__(self, xy):
         value = self[xy] = ch._channel(*xy)
         return value
 
 
-class _Losses(dict):
-    """Pure loss's (amplitude, power, added) per signed eta,
-    ``channel._loss_terms``, for eta1, eta2 and eta_c alike."""
-
-    def __missing__(self, eta):
-        value = self[eta] = ch._loss_terms(float(eta))
-        return value
-
-
-class _Squeezed(dict):
-    """The squeezed input's entries per signed r, ``channel._tmsv_entries``."""
-
-    def __missing__(self, r):
-        value = self[r] = ch._tmsv_entries(float(r))
-        return value
-
-
-def _through_mode_a(point, convention, c1, channel, loss1, loss2, a_x, a_p, k_x, k_p):
+def _through_mode_a(point, convention, channel, a_x, a_p, k_x, k_p):
     """(a_x, a_p, k_x, k_p) after mode A's stages: loss eta1, the storage
     channel with the phase noise that follows it, and loss eta2.  Each stage
     maps X -> amplitude X, so a variance v -> power v + added, plus the phase
     noise's jitter on P's, and a correlation k -> k amplitude.  `point` is
-    the point's float tuple (``_point``); the caller passes what points
-    share: its storage channel's `c1` and per-channel terms `channel`
-    (``channel._channel``), and the (amplitude, power, added) of its two loss
-    stages, `loss1` of eta1 and `loss2` of eta2 (``channel._loss_terms``)."""
-    _, N_D, y, _, N_in, N_th, sigma, eta1, _, _ = point
-    amplitude, power, added = loss1
+    the point's float tuple (``_point``) and `channel` its storage
+    channel's per-channel terms (``channel._channel``), whose first term is
+    -c1, from the call's ``_Channels``."""
+    _, N_D, y, _, N_in, N_th, sigma, eta1, eta2, _ = point
+    amplitude, power, added = ch._loss_terms(eta1)
     a_x, a_p = power * a_x + added, power * a_p + added
     k_x, k_p = k_x * amplitude, k_p * amplitude
     amplitude, power = channel[:2]
     added = ch._storage_added(channel, N_in, N_th)
-    jitter = ch._phase_variance(sigma, _amplitude_sq(convention, N_D, y, eta1, c1))
+    jitter = ch._phase_variance(sigma, _amplitude_sq(convention, N_D, y, eta1, -channel[0]))
     a_x, a_p = power * a_x + added, power * a_p + added + jitter
     k_x, k_p = k_x * amplitude, k_p * amplitude
-    amplitude, power, added = loss2
+    amplitude, power, added = ch._loss_terms(eta2)
     return power * a_x + added, power * a_p + added, k_x * amplitude, k_p * amplitude
 
 
@@ -321,13 +296,11 @@ def _gaussian_batch(points, convention):
     [0, a_p, 0, k_p], [k_x, 0, b, 0], [0, k_p, 0, b]].  Each point propagates
     these five Python floats with the helpers of the public operations, by
     the same IEEE operations in the same order as their 4x4 arithmetic,
-    whose other entries only ever multiply or add zeros.  What points share
-    comes from per-call tables: the storage channel's c1 and terms once per
-    distinct (x, y) (``_Channels``), the squeezed entries once per signed r
-    (``_Squeezed``) and each loss stage's terms once per signed eta
-    (``_Losses``).  The call's covariances
-    are then read out by the same determinants, and each point's
-    (Sigma, det V) pair, as Python floats, by the public operations'
+    whose other entries only ever multiply or add zeros; the storage
+    channel's terms run once per distinct (x, y) in a call (``_Channels``),
+    the squeezed entries once per distinct r and sign of r.  The call's
+    covariances are then read out by the same determinants, and each
+    point's (Sigma, det V) pair, as Python floats, by the public operations'
     per-point readout ``channel._ppt_readout``.  So every value is bit for
     bit what the composed public operations give, signed zeros of the
     covariance included, whatever else the call holds.
@@ -336,18 +309,20 @@ def _gaussian_batch(points, convention):
 
     from . import gaussian as ga
 
-    channels, losses, squeezed, entries = _Channels(), _Losses(), _Squeezed(), []
+    # the squeezed entries once per r and sign: -0.0 == 0.0 as a key, but
+    # r = -0.0 gives k = -0.0
+    channels, squeezed, entries = _Channels(), {}, []
     for point in points:
-        r, _, y, x, _, _, _, eta1, eta2, eta_c = point
-        c1, channel = channels[x, y]
-        b, k = squeezed[r or repr(r)]
+        r, _, y, x, _, _, _, _, _, eta_c = point
+        signed_r = r, math.copysign(1.0, r)
+        tmsv = squeezed.get(signed_r)
+        if tmsv is None:
+            tmsv = squeezed[signed_r] = ch._tmsv_entries(r)
         # a stage at eta = 1 or without noise leaves every entry bit for bit
         # as it is (1 a + 0 = a, 1 k = k), so none is skipped
-        a_x, a_p, k_x, k_p = _through_mode_a(
-            point, convention, c1, channel,
-            losses[eta1 or repr(eta1)], losses[eta2 or repr(eta2)], b, b, k, 0.0 - k,
-        )
-        amplitude, power, added = losses[eta_c or repr(eta_c)]
+        b, k = tmsv
+        a_x, a_p, k_x, k_p = _through_mode_a(point, convention, channels[x, y], b, b, k, 0.0 - k)
+        amplitude, power, added = ch._loss_terms(eta_c)
         b, k_x, k_p = power * b + added, k_x * amplitude, k_p * amplitude
         # the zeros carry the 4x4 operations' signs: the storage channel's
         # -c1 makes the cross-blocks' zeros -0.0
@@ -406,20 +381,15 @@ def _pair_terms(t, n_x, n_p):
     return 1.0 / math.sqrt(a_x * a_p), p01, p23, p02, p03, p01 * p23 + p02 * p02 + p03 * p03
 
 
-def _qubit_block(point, convention, tables=None):
+def _qubit_block(point, convention, channels):
     """The output's unnormalized {0,1}^2 block over |a c> = 00, 01, 10, 11, an
     X-state: each entry is two products of pair terms, P's of A's composed
     channel and Q's of C's loss (README, "The Fock engine's closed form").
     `point` is a valid config's float tuple (``_point``), `convention` its
-    phase-noise convention, and `tables` the call's (``_Channels``,
-    ``_Losses``) pair, fresh ones if not given."""
-    _, _, y, x, _, _, _, eta1, eta2, eta_c = point
-    channels, losses = tables or (_Channels(), _Losses())
-    n_x, n_p, gain, _ = _through_mode_a(
-        point, convention, *channels[x, y],
-        losses[eta1 or repr(eta1)], losses[eta2 or repr(eta2)], 0.0, 0.0, 1.0, 1.0,
-    )
-    amplitude, _, added = losses[eta_c or repr(eta_c)]
+    phase-noise convention and `channels` the call's ``_Channels``."""
+    _, _, y, x, _, _, _, _, _, eta_c = point
+    n_x, n_p, gain, _ = _through_mode_a(point, convention, channels[x, y], 0.0, 0.0, 1.0, 1.0)
+    amplitude, _, added = ch._loss_terms(eta_c)
     c_a, p01, p23, p02, p03, p4 = _pair_terms(gain, n_x, n_p)
     c_c, q01, q23, q02, q03, q4 = _pair_terms(amplitude, added, added)
     scale = 0.5 * c_a * c_c
@@ -447,16 +417,18 @@ def run_fock_protocol(config):
     """
     if config.engine != "fock":
         raise ValueError(f"fock pipeline called with engine={config.engine!r}")
-    return FockProtocolResult(*_fock_readout(_point(config), config.phase_noise_convention))
+    return FockProtocolResult(
+        *_fock_readout(_point(config), config.phase_noise_convention, _Channels())
+    )
 
 
-def _fock_readout(point, convention, tables=None):
+def _fock_readout(point, convention, channels):
     """run_fock_protocol's (concurrence, projection probability, witness) of
     one point's float tuple (``_point``) under the phase-noise `convention`,
-    its shared stage terms drawn from the call's `tables` (``_qubit_block``)."""
+    its storage channel drawn from the call's `channels` (``_Channels``)."""
     from . import fock as fk
 
-    block = fk.FockDensityMatrix((2, 2), _qubit_block(point, convention, tables))
+    block = fk.FockDensityMatrix((2, 2), _qubit_block(point, convention, channels))
     qubits, probability = fk.qubit_project(block)
     rho = qubits.real.tolist()
     witness = 2.0 * max(
@@ -475,13 +447,14 @@ def _evaluate(base, points):
     the base's own tuple does.  Gaussian points run as one
     ``_gaussian_batch`` call, fock points one at a time, each bit for bit
     the config's run_gaussian_protocol or run_fock_protocol.  Either engine
-    computes the terms its points share once per call (``_Channels``,
-    ``_Losses``)."""
+    computes each distinct (x, y)'s storage channel once per call
+    (``_Channels``)."""
     convention = base.phase_noise_convention
     if base.engine == "gaussian":
         return [(e_n, witness) for _, witness, e_n in _gaussian_batch(points, convention)[0]]
-    tables = _Channels(), _Losses()
-    return [(c, witness) for c, _, witness in (_fock_readout(p, convention, tables) for p in points)]
+    channels = _Channels()
+    readouts = (_fock_readout(p, convention, channels) for p in points)
+    return [(c, witness) for c, _, witness in readouts]
 
 
 def entanglement_metric(config):

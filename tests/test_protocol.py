@@ -1036,11 +1036,6 @@ def _count_helpers(monkeypatch, *names):
     return calls
 
 
-def _signed_etas(points):
-    """The distinct (eta, sign of eta) of the points' three transmissions."""
-    return {(eta, math.copysign(1.0, eta)) for p in points for eta in p[7:]}
-
-
 GRID_16x16x3 = dict(
     axis1=sw.AxisSpec("x", sw.linear_grid(0.0, 0.3, 16)),
     axis2=sw.AxisSpec("y", sw.linear_grid(0.01, 0.99, 16)),
@@ -1068,38 +1063,23 @@ def test_channel_coefficients_run_once_per_distinct_pair_in_a_call(monkeypatch):
 
 
 def test_storage_channel_and_squeezed_input_run_once_per_distinct_value_in_a_call(monkeypatch):
-    names = ("_channel", "_tmsv_entries", "_loss_terms")
+    names = ("_channel", "_tmsv_entries")
     calls = _count_helpers(monkeypatch, *names)
     for engine, base in SEARCH_BASES.items():
         del calls[:]
         sw.run_sweep(sw.SweepSpec(base=pr.ProtocolConfig(engine=engine), **GRID_16x16x3))
         squeezed = int(engine == "gaussian")  # the fock input is no squeezed state
-        # eta1 = eta2 = eta_c = 0.8 at every point: one loss stage's terms
         assert {name: len(args) for name, args in calls[0][1].items()} == {
-            "_channel": 256, "_tmsv_entries": squeezed, "_loss_terms": 1
+            "_channel": 256, "_tmsv_entries": squeezed
         }, engine
         # a threshold search runs each of them once per pipeline call, the
-        # two bracket ends included, and pure loss once per distinct signed eta
+        # two bracket ends included
         del calls[:]
         pr.find_threshold(base, "eta1", (0.0, 1.0))
         assert len(calls[0][0]) == 2
-        for points, counts in calls:
+        for _, counts in calls:
             assert len(counts["_channel"]) == 1, engine
             assert len(counts["_tmsv_entries"]) == squeezed, engine
-            assert len(counts["_loss_terms"]) == len(_signed_etas(points)), engine
-        # -0.0 == 0.0 as a key, but sqrt(-0.0) is -0.0: the two zeros of an
-        # eta are distinct values, shared across eta1, eta2 and eta_c
-        del calls[:]
-        etas = (0.0, -0.0, 0.5, 1.0)
-        points = [
-            pr._point(dataclasses.replace(base, eta1=eta1, eta2=eta2, eta_c=eta_c))
-            for eta1, eta2, eta_c in itertools.product(etas, repeat=3)
-        ]
-        pr._evaluate(base, points)
-        ((_, counts),) = calls
-        signed = [(eta, math.copysign(1.0, eta)) for (eta,) in counts["_loss_terms"]]
-        assert len(signed) == len(set(signed)) == 4, engine
-        assert set(signed) == _signed_etas(points), engine
 
 
 def test_gaussian_batch_keeps_signed_zeros_of_shared_values():
@@ -1132,6 +1112,31 @@ def test_gaussian_batch_keeps_signed_zeros_of_shared_values():
         assert any(batch.cov[i].tobytes() != batch.cov[j].tobytes() for i, j in twins), name
 
 
+def _outputs(config):
+    """A config's single-run outputs by float.hex, its covariance's bytes included."""
+    if config.engine == "fock":
+        return tuple(map(float.hex, dataclasses.astuple(pr.run_fock_protocol(config))))
+    result = pr.run_gaussian_protocol(config)
+    fields = (result.log_negativity, result.nu_min, result.witness)
+    return (*map(float.hex, fields), result.output_state.cov.tobytes())
+
+
+@pytest.mark.parametrize("engine", pr.ENGINES)
+def test_numpy_zeros_run_as_python_zeros(engine):
+    # a config field may hold a NumPy float: its zeros of either sign run bit
+    # for bit as the Python float's, on their own and in one call with the
+    # other sign and with the Python zeros
+    base = SEARCH_BASES[engine]
+    names = ("r", "N_D", "x", "N_in", "N_th", "sigma", "eta1", "eta2", "eta_c")
+    for name in names:
+        plain = [dataclasses.replace(base, **{name: zero}) for zero in (0.0, -0.0)]
+        numpy = [dataclasses.replace(base, **{name: np.float64(zero)}) for zero in (0.0, -0.0)]
+        for config, twin in zip(numpy, plain):
+            assert _outputs(config) == _outputs(twin), (name, config)
+        pairs = pr._evaluate(base, [pr._point(c) for c in numpy + plain])
+        assert [bits(pair) for pair in pairs[:2]] == [bits(pair) for pair in pairs[2:]], name
+
+
 def test_pipeline_builds_no_channel_coefficients(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a ChannelCoefficients was built")
@@ -1156,6 +1161,11 @@ def _hex_or_error(function, x, y):
     return c1.hex(), tuple(map(float.hex, terms))
 
 
+def _pipeline_channel(x, y):
+    terms = ch._channel(x, y)
+    return -terms[0], terms
+
+
 def _public_channel(x, y):
     coeffs = ch.channel_coefficients(x, y)
     return coeffs.c1, ch._storage_channel(coeffs)
@@ -1170,7 +1180,7 @@ def test_pipeline_channel_is_the_public_channel_bit_for_bit():
           *(1.0 - 10.0 ** rng.uniform(-16, -2.5, 20)).tolist(),
           *rng.uniform(1e-6, 1.0, 20).tolist()]
     outcomes = [
-        (_hex_or_error(ch._channel, x, y), _hex_or_error(_public_channel, x, y))
+        (_hex_or_error(_pipeline_channel, x, y), _hex_or_error(_public_channel, x, y))
         for x in xs for y in ys
     ]
     assert all(private == public for private, public in outcomes)
@@ -1179,8 +1189,8 @@ def test_pipeline_channel_is_the_public_channel_bit_for_bit():
     assert sum(1.0 - y * y < ch.SERIES_BELOW for y in ys) > 10
     # the same domain checks
     for x, y in ((-0.1, 0.5), (math.inf, 0.5), (0.1, 0.0), (0.1, 1.5), (0.1, math.nan)):
-        assert _hex_or_error(ch._channel, x, y) == _hex_or_error(_public_channel, x, y)
-        assert _hex_or_error(ch._channel, x, y)[0] is ValueError
+        assert _hex_or_error(_pipeline_channel, x, y) == _hex_or_error(_public_channel, x, y)
+        assert _hex_or_error(_pipeline_channel, x, y)[0] is ValueError
 
 
 @pytest.mark.parametrize("engine", pr.ENGINES)
