@@ -27,14 +27,21 @@ base's.  A call's gaussian points run as one private batch
 and ``run_fock_protocol`` each take one config.
 
 Both engines compose the per-point terms of :mod:`micromacro.channel`, which
-needs no NumPy.  Each engine runner imports NumPy and its engine module when
-it runs, so configs, feasibility and threshold bookkeeping load neither, and
-a gaussian run never loads the fock engine.
+needs no NumPy.  A call computes each stage's inputs (the squeezed input,
+the three loss stages' terms, and the storage channel with its phase
+jitter) in one per-call generator, ``_stage_inputs``, which recomputes an
+input only where a field it reads is not the same object as at the previous
+point; so a sweep that varies one field recomputes only the inputs that read
+it.  NumPy and each engine module load on a run's first use (``_module``),
+so configs, feasibility and threshold bookkeeping load neither, and a
+gaussian run never loads the fock engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib
 import math
 import operator
 from dataclasses import dataclass
@@ -113,8 +120,14 @@ class ProtocolConfig:
     phase_noise_convention: str = "propagated_mean"
 
     def __post_init__(self):
-        for name in _CHECKS:
-            _checked(name, getattr(self, name))
+        for name, (accepts, message) in _CHECKS.items():
+            value = getattr(self, name)
+            if not accepts(value):
+                raise ValueError(message.format(value))
+            # a float field holds a Python float, so a NumPy float32 field
+            # runs in double precision too
+            if type(value) is not float and name in _FLOAT_FIELDS:
+                object.__setattr__(self, name, float(value))
 
 
 def _finite_non_negative(value):
@@ -151,12 +164,12 @@ _CHECKS = {
 
 
 def _checked(name, value):
-    """`value` if config field `name` accepts it; else the ValueError that
-    ProtocolConfig raises for it."""
+    """`value` as a Python float if float config field `name` accepts it;
+    else the ValueError that ProtocolConfig raises for it."""
     accepts, message = _CHECKS[name]
     if not accepts(value):
         raise ValueError(message.format(value))
-    return value
+    return float(value)
 
 
 def _integer(name, value):
@@ -225,34 +238,85 @@ def _amplitude_sq(convention, N_D, y, eta1, c1):
     return eta1 * c1**2 * N_D
 
 
-class _Channels(dict):
-    """A call's storage channels: the per-channel terms of each (x, y),
-    ``channel._channel``, computed on the pair's first use, so once per
-    distinct (x, y).  x = -0.0 and 0.0 give the same terms."""
+@functools.cache
+def _module(name):
+    """``importlib.import_module(name)``, a leading dot naming a module of
+    this package.  The engines and NumPy load when a run first needs them;
+    later calls find them by one cache lookup, cheaper than an import
+    statement's, which a run of one point would pay per call."""
+    return importlib.import_module(name, __package__)
 
-    def __missing__(self, xy):
-        value = self[xy] = ch._channel(*xy)
-        return value
+
+def _stage_inputs(points, convention, squeezed=True):
+    """Each point's stage inputs, one tuple a point: the squeezed input's
+    (b, k) (None unless `squeezed`), eta1's loss terms
+    (``channel._loss_terms``), the storage channel's terms
+    (``channel._channel``), the P variance of the phase jitter that follows
+    it (``channel._phase_variance``), and eta2's and eta_c's loss terms.
+    `points` are valid float tuples (``_point``) that share the phase-noise
+    `convention`.
+
+    An input is recomputed only where a field it reads is not the same object
+    as at the previous point.  Sweeps write axis values into the base's tuple
+    and a search writes only its probe, so every unvaried field is the base's
+    own float object.  The test keys on no value: equal but distinct floats,
+    such as -0.0, 0.0 and NumPy zeros, each get their own terms.  Where the
+    storage channel or the squeezed input is recomputed, it comes once per
+    distinct (x, y) in the call (x = -0.0 and 0.0 give the same terms), and
+    once per distinct r and sign of r (-0.0 == 0.0 as a key, but r = -0.0
+    gives k = -0.0).  The squeezed input is
+    taken before the channel, so a point's first error is the same whatever
+    the call holds, and the tuples are made point by point, so a caller's
+    own per-point error comes before any later point's."""
+    channels, squeezes = {}, {}
+    r0 = N_D0 = y0 = x0 = sigma0 = eta10 = eta20 = eta_c0 = tmsv = None
+    for r, N_D, y, x, _, _, sigma, eta1, eta2, eta_c in points:
+        fresh = False  # whether the jitter's channel or eta1 is new
+        if r is not r0:
+            r0 = r
+            if squeezed:
+                signed_r = r, math.copysign(1.0, r)
+                tmsv = squeezes.get(signed_r)
+                if tmsv is None:
+                    tmsv = squeezes[signed_r] = ch._tmsv_entries(r)
+        if x is not x0 or y is not y0:
+            x0, y0, fresh = x, y, True
+            channel = channels.get((x, y))
+            if channel is None:
+                channel = channels[x, y] = ch._channel(x, y)
+        if eta1 is not eta10:
+            eta10, fresh = eta1, True
+            loss1 = ch._loss_terms(eta1)
+        if eta2 is not eta20:
+            eta20 = eta2
+            loss2 = ch._loss_terms(eta2)
+        if eta_c is not eta_c0:
+            eta_c0 = eta_c
+            loss_c = ch._loss_terms(eta_c)
+        if fresh or N_D is not N_D0 or sigma is not sigma0:
+            N_D0, sigma0 = N_D, sigma
+            jitter = ch._phase_variance(sigma, _amplitude_sq(convention, N_D, y, eta1, -channel[0]))
+        yield tmsv, loss1, channel, jitter, loss2, loss_c
 
 
-def _through_mode_a(point, convention, channel, a_x, a_p, k_x, k_p):
+def _through_mode_a(inputs, point, a_x, a_p, k_x, k_p):
     """(a_x, a_p, k_x, k_p) after mode A's stages: loss eta1, the storage
     channel with the phase noise that follows it, and loss eta2.  Each stage
     maps X -> amplitude X, so a variance v -> power v + added, plus the phase
     noise's jitter on P's, and a correlation k -> k amplitude.  `point` is
-    the point's float tuple (``_point``) and `channel` its storage
-    channel's per-channel terms (``channel._channel``), whose first term is
-    -c1, from the call's ``_Channels``."""
-    _, N_D, y, _, N_in, N_th, sigma, eta1, eta2, _ = point
-    amplitude, power, added = ch._loss_terms(eta1)
+    the point's float tuple (``_point``), read for its occupations N_in and
+    N_th, and `inputs` its stage inputs from the call's ``_stage_inputs``:
+    the loss terms, the storage channel, whose first term is -c1, and the
+    jitter."""
+    _, _, _, _, N_in, N_th, _, _, _, _ = point
+    _, (amplitude, power, added), channel, jitter, loss2, _ = inputs
     a_x, a_p = power * a_x + added, power * a_p + added
     k_x, k_p = k_x * amplitude, k_p * amplitude
     amplitude, power = channel[:2]
     added = ch._storage_added(channel, N_in, N_th)
-    jitter = ch._phase_variance(sigma, _amplitude_sq(convention, N_D, y, eta1, -channel[0]))
     a_x, a_p = power * a_x + added, power * a_p + added + jitter
     k_x, k_p = k_x * amplitude, k_p * amplitude
-    amplitude, power, added = ch._loss_terms(eta2)
+    amplitude, power, added = loss2
     return power * a_x + added, power * a_p + added, k_x * amplitude, k_p * amplitude
 
 
@@ -296,33 +360,24 @@ def _gaussian_batch(points, convention):
     [0, a_p, 0, k_p], [k_x, 0, b, 0], [0, k_p, 0, b]].  Each point propagates
     these five Python floats with the helpers of the public operations, by
     the same IEEE operations in the same order as their 4x4 arithmetic,
-    whose other entries only ever multiply or add zeros; the storage
-    channel's terms run once per distinct (x, y) in a call (``_Channels``),
-    the squeezed entries once per distinct r and sign of r.  The call's
+    whose other entries only ever multiply or add zeros.  The stage inputs
+    come from the call's ``_stage_inputs``, which reuses the previous
+    point's where the fields they read are the same objects, and adds only
+    the storage channel's noise of N_in and N_th per point.  The call's
     covariances are then read out by the same determinants, and each
     point's (Sigma, det V) pair, as Python floats, by the public operations'
     per-point readout ``channel._ppt_readout``.  So every value is bit for
     bit what the composed public operations give, signed zeros of the
     covariance included, whatever else the call holds.
     """
-    import numpy as np
-
-    from . import gaussian as ga
-
-    # the squeezed entries once per r and sign: -0.0 == 0.0 as a key, but
-    # r = -0.0 gives k = -0.0
-    channels, squeezed, entries = _Channels(), {}, []
-    for point in points:
-        r, _, y, x, _, _, _, _, _, eta_c = point
-        signed_r = r, math.copysign(1.0, r)
-        tmsv = squeezed.get(signed_r)
-        if tmsv is None:
-            tmsv = squeezed[signed_r] = ch._tmsv_entries(r)
+    np, ga = _module("numpy"), _module(".gaussian")
+    entries = []
+    # the inputs come first, so zip runs them to their end
+    for inputs, point in zip(_stage_inputs(points, convention), points):
         # a stage at eta = 1 or without noise leaves every entry bit for bit
         # as it is (1 a + 0 = a, 1 k = k), so none is skipped
-        b, k = tmsv
-        a_x, a_p, k_x, k_p = _through_mode_a(point, convention, channels[x, y], b, b, k, 0.0 - k)
-        amplitude, power, added = ch._loss_terms(eta_c)
+        (b, k), _, _, _, _, (amplitude, power, added) = inputs
+        a_x, a_p, k_x, k_p = _through_mode_a(inputs, point, b, b, k, 0.0 - k)
         b, k_x, k_p = power * b + added, k_x * amplitude, k_p * amplitude
         # the zeros carry the 4x4 operations' signs: the storage channel's
         # -c1 makes the cross-blocks' zeros -0.0
@@ -381,15 +436,15 @@ def _pair_terms(t, n_x, n_p):
     return 1.0 / math.sqrt(a_x * a_p), p01, p23, p02, p03, p01 * p23 + p02 * p02 + p03 * p03
 
 
-def _qubit_block(point, convention, channels):
+def _qubit_block(inputs, point):
     """The output's unnormalized {0,1}^2 block over |a c> = 00, 01, 10, 11, an
     X-state: each entry is two products of pair terms, P's of A's composed
     channel and Q's of C's loss (README, "The Fock engine's closed form").
-    `point` is a valid config's float tuple (``_point``), `convention` its
-    phase-noise convention and `channels` the call's ``_Channels``."""
-    _, _, y, x, _, _, _, _, _, eta_c = point
-    n_x, n_p, gain, _ = _through_mode_a(point, convention, channels[x, y], 0.0, 0.0, 1.0, 1.0)
-    amplitude, _, added = ch._loss_terms(eta_c)
+    `point` is a valid config's float tuple (``_point``) and `inputs` its
+    stage inputs from the call's ``_stage_inputs``, without the squeezed
+    input."""
+    n_x, n_p, gain, _ = _through_mode_a(inputs, point, 0.0, 0.0, 1.0, 1.0)
+    amplitude, _, added = inputs[5]
     c_a, p01, p23, p02, p03, p4 = _pair_terms(gain, n_x, n_p)
     c_c, q01, q23, q02, q03, q4 = _pair_terms(amplitude, added, added)
     scale = 0.5 * c_a * c_c
@@ -417,18 +472,17 @@ def run_fock_protocol(config):
     """
     if config.engine != "fock":
         raise ValueError(f"fock pipeline called with engine={config.engine!r}")
-    return FockProtocolResult(
-        *_fock_readout(_point(config), config.phase_noise_convention, _Channels())
-    )
+    point = _point(config)
+    (inputs,) = _stage_inputs((point,), config.phase_noise_convention, squeezed=False)
+    return FockProtocolResult(*_fock_readout(inputs, point))
 
 
-def _fock_readout(point, convention, channels):
+def _fock_readout(inputs, point):
     """run_fock_protocol's (concurrence, projection probability, witness) of
-    one point's float tuple (``_point``) under the phase-noise `convention`,
-    its storage channel drawn from the call's `channels` (``_Channels``)."""
-    from . import fock as fk
-
-    block = fk.FockDensityMatrix((2, 2), _qubit_block(point, convention, channels))
+    one point's float tuple (``_point``) and its stage inputs
+    (``_stage_inputs``, without the squeezed input)."""
+    fk = _module(".fock")
+    block = fk.FockDensityMatrix((2, 2), _qubit_block(inputs, point))
     qubits, probability = fk.qubit_project(block)
     rho = qubits.real.tolist()
     witness = 2.0 * max(
@@ -446,14 +500,15 @@ def _evaluate(base, points):
     order (``_point``) whose every value has passed its field's check, as
     the base's own tuple does.  Gaussian points run as one
     ``_gaussian_batch`` call, fock points one at a time, each bit for bit
-    the config's run_gaussian_protocol or run_fock_protocol.  Either engine
-    computes each distinct (x, y)'s storage channel once per call
-    (``_Channels``)."""
+    the config's run_gaussian_protocol or run_fock_protocol.  Both engines
+    take each point's stage inputs from one ``_stage_inputs`` per call: an
+    input is recomputed only where a field it reads is not the previous
+    point's object, and each distinct (x, y)'s storage channel at most once
+    per call."""
     convention = base.phase_noise_convention
     if base.engine == "gaussian":
         return [(e_n, witness) for _, witness, e_n in _gaussian_batch(points, convention)[0]]
-    channels = _Channels()
-    readouts = (_fock_readout(p, convention, channels) for p in points)
+    readouts = map(_fock_readout, _stage_inputs(points, convention, squeezed=False), points)
     return [(c, witness) for c, _, witness in readouts]
 
 

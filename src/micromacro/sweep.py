@@ -120,9 +120,14 @@ def run_sweep(spec, workers=1):
     takes the engine and phase-noise convention from the base: one private
     batch readout (``protocol._gaussian_batch``) for the gaussian engine,
     bit for bit each point's ``run_gaussian_protocol``, and one run at a
-    time in sweep order for the fock engine.  `workers` is accepted for
-    compatibility and must be >= 1, but has no effect, so output cannot
-    depend on it.
+    time in sweep order for the fock engine.  Every point's unvaried fields
+    are the base's own float objects, and each axis value one object, so the
+    call recomputes a stage's inputs only where a field they read changes
+    (``protocol._stage_inputs``).  `workers` is accepted for compatibility
+    and must be >= 1, but has no effect, so output cannot depend on it.
+
+    The rows are rendered in one pass: one ``%`` on a template of
+    "%.12g" cells, which formats every float as "{:.12g}".format does.
 
     Where a check or that call raises, the points are re-run one at a time
     in sweep order, each point's ten fields checked in ``_FLOAT_FIELDS``
@@ -173,12 +178,14 @@ def run_sweep(spec, workers=1):
         )
     else:
         header.append(metric)
-    lines = [",".join(header)]
-    lines.extend(
-        ",".join(map(_format, (*coordinates[i][:n_keys], *results[i : i + n_series])))
-        for i in range(0, len(coordinates), n_series)
-    )
-    return "\n".join(lines) + "\n", ()
+    # "%.12g" % v is _format(v) for every float, so one % renders every row
+    cells = []
+    for i in range(0, len(coordinates), n_series):
+        cells += coordinates[i][:n_keys]
+        cells += results[i : i + n_series]
+    row = ",".join(["%.12g"] * (n_keys + n_series)) + "\n"
+    rows = (row * (len(coordinates) // n_series)) % tuple(cells)
+    return ",".join(header) + "\n" + rows, ()
 
 
 def _threshold_axis(base, parameter, bracket, n, tol, scale="linear"):

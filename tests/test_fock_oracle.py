@@ -44,6 +44,13 @@ def _engine(config):
     return result.concurrence, result.projection_probability
 
 
+def _qubit_block(config):
+    """The engine's unnormalized {0,1}^2 block of one config."""
+    point = pr._point(config)
+    (inputs,) = pr._stage_inputs([point], config.phase_noise_convention, squeezed=False)
+    return pr._qubit_block(inputs, point)
+
+
 def _seeded_configs(seed, n, n_th_max=20.0, n_d_max=3e4):
     rng = random.Random(seed)
     for _ in range(n):
@@ -96,7 +103,7 @@ def test_closed_form_pure_loss_limit():
         c1 = ga.channel_coefficients(config.x, config.y).c1
         transmission = c1**2 * config.eta1 * config.eta2
         coherence = -c1 * math.sqrt(config.eta1 * config.eta2 * config.eta_c) / 2.0
-        block = pr._qubit_block(pr._point(config), config.phase_noise_convention, pr._Channels())
+        block = _qubit_block(config)
         assert abs(sum(block[i][i] for i in range(4)) - 1.0) < 1e-15, config
         assert abs(block[3][3]) < 1e-15 and block[0][3] == 0.0, config
         assert abs(block[1][1] - config.eta_c / 2.0) < 1e-15, config
@@ -116,7 +123,7 @@ def test_witness_is_the_wootters_difference_of_the_projected_block():
     entangled = 0
     for config in configs:
         witness = pr.run_fock_protocol(config).witness
-        block = pr._qubit_block(pr._point(config), config.phase_noise_convention, pr._Channels())
+        block = _qubit_block(config)
         qubits, _ = fk.qubit_project(fk.FockDensityMatrix((2, 2), block))
         reference = fk.wootters_difference(qubits)
         assert (witness > 0.0) == (reference > 0.0), config

@@ -1063,23 +1063,29 @@ def test_channel_coefficients_run_once_per_distinct_pair_in_a_call(monkeypatch):
 
 
 def test_storage_channel_and_squeezed_input_run_once_per_distinct_value_in_a_call(monkeypatch):
-    names = ("_channel", "_tmsv_entries")
+    # and every stage input only where a field it reads changes: the grid
+    # varies (x, y) every third point and N_in at each, and every other field
+    # is the base's own object throughout the call
+    names = ("_channel", "_tmsv_entries", "_loss_terms", "_phase_variance")
     calls = _count_helpers(monkeypatch, *names)
     for engine, base in SEARCH_BASES.items():
         del calls[:]
         sw.run_sweep(sw.SweepSpec(base=pr.ProtocolConfig(engine=engine), **GRID_16x16x3))
         squeezed = int(engine == "gaussian")  # the fock input is no squeezed state
         assert {name: len(args) for name, args in calls[0][1].items()} == {
-            "_channel": 256, "_tmsv_entries": squeezed
+            "_channel": 256, "_tmsv_entries": squeezed, "_loss_terms": 3, "_phase_variance": 256
         }, engine
-        # a threshold search runs each of them once per pipeline call, the
-        # two bracket ends included
+        # a threshold search runs the channel and the squeezed input once per
+        # pipeline call, the two bracket ends included; an eta1 search's ends
+        # differ in eta1 alone, which one loss stage and the jitter read
         del calls[:]
         pr.find_threshold(base, "eta1", (0.0, 1.0))
         assert len(calls[0][0]) == 2
-        for _, counts in calls:
-            assert len(counts["_channel"]) == 1, engine
-            assert len(counts["_tmsv_entries"]) == squeezed, engine
+        counts = [{name: len(args) for name, args in c.items()} for _, c in calls]
+        assert counts[0] == {
+            "_channel": 1, "_tmsv_entries": squeezed, "_loss_terms": 4, "_phase_variance": 2
+        }, engine
+        assert all(c == {**counts[0], "_loss_terms": 3, "_phase_variance": 1} for c in counts[1:])
 
 
 def test_gaussian_batch_keeps_signed_zeros_of_shared_values():
@@ -1110,6 +1116,55 @@ def test_gaussian_batch_keeps_signed_zeros_of_shared_values():
             if getattr(c, name) == 0.0 and math.copysign(1.0, getattr(c, name)) > 0
         ]
         assert any(batch.cov[i].tobytes() != batch.cov[j].tobytes() for i, j in twins), name
+    # a call reuses a stage's inputs where its fields are the previous
+    # point's objects, so equal but distinct values must each get their own
+    for engine, base in SEARCH_BASES.items():
+        points = _neighbour_points(base, 400, seed=20261020)
+        pairs = pr._evaluate(base, points)
+        singles = [pr._evaluate(base, [point])[0] for point in points]
+        assert [bits(pair) for pair in pairs] == [bits(pair) for pair in singles], engine
+    # each field's neighbours are the same object, equal but distinct, or
+    # unequal, and the zeros of ZERO_FIELDS come in both signs and types
+    for i, name in enumerate(pr._FLOAT_FIELDS):
+        kinds = {
+            "same" if a[i] is b[i] else "equal" if a[i] == b[i] else "other"
+            for a, b in zip(points, points[1:])
+        }
+        assert kinds == {"same", "equal", "other"}, name
+        if name in ZERO_FIELDS:
+            zeros = {(type(p[i]), math.copysign(1.0, p[i])) for p in points if p[i] == 0.0}
+            assert len(zeros) == 4, name
+
+
+ZERO_FIELDS = ("r", "N_D", "x", "sigma", "eta1", "eta2", "eta_c")
+# a field's range for a new random value in _neighbour_points
+NEIGHBOUR_RANGES = dict(
+    r=(0.0, 2.0), N_D=(0.0, 1e4), y=(0.01, 1.0), x=(0.0, 0.3), N_in=(0.0, 2.0),
+    N_th=(0.0, 2.0), sigma=(0.0, 0.02), eta1=(0.0, 1.0), eta2=(0.0, 1.0), eta_c=(0.0, 1.0),
+)
+
+
+def _neighbour_points(base, n, seed):
+    """n float tuples from `base`, each a copy of the previous one in which
+    every field keeps the previous point's object, or takes an equal but
+    distinct float, a new random value, or one of the zeros 0.0, -0.0 and
+    NumPy's (ZERO_FIELDS; y, which has no zero, takes 0.1 or 0.995)."""
+    rng = np.random.default_rng(seed)
+    zeros = (0.0, -0.0, np.float64(0.0), np.float64(-0.0))
+    point, points = list(pr._point(base)), []
+    for _ in range(n):
+        for i, name in enumerate(pr._FLOAT_FIELDS):
+            draw, value = rng.integers(4), point[i]
+            if draw == 1:
+                point[i] = type(value)(str(value))  # equal, not the same object
+            elif draw == 2:
+                point[i] = float(rng.uniform(*NEIGHBOUR_RANGES[name]))
+            elif draw == 3 and name in ZERO_FIELDS:
+                point[i] = zeros[rng.integers(len(zeros))]
+            elif draw == 3 and name == "y":
+                point[i] = (0.1, 0.995)[rng.integers(2)]
+        points.append(tuple(point))
+    return points
 
 
 def _outputs(config):
@@ -1123,18 +1178,35 @@ def _outputs(config):
 
 @pytest.mark.parametrize("engine", pr.ENGINES)
 def test_numpy_zeros_run_as_python_zeros(engine):
-    # a config field may hold a NumPy float: its zeros of either sign run bit
-    # for bit as the Python float's, on their own and in one call with the
-    # other sign and with the Python zeros
+    # a config field may be given a NumPy float: its zeros of either sign
+    # run bit for bit as the Python float's, on their own and in one call
+    # with the other sign and with the Python zeros
     base = SEARCH_BASES[engine]
     names = ("r", "N_D", "x", "N_in", "N_th", "sigma", "eta1", "eta2", "eta_c")
-    for name in names:
+    for numpy_float, name in itertools.product((np.float64, np.float32), names):
         plain = [dataclasses.replace(base, **{name: zero}) for zero in (0.0, -0.0)]
-        numpy = [dataclasses.replace(base, **{name: np.float64(zero)}) for zero in (0.0, -0.0)]
+        numpy = [dataclasses.replace(base, **{name: numpy_float(zero)}) for zero in (0.0, -0.0)]
         for config, twin in zip(numpy, plain):
             assert _outputs(config) == _outputs(twin), (name, config)
         pairs = pr._evaluate(base, [pr._point(c) for c in numpy + plain])
         assert [bits(pair) for pair in pairs[:2]] == [bits(pair) for pair in pairs[2:]], name
+
+
+@pytest.mark.parametrize(
+    "engine, metric", [("gaussian", 0.11930577715770614), ("fock", 0.0723077661358335)]
+)
+def test_a_numpy_float32_field_runs_as_its_python_float(engine, metric):
+    # a config stores every float field as a Python float, so a float32
+    # field runs in double precision, as float(np.float32(0.8)) does
+    single = np.float32(0.8)
+    config = pr.ProtocolConfig(engine=engine, eta1=single)
+    assert type(config.eta1) is float and config.eta1 == float(single)
+    assert {type(v) for v in pr._point(config)} == {float}
+    assert pr.entanglement_metric(config) == metric
+    assert pr.entanglement_metric(dataclasses.replace(config, eta1=float(single))) == metric
+    # the field's check still sees the value as given
+    with pytest.raises(ValueError, match=r"^transmission eta1=1\.5 outside \[0, 1\]$"):
+        pr.ProtocolConfig(engine=engine, eta1=np.float32(1.5))
 
 
 def test_pipeline_builds_no_channel_coefficients(monkeypatch):

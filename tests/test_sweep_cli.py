@@ -1,6 +1,7 @@
 """Tests for the sweep engine, figure presets, config parsing and the CLI."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import warnings
@@ -303,6 +304,50 @@ def test_gaussian_sweep_cells_equal_single_point_metrics():
         for y in spec.axis1.values
     ]
     assert [row[2:] for row in rows] == expected
+
+
+def _per_cell_csv(spec):
+    """A sweep's CSV with every cell formatted on its own, by "{:.12g}".format,
+    from each point's entanglement_metric."""
+    fmt = "{:.12g}".format
+    keys = [axis for axis in (spec.axis2, spec.axis1) if axis is not None]
+    metric = "log_negativity" if spec.base.engine == "gaussian" else "concurrence"
+    if spec.series is None:
+        series, columns = [{}], [metric]
+    else:
+        name = spec.series.parameter
+        series = [{name: v} for v in spec.series.values]
+        columns = [f"{metric}[{name}={fmt(v)}]" for v in spec.series.values]
+    lines = [",".join([axis.parameter for axis in keys] + columns)]
+    for values in itertools.product(*(axis.values for axis in keys)):
+        config = dataclasses.replace(spec.base, **dict(zip((a.parameter for a in keys), values)))
+        metrics = [pr.entanglement_metric(dataclasses.replace(config, **s)) for s in series]
+        lines.append(",".join(map(fmt, (*values, *metrics))))
+    return "\n".join(lines) + "\n"
+
+
+def test_run_sweep_renders_the_bytes_of_per_cell_formatting():
+    # sigma = 0 adds no phase noise, so N_D may take any finite value;
+    # x = -0.0 is a valid coordinate and renders as "-0"
+    rng = np.random.default_rng(20261020)
+    base = pr.ProtocolConfig(sigma=0.0, N_th=rng.uniform(0.0, 20.0))
+    n_d = sw.AxisSpec("N_D", (0.0, 5e-324, *sorted(10.0 ** rng.uniform(-3, 6, 5)), 1e300))
+    x = sw.AxisSpec("x", (-0.0, *sorted(rng.uniform(0.0, 0.3, 4))))
+    y = sw.AxisSpec("y", sorted(rng.uniform(0.01, 1.0, 6)))
+    specs = [
+        sw.SweepSpec(base=base, axis1=n_d),
+        sw.SweepSpec(base=base, axis1=y, axis2=x),
+        sw.SweepSpec(base=base, axis1=x, series=n_d),
+        sw.SweepSpec(base=base, axis1=y, axis2=n_d, series=sw.AxisSpec("N_in", (0.0, 1.0, 10.0))),
+        sw.SweepSpec(base=pr.ProtocolConfig(**FOCK_BASE), axis1=y, series=x),
+    ]
+    cells = set()
+    for spec in specs:
+        csv_text = sw.run_sweep(spec)[0]
+        assert csv_text.encode() == _per_cell_csv(spec).encode(), spec
+        cells.update(cell for line in csv_text.splitlines()[1:] for cell in line.split(","))
+    # the special values reach the CSV, and so do separable points' zeros
+    assert {"-0", "0", "4.94065645841e-324", "1e+300"} <= cells
 
 
 def test_preset_fig2_matches_documented_base():
