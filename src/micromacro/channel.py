@@ -16,9 +16,9 @@ takes a channel's terms as one tuple per (x, y) from ``_channel``, which
 builds no ``ChannelCoefficients``, and adds each point's noise with
 ``_storage_added``.  The public Gaussian operations
 (:mod:`micromacro.gaussian`) apply the helpers to 4x4 arrays, and the
-protocol pipeline composes them per config for both engines.  Nothing here
-imports NumPy, so the CLI's feasibility report and argument handling never
-load it.
+protocol pipeline composes them per config for both engines, in one
+per-call generator (``protocol._mode_a``).  Nothing here imports NumPy, so
+the CLI's feasibility report and argument handling never load it.
 """
 
 from __future__ import annotations
@@ -182,17 +182,11 @@ def _clamped_sqrt(value, scale):
     return math.sqrt(0.0 if 0.0 > value else value)
 
 
-def _nu_minus(total, det_v):
-    """One point's nu_- and the root sqrt(total^2 - 4 det V), radicands clamped."""
-    square = total * total
-    root = _clamped_sqrt(square - 4.0 * det_v, square)
-    return _clamped_sqrt(0.5 * (total - root), total), root
-
-
 def _nu_pair(total, det_v):
     """One point's nu_-+ = sqrt((total -+ sqrt(total^2 - 4 det V)) / 2), radicands clamped."""
-    nu_minus, root = _nu_minus(total, det_v)
-    return nu_minus, _clamped_sqrt(0.5 * (total + root), total)
+    square = total * total
+    root = _clamped_sqrt(square - 4.0 * det_v, square)
+    return _clamped_sqrt(0.5 * (total - root), total), _clamped_sqrt(0.5 * (total + root), total)
 
 
 def _negativity(nu):
@@ -205,7 +199,9 @@ def _negativity(nu):
 def _ppt_readout(total, det_v):
     """One point's (nu_min, witness, E_N) from the partially transposed Sigma and det V.
 
-    Skipping nu_+ skips no failure: its radicand 0.5 (Sigma + root) is at
-    least nu_-'s 0.5 (Sigma - root), under the same clamp band."""
-    nu = _nu_minus(total, det_v)[0]
+    nu_min is ``_nu_pair``'s nu_- by the same two clamped roots.  Skipping
+    nu_+ skips no failure: its radicand 0.5 (Sigma + root) is at least
+    nu_-'s 0.5 (Sigma - root), under the same clamp band."""
+    square = total * total
+    nu = _clamped_sqrt(0.5 * (total - _clamped_sqrt(square - 4.0 * det_v, square)), total)
     return nu, _ppt_witness(total, det_v), _negativity(nu)

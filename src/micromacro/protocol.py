@@ -14,27 +14,27 @@ and quantifying the surviving entanglement.  Two engines implement it:
   stages compose into one Gaussian channel and mode C only sees loss
   (Weedbrook et al., RMP 84, 621 (2012)).
 
-Both engines evaluate in the displaced frame and run mode A's stages through
-one function (``_through_mode_a``).  The macroscopic
-displacement never touches the simulated state and enters only through the
-phase-noise variance picked up by the bright beam, proportional to
-N_D sigma^2.  ``entanglement_metric``, ``find_threshold`` and sweeps reach
-the engines through one dispatch, ``_evaluate``, which takes a base config
-and its points: each point is the tuple of its ten float fields in
+Both engines evaluate in the displaced frame and compose mode A's stages in
+one per-call generator (``_mode_a``).  The macroscopic displacement never
+touches the simulated state and enters only through the phase-noise
+variance picked up by the bright beam, proportional to N_D sigma^2.
+``entanglement_metric``, ``find_threshold`` and sweeps reach the engines
+through one dispatch, ``_evaluate``, which takes a base config and its
+points: each point is the tuple of its ten float fields in
 ``_FLOAT_FIELDS`` order, and the engine and phase-noise convention are the
 base's.  A call's gaussian points run as one private batch
 (``_gaussian_batch``), fock points one at a time.  ``run_gaussian_protocol``
 and ``run_fock_protocol`` each take one config.
 
 Both engines compose the per-point terms of :mod:`micromacro.channel`, which
-needs no NumPy.  A call computes each stage's inputs (the squeezed input,
-the three loss stages' terms, and the storage channel with its phase
-jitter) in one per-call generator, ``_stage_inputs``, which recomputes an
-input only where a field it reads is not the same object as at the previous
-point; so a sweep that varies one field recomputes only the inputs that read
-it.  NumPy and each engine module load on a run's first use (``_module``),
-so configs, feasibility and threshold bookkeeping load neither, and a
-gaussian run never loads the fock engine.
+needs no NumPy.  ``_mode_a`` computes each stage's inputs (the squeezed
+input, the three loss stages' terms, and the storage channel with its phase
+jitter) and composes them, and recomputes an input, or a stage's output,
+only where a field it reads is not the same object as at the previous point;
+so a sweep that varies one field recomputes only what reads it.  NumPy and
+each engine module load on a run's first use (``_module``), so configs,
+feasibility and threshold bookkeeping load neither, and a gaussian run never
+loads the fock engine.
 """
 
 from __future__ import annotations
@@ -247,31 +247,44 @@ def _module(name):
     return importlib.import_module(name, __package__)
 
 
-def _stage_inputs(points, convention, squeezed=True):
-    """Each point's stage inputs, one tuple a point: the squeezed input's
-    (b, k) (None unless `squeezed`), eta1's loss terms
-    (``channel._loss_terms``), the storage channel's terms
-    (``channel._channel``), the P variance of the phase jitter that follows
-    it (``channel._phase_variance``), and eta2's and eta_c's loss terms.
-    `points` are valid float tuples (``_point``) that share the phase-noise
-    `convention`.
+def _mode_a(points, convention, squeezed):
+    """Each point's mode A after its stages, and what mode C needs, as
+    (a_x, a_p, k_x, k_p, loss_c, b).  `points` are valid float tuples
+    (``_point``) that share the phase-noise `convention`.
 
-    An input is recomputed only where a field it reads is not the same object
-    as at the previous point.  Sweeps write axis values into the base's tuple
-    and a search writes only its probe, so every unvaried field is the base's
-    own float object.  The test keys on no value: equal but distinct floats,
-    such as -0.0, 0.0 and NumPy zeros, each get their own terms.  Where the
-    storage channel or the squeezed input is recomputed, it comes once per
-    distinct (x, y) in the call (x = -0.0 and 0.0 give the same terms), and
-    once per distinct r and sign of r (-0.0 == 0.0 as a key, but r = -0.0
-    gives k = -0.0).  The squeezed input is
-    taken before the channel, so a point's first error is the same whatever
-    the call holds, and the tuples are made point by point, so a caller's
-    own per-point error comes before any later point's."""
+    Mode A's stages are loss eta1, the storage channel with the phase jitter
+    that follows it, and loss eta2.  Each maps X -> amplitude X, so a
+    variance v -> power v + added, plus the jitter on P's, and a correlation
+    k -> k amplitude, by the same IEEE operations in the same order as the
+    public 4x4 operations.  The gaussian engine (`squeezed`) starts from the
+    squeezed input's (b, b, k, 0 - k) (``channel._tmsv_entries``), so a_x and
+    a_p are A's variances and k_x and k_p its correlations with C; the fock
+    engine starts from (0, 0, 1, 1) with b = None, so they are the composed
+    channel's added noises and gains.  loss_c is eta_c's loss terms
+    (``channel._loss_terms``), which the caller applies to mode C.
+
+    A stage's input, and what the stages give from unchanged inputs, is
+    recomputed only where a field it reads is not the same object as at the
+    previous point; each point adds the storage channel's noise of its N_in
+    and N_th (``channel._storage_added``).  Sweeps write axis values into the
+    base's tuple and a search writes only its probe, so every unvaried field
+    is the base's own float object.  The test keys on no value: equal but
+    distinct floats, such as -0.0, 0.0 and NumPy zeros, each get their own
+    terms.  Where the storage channel (``channel._channel``) or the squeezed
+    input is recomputed, it comes once per distinct (x, y) in the call
+    (x = -0.0 and 0.0 give the same terms), and once per distinct r and sign
+    of r (-0.0 == 0.0 as a key, but r = -0.0 gives k = -0.0).  The squeezed
+    input is taken before the channel, so a point's first error is the same
+    whatever the call holds, and the points are composed one at a time, so a
+    caller's own per-point error comes before any later point's."""
     channels, squeezes = {}, {}
-    r0 = N_D0 = y0 = x0 = sigma0 = eta10 = eta20 = eta_c0 = tmsv = None
-    for r, N_D, y, x, _, _, sigma, eta1, eta2, eta_c in points:
-        fresh = False  # whether the jitter's channel or eta1 is new
+    r0 = N_D0 = y0 = x0 = sigma0 = eta10 = eta20 = eta_c0 = b = None
+    # the start and loss eta1 treat X and P alike, so one variance a serves
+    # both until the jitter; the fock engine starts from the identity channel
+    a, k_x, k_p = 0.0, 1.0, 1.0
+    for r, N_D, y, x, N_in, N_th, sigma, eta1, eta2, eta_c in points:
+        # whether loss eta1 gives new values, and whether the jitter reads new inputs
+        fresh = varied = False
         if r is not r0:
             r0 = r
             if squeezed:
@@ -279,45 +292,34 @@ def _stage_inputs(points, convention, squeezed=True):
                 tmsv = squeezes.get(signed_r)
                 if tmsv is None:
                     tmsv = squeezes[signed_r] = ch._tmsv_entries(r)
+                b, k = tmsv
+                a, k_x, k_p, fresh = b, k, 0.0 - k, True
         if x is not x0 or y is not y0:
-            x0, y0, fresh = x, y, True
+            x0, y0, varied = x, y, True
             channel = channels.get((x, y))
             if channel is None:
                 channel = channels[x, y] = ch._channel(x, y)
+            gain, power = channel[:2]  # gain = -c1
         if eta1 is not eta10:
-            eta10, fresh = eta1, True
+            eta10, fresh, varied = eta1, True, True
             loss1 = ch._loss_terms(eta1)
+        if fresh:
+            amplitude, power1, added = loss1
+            a1, k1_x, k1_p = power1 * a + added, k_x * amplitude, k_p * amplitude
+        if varied or N_D is not N_D0 or sigma is not sigma0:
+            N_D0, sigma0 = N_D, sigma
+            jitter = ch._phase_variance(sigma, _amplitude_sq(convention, N_D, y, eta1, -gain))
+        moved = fresh or varied  # whether the correlations are new
         if eta2 is not eta20:
-            eta20 = eta2
-            loss2 = ch._loss_terms(eta2)
+            eta20, moved = eta2, True
+            amplitude2, power2, added2 = ch._loss_terms(eta2)
+        if moved:
+            k2_x, k2_p = k1_x * gain * amplitude2, k1_p * gain * amplitude2
         if eta_c is not eta_c0:
             eta_c0 = eta_c
             loss_c = ch._loss_terms(eta_c)
-        if fresh or N_D is not N_D0 or sigma is not sigma0:
-            N_D0, sigma0 = N_D, sigma
-            jitter = ch._phase_variance(sigma, _amplitude_sq(convention, N_D, y, eta1, -channel[0]))
-        yield tmsv, loss1, channel, jitter, loss2, loss_c
-
-
-def _through_mode_a(inputs, point, a_x, a_p, k_x, k_p):
-    """(a_x, a_p, k_x, k_p) after mode A's stages: loss eta1, the storage
-    channel with the phase noise that follows it, and loss eta2.  Each stage
-    maps X -> amplitude X, so a variance v -> power v + added, plus the phase
-    noise's jitter on P's, and a correlation k -> k amplitude.  `point` is
-    the point's float tuple (``_point``), read for its occupations N_in and
-    N_th, and `inputs` its stage inputs from the call's ``_stage_inputs``:
-    the loss terms, the storage channel, whose first term is -c1, and the
-    jitter."""
-    _, _, _, _, N_in, N_th, _, _, _, _ = point
-    _, (amplitude, power, added), channel, jitter, loss2, _ = inputs
-    a_x, a_p = power * a_x + added, power * a_p + added
-    k_x, k_p = k_x * amplitude, k_p * amplitude
-    amplitude, power = channel[:2]
-    added = ch._storage_added(channel, N_in, N_th)
-    a_x, a_p = power * a_x + added, power * a_p + added + jitter
-    k_x, k_p = k_x * amplitude, k_p * amplitude
-    amplitude, power, added = loss2
-    return power * a_x + added, power * a_p + added, k_x * amplitude, k_p * amplitude
+        a_x = power * a1 + ch._storage_added(channel, N_in, N_th)
+        yield power2 * a_x + added2, power2 * (a_x + jitter) + added2, k2_x, k2_p, loss_c, b
 
 
 @dataclass(frozen=True)
@@ -360,10 +362,10 @@ def _gaussian_batch(points, convention):
     [0, a_p, 0, k_p], [k_x, 0, b, 0], [0, k_p, 0, b]].  Each point propagates
     these five Python floats with the helpers of the public operations, by
     the same IEEE operations in the same order as their 4x4 arithmetic,
-    whose other entries only ever multiply or add zeros.  The stage inputs
-    come from the call's ``_stage_inputs``, which reuses the previous
-    point's where the fields they read are the same objects, and adds only
-    the storage channel's noise of N_in and N_th per point.  The call's
+    whose other entries only ever multiply or add zeros.  Mode A comes from
+    the call's ``_mode_a``, which reuses the previous point's inputs and
+    stage outputs where the fields they read are the same objects, and adds
+    only the storage channel's noise of N_in and N_th per point.  The call's
     covariances are then read out by the same determinants, and each
     point's (Sigma, det V) pair, as Python floats, by the public operations'
     per-point readout ``channel._ppt_readout``.  So every value is bit for
@@ -372,12 +374,9 @@ def _gaussian_batch(points, convention):
     """
     np, ga = _module("numpy"), _module(".gaussian")
     entries = []
-    # the inputs come first, so zip runs them to their end
-    for inputs, point in zip(_stage_inputs(points, convention), points):
-        # a stage at eta = 1 or without noise leaves every entry bit for bit
-        # as it is (1 a + 0 = a, 1 k = k), so none is skipped
-        (b, k), _, _, _, _, (amplitude, power, added) = inputs
-        a_x, a_p, k_x, k_p = _through_mode_a(inputs, point, b, b, k, 0.0 - k)
+    # a stage at eta = 1 or without noise leaves every entry bit for bit as
+    # it is (1 a + 0 = a, 1 k = k), so none is skipped
+    for a_x, a_p, k_x, k_p, (amplitude, power, added), b in _mode_a(points, convention, True):
         b, k_x, k_p = power * b + added, k_x * amplitude, k_p * amplitude
         # the zeros carry the 4x4 operations' signs: the storage channel's
         # -c1 makes the cross-blocks' zeros -0.0
@@ -436,15 +435,13 @@ def _pair_terms(t, n_x, n_p):
     return 1.0 / math.sqrt(a_x * a_p), p01, p23, p02, p03, p01 * p23 + p02 * p02 + p03 * p03
 
 
-def _qubit_block(inputs, point):
+def _qubit_block(mode_a):
     """The output's unnormalized {0,1}^2 block over |a c> = 00, 01, 10, 11, an
     X-state: each entry is two products of pair terms, P's of A's composed
     channel and Q's of C's loss (README, "The Fock engine's closed form").
-    `point` is a valid config's float tuple (``_point``) and `inputs` its
-    stage inputs from the call's ``_stage_inputs``, without the squeezed
-    input."""
-    n_x, n_p, gain, _ = _through_mode_a(inputs, point, 0.0, 0.0, 1.0, 1.0)
-    amplitude, _, added = inputs[5]
+    `mode_a` is one point's item of the call's ``_mode_a`` without the
+    squeezed input: A's added noises and gains, and C's loss terms."""
+    n_x, n_p, gain, _, (amplitude, _, added), _ = mode_a
     c_a, p01, p23, p02, p03, p4 = _pair_terms(gain, n_x, n_p)
     c_c, q01, q23, q02, q03, q4 = _pair_terms(amplitude, added, added)
     scale = 0.5 * c_a * c_c
@@ -463,26 +460,24 @@ def run_fock_protocol(config):
 
     In the displaced frame the input is (|1 0> + |0 1>)/sqrt(2) on modes
     (A, C), N_D enters only through the phase-noise variance and the
-    undisplacement is the identity.  Mode A's stages (`_through_mode_a`)
-    compose into one Gaussian channel (gain t, added noise n_x and n_p) and C
-    is pure loss, so `_qubit_block` gives the output's {0,1}^2 block exactly;
+    undisplacement is the identity.  Mode A's stages (`_mode_a`) compose
+    into one Gaussian channel (gain t, added noise n_x and n_p) and C is pure
+    loss, so `_qubit_block` gives the output's {0,1}^2 block exactly;
     fock.qubit_project reads its weight and renormalizes it.  The witness is
     2 max(|rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)) of
     that X-state (Yu & Eberly), its roots clamped by channel._clamped_sqrt.
     """
     if config.engine != "fock":
         raise ValueError(f"fock pipeline called with engine={config.engine!r}")
-    point = _point(config)
-    (inputs,) = _stage_inputs((point,), config.phase_noise_convention, squeezed=False)
-    return FockProtocolResult(*_fock_readout(inputs, point))
+    (mode_a,) = _mode_a((_point(config),), config.phase_noise_convention, False)
+    return FockProtocolResult(*_fock_readout(mode_a))
 
 
-def _fock_readout(inputs, point):
+def _fock_readout(mode_a):
     """run_fock_protocol's (concurrence, projection probability, witness) of
-    one point's float tuple (``_point``) and its stage inputs
-    (``_stage_inputs``, without the squeezed input)."""
+    one point's item of ``_mode_a``, without the squeezed input."""
     fk = _module(".fock")
-    block = fk.FockDensityMatrix((2, 2), _qubit_block(inputs, point))
+    block = fk.FockDensityMatrix((2, 2), _qubit_block(mode_a))
     qubits, probability = fk.qubit_project(block)
     rho = qubits.real.tolist()
     witness = 2.0 * max(
@@ -501,14 +496,14 @@ def _evaluate(base, points):
     the base's own tuple does.  Gaussian points run as one
     ``_gaussian_batch`` call, fock points one at a time, each bit for bit
     the config's run_gaussian_protocol or run_fock_protocol.  Both engines
-    take each point's stage inputs from one ``_stage_inputs`` per call: an
-    input is recomputed only where a field it reads is not the previous
-    point's object, and each distinct (x, y)'s storage channel at most once
-    per call."""
+    take each point's mode A from one ``_mode_a`` per call: an input is
+    recomputed only where a field it reads is not the previous point's
+    object, and each distinct (x, y)'s storage channel at most once per
+    call."""
     convention = base.phase_noise_convention
     if base.engine == "gaussian":
         return [(e_n, witness) for _, witness, e_n in _gaussian_batch(points, convention)[0]]
-    readouts = map(_fock_readout, _stage_inputs(points, convention, squeezed=False), points)
+    readouts = map(_fock_readout, _mode_a(points, convention, False))
     return [(c, witness) for c, _, witness in readouts]
 
 

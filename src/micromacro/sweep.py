@@ -123,8 +123,8 @@ def run_sweep(spec, workers=1):
     time in sweep order for the fock engine.  Every point's unvaried fields
     are the base's own float objects, and each axis value one object, so the
     call recomputes a stage's inputs only where a field they read changes
-    (``protocol._stage_inputs``).  `workers` is accepted for compatibility
-    and must be >= 1, but has no effect, so output cannot depend on it.
+    (``protocol._mode_a``).  `workers` is accepted for compatibility and
+    must be >= 1, but has no effect, so output cannot depend on it.
 
     The rows are rendered in one pass: one ``%`` on a template of
     "%.12g" cells, which formats every float as "{:.12g}".format does.

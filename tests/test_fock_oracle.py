@@ -46,9 +46,8 @@ def _engine(config):
 
 def _qubit_block(config):
     """The engine's unnormalized {0,1}^2 block of one config."""
-    point = pr._point(config)
-    (inputs,) = pr._stage_inputs([point], config.phase_noise_convention, squeezed=False)
-    return pr._qubit_block(inputs, point)
+    (mode_a,) = pr._mode_a([pr._point(config)], config.phase_noise_convention, False)
+    return pr._qubit_block(mode_a)
 
 
 def _seeded_configs(seed, n, n_th_max=20.0, n_d_max=3e4):

@@ -1265,6 +1265,51 @@ def test_pipeline_channel_is_the_public_channel_bit_for_bit():
         assert _hex_or_error(_pipeline_channel, x, y)[0] is ValueError
 
 
+def _public_mode_a(config):
+    """Entries (0,0), (1,1), (0,2) and (1,3) that mode A's public operations
+    give from the state whose cross-blocks are the identity: A's composed
+    channel's added noises and gains."""
+    identity = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    coeffs = ga.channel_coefficients(config.x, config.y)
+    state = ga.loss_channel(ga.GaussianTwoModeState(np.zeros(4), identity), "A", config.eta1)
+    state = ga.storage_retrieval_channel(state, coeffs, config.N_in, config.N_th)
+    state = ga.phase_noise(state, config.sigma, pr.phase_noise_amplitude_sq(config, coeffs))
+    cov = ga.loss_channel(state, "A", config.eta2).cov
+    return [cov[0, 0], cov[1, 1], cov[0, 2], cov[1, 3]]
+
+
+def test_fock_mode_a_is_the_public_operations_bit_for_bit():
+    # the generator without the squeezed input starts from (0, 0, 1, 1), so
+    # it composes the same stages as the public operations on that state;
+    # one call over all configs reuses the 1.0 and 0.0 objects they share
+    rng = np.random.default_rng(20261020)
+
+    def draw(special, lo, hi):
+        return special if rng.random() < 0.25 else float(rng.uniform(lo, hi))
+
+    configs = [
+        pr.ProtocolConfig(
+            engine="fock", N_D=float(10.0 ** rng.uniform(0.0, 5.0)), y=draw(1.0, 0.01, 1.0),
+            x=draw(0.0, 0.0, 0.3), N_in=float(rng.uniform(0.0, 2.0)),
+            N_th=float(rng.uniform(0.0, 20.0)), sigma=draw(0.0, 0.0, 0.02),
+            eta1=draw(1.0, 0.0, 1.0), eta2=draw(1.0, 0.0, 1.0), eta_c=draw(1.0, 0.0, 1.0),
+            phase_noise_convention=str(rng.choice(pr.PHASE_NOISE_CONVENTIONS)),
+        )
+        for _ in range(3000)
+    ]
+    for name, special in (("x", 0.0), ("sigma", 0.0), ("eta1", 1.0), ("eta2", 1.0)):
+        assert sum(getattr(c, name) == special for c in configs) > 600, name
+    for convention in pr.PHASE_NOISE_CONVENTIONS:
+        group = [c for c in configs if c.phase_noise_convention == convention]
+        assert len(group) > 1300, convention
+        batch = pr._mode_a([pr._point(c) for c in group], convention, False)
+        for config, mode_a in zip(group, batch, strict=True):
+            (single,) = pr._mode_a([pr._point(config)], convention, False)
+            expected = list(map(float.hex, _public_mode_a(config)))
+            assert list(map(float.hex, single[:4])) == expected, config
+            assert list(map(float.hex, mode_a[:4])) == expected, config
+
+
 @pytest.mark.parametrize("engine", pr.ENGINES)
 def test_pipelines_reject_coefficients_that_violate_closure(monkeypatch, engine):
     config = pr.ProtocolConfig(engine=engine)
