@@ -14,12 +14,21 @@ are ProtocolConfig field names, plus (for sweeps) axis descriptors:
 the same for ``axis2``, and ``series``/``series_values``.  Override
 precedence: ``--set key=value`` beats the config file, which beats the
 preset.  Exit codes: 0 success, 1 domain error, 2 usage error.
+
+``run`` is the process entry (``micromacro`` and ``python -m micromacro.cli``);
+``main`` is the in-process API.  ``run`` freezes the garbage collector when
+``main`` returns or raises: interpreter shutdown runs full collections over
+every object still alive, most of them left by NumPy's import, and skips
+frozen ones.  ``main`` never touches the collector, since a caller that goes on
+running (a test, a script, the benchmark's tracer) still needs it to collect
+what it leaves.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import sys
 import time
@@ -339,5 +348,14 @@ def main(argv=None):
         return 1
 
 
+def run(argv=None):
+    """Process entry: ``main(argv)``'s exit code, with the collector frozen
+    on every way out, so that shutdown's full collections skip what exists."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

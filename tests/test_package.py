@@ -1,15 +1,20 @@
-"""Tests for the package namespace and for what each CLI command imports."""
+"""Tests for the package namespace, for what each CLI command imports, and for
+the CLI's process entry."""
 
+import gc
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import micromacro
+from micromacro import cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(micromacro.__file__)))
+ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = ("channel", "gaussian", "fock", "protocol", "sweep", "cli")
 
 
@@ -31,11 +36,16 @@ def test_dir_lists_all_and_unknown_names_raise():
         from micromacro import no_such_name  # an ImportError, as for any package
 
 
+def _env(**extra):
+    """The environment of a fresh interpreter that imports micromacro from SRC."""
+    path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def _fresh(code):
     """stdout of `code` in a fresh interpreter that imports micromacro from SRC."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_env()
     ).stdout
 
 
@@ -80,3 +90,74 @@ def test_cli_command_loads_only_its_engine(argv, numpy, fock):
         "print(code, 'numpy' in sys.modules, 'micromacro.fock' in sys.modules)\n"
     )
     assert out.split() == ["0", str(numpy), str(fock)]
+
+
+def test_run_freezes_the_collector_on_every_way_out():
+    # run() is the process entry: it returns main's exit code and freezes the
+    # collector also when main raises, as argparse's SystemExit does
+    out = _fresh(
+        "import contextlib, gc, io\n"
+        "from micromacro import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run(['feasibility', '--preset', 'nanobeam'])\n"
+        "print(code, gc.get_freeze_count() > 0)\n"
+        "gc.unfreeze()\n"
+        "try:\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        cli.run(['bogus-command'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0)\n"
+    )
+    assert out.split() == ["0", "True", "2", "True"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sweep", "--preset", "fig2"], 0),
+        (["threshold", "--preset", "fig5", "--param", "eta1", "--lo", "0", "--hi", "1"], 0),
+        (["feasibility", "--preset", "nanobeam"], 0),
+        (["sweep", "--preset", "fig2", "--set", "r=25"], 1),
+        (["sweep", "--preset", "fig2", "--parallel", "0"], 2),
+    ],
+    ids=["sweep", "threshold", "feasibility", "domain-error", "usage-error"],
+)
+def test_main_leaves_the_collector_alone(argv, code, capsys):
+    before = gc.get_freeze_count()
+    try:
+        assert cli.main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    assert gc.get_freeze_count() == before
+
+
+def _module_process(*argv):
+    """The exit code, stdout and stderr bytes of `python -m micromacro.cli argv`,
+    with warnings raised as errors."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "micromacro.cli", *argv],
+        capture_output=True, env=_env(PYTHONWARNINGS="error"),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["fig2", "figA1"])
+def test_module_entry_writes_the_pinned_csv(name):
+    code, out, err = _module_process("sweep", "--preset", name)
+    assert (code, err) == (0, b"")
+    assert out == (ROOT / "tests" / "data" / f"{name}.csv").read_bytes()
+
+
+def test_module_entry_exit_codes():
+    code, out, err = _module_process("sweep", "--preset", "fig2", "--set", "r=25")
+    assert (code, out) == (1, b"")
+    assert len(err.splitlines()) == 1 and err.startswith(b"error: ")
+    code, out, err = _module_process("sweep", "--preset", "fig2", "--parallel", "0")
+    assert (code, out) == (2, b"")
+    assert b"argument --parallel" in err
+
+
+def test_installed_command_is_the_process_entry():
+    # read as text: Python 3.10 has no tomllib
+    lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    assert 'micromacro = "micromacro.cli:run"' in lines
