@@ -12,7 +12,7 @@ core, ``_coefficients``, and its closure-checked per-channel terms
 (-c1, c1^2, c2^2, f1^2 / 2, f2^2) from one function of them, ``_terms``.
 The public ``channel_coefficients``, ``ChannelCoefficients.closure_defect``
 and ``_storage_channel(coeffs)`` are built on the two; the protocol pipeline
-takes a channel's terms as one tuple per (x, y) from ``_channel``, which
+takes a channel's terms as one tuple from ``_channel(x, y)``, which
 builds no ``ChannelCoefficients``, and adds each point's noise with
 ``_storage_added``.  The public Gaussian operations
 (:mod:`micromacro.gaussian`) apply the helpers to 4x4 arrays, and the

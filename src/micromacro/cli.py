@@ -154,7 +154,7 @@ def _file_mapping(path):
 
 
 def _cmd_sweep(ns):
-    csv_text, _ = sw.run_sweep(_assemble_sweep_spec(ns), workers=ns.parallel)
+    csv_text, _ = sw.run_sweep(_assemble_sweep_spec(ns))
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(csv_text)

@@ -268,8 +268,10 @@ def phase_noise_average(rho, variance, mode=0):
     """Average over Gaussian momentum kicks of the given variance on one mode.
 
     Phase noise on a bright displaced mode looks, in the displaced frame, like
-    a random displacement along P with variance 2 |alpha|^2 (1-y^2)^2 sigma^2;
-    this routine averages D(i dp/sqrt(2)) rho D^dag over dp ~ N(0, variance).
+    a random displacement along P with variance 2 |alpha_eff|^2 sigma^2, where
+    |alpha_eff|^2 is the convention's squared amplitude
+    (``protocol.phase_noise_amplitude_sq``); this routine averages
+    D(i dp/sqrt(2)) rho D^dag over dp ~ N(0, variance).
     The truncated D(i dp/sqrt(2)) = exp(i dp X) is diagonal in the eigenbasis
     {x_k} of the truncated X, so the average is exact: the state's matrix
     elements in that basis are multiplied by exp(-variance (x_k - x_l)^2 / 2).

@@ -29,12 +29,10 @@ and ``run_fock_protocol`` each take one config.
 Both engines compose the per-point terms of :mod:`micromacro.channel`, which
 needs no NumPy.  ``_mode_a`` computes each stage's inputs (the squeezed
 input, the three loss stages' terms, and the storage channel with its phase
-jitter) and composes them, and recomputes an input, or a stage's output,
-only where a field it reads is not the same object as at the previous point;
-so a sweep that varies one field recomputes only what reads it.  NumPy and
-each engine module load on a run's first use (``_module``), so configs,
-feasibility and threshold bookkeeping load neither, and a gaussian run never
-loads the fock engine.
+jitter) and composes them, reusing them only from the previous point by the
+one rule its docstring states.  NumPy and each engine module load on a
+run's first use (``_module``), so configs, feasibility and threshold
+bookkeeping load neither, and a gaussian run never loads the fock engine.
 """
 
 from __future__ import annotations
@@ -263,21 +261,20 @@ def _mode_a(points, convention, squeezed):
     channel's added noises and gains.  loss_c is eta_c's loss terms
     (``channel._loss_terms``), which the caller applies to mode C.
 
-    A stage's input, and what the stages give from unchanged inputs, is
-    recomputed only where a field it reads is not the same object as at the
-    previous point; each point adds the storage channel's noise of its N_in
+    The one reuse rule: a stage's input (the squeezed input
+    ``channel._tmsv_entries``, the storage channel ``channel._channel``,
+    each loss stage's terms and the jitter), and what the stages give from
+    unchanged inputs, is recomputed exactly where a field it reads is not
+    the same object as at the previous point, and nothing is kept from
+    earlier points; each point adds the storage channel's noise of its N_in
     and N_th (``channel._storage_added``).  Sweeps write axis values into the
     base's tuple and a search writes only its probe, so every unvaried field
     is the base's own float object.  The test keys on no value: equal but
     distinct floats, such as -0.0, 0.0 and NumPy zeros, each get their own
-    terms.  Where the storage channel (``channel._channel``) or the squeezed
-    input is recomputed, it comes once per distinct (x, y) in the call
-    (x = -0.0 and 0.0 give the same terms), and once per distinct r and sign
-    of r (-0.0 == 0.0 as a key, but r = -0.0 gives k = -0.0).  The squeezed
-    input is taken before the channel, so a point's first error is the same
-    whatever the call holds, and the points are composed one at a time, so a
-    caller's own per-point error comes before any later point's."""
-    channels, squeezes = {}, {}
+    terms.  The squeezed input is taken before the channel, so a point's
+    first error is the same whatever the call holds, and the points are
+    composed one at a time, so a caller's own per-point error comes before
+    any later point's."""
     r0 = N_D0 = y0 = x0 = sigma0 = eta10 = eta20 = eta_c0 = b = None
     # the start and loss eta1 treat X and P alike, so one variance a serves
     # both until the jitter; the fock engine starts from the identity channel
@@ -288,17 +285,11 @@ def _mode_a(points, convention, squeezed):
         if r is not r0:
             r0 = r
             if squeezed:
-                signed_r = r, math.copysign(1.0, r)
-                tmsv = squeezes.get(signed_r)
-                if tmsv is None:
-                    tmsv = squeezes[signed_r] = ch._tmsv_entries(r)
-                b, k = tmsv
+                b, k = ch._tmsv_entries(r)
                 a, k_x, k_p, fresh = b, k, 0.0 - k, True
         if x is not x0 or y is not y0:
             x0, y0, varied = x, y, True
-            channel = channels.get((x, y))
-            if channel is None:
-                channel = channels[x, y] = ch._channel(x, y)
+            channel = ch._channel(x, y)
             gain, power = channel[:2]  # gain = -c1
         if eta1 is not eta10:
             eta10, fresh, varied = eta1, True, True
@@ -363,9 +354,7 @@ def _gaussian_batch(points, convention):
     these five Python floats with the helpers of the public operations, by
     the same IEEE operations in the same order as their 4x4 arithmetic,
     whose other entries only ever multiply or add zeros.  Mode A comes from
-    the call's ``_mode_a``, which reuses the previous point's inputs and
-    stage outputs where the fields they read are the same objects, and adds
-    only the storage channel's noise of N_in and N_th per point.  The call's
+    the call's ``_mode_a``, by its reuse rule.  The call's
     covariances are then read out by the same determinants, and each
     point's (Sigma, det V) pair, as Python floats, by the public operations'
     per-point readout ``channel._ppt_readout``.  So every value is bit for
@@ -413,14 +402,10 @@ def run_gaussian_protocol(config):
         )
     if config.engine != "gaussian":
         raise ValueError(f"gaussian pipeline called with engine={config.engine!r}")
-    import numpy as np
-
-    from . import gaussian as ga
-
     ((nu_min, witness, log_negativity),), cov = _gaussian_batch(
         [_point(config)], config.phase_noise_convention
     )
-    state = ga.GaussianTwoModeState(np.zeros(4), cov[0])
+    state = _module(".gaussian").GaussianTwoModeState(_module("numpy").zeros(4), cov[0])
     return GaussianProtocolResult(log_negativity, nu_min, state, witness)
 
 
@@ -496,10 +481,8 @@ def _evaluate(base, points):
     the base's own tuple does.  Gaussian points run as one
     ``_gaussian_batch`` call, fock points one at a time, each bit for bit
     the config's run_gaussian_protocol or run_fock_protocol.  Both engines
-    take each point's mode A from one ``_mode_a`` per call: an input is
-    recomputed only where a field it reads is not the previous point's
-    object, and each distinct (x, y)'s storage channel at most once per
-    call."""
+    take each point's mode A from one ``_mode_a`` per call, by its reuse
+    rule."""
     convention = base.phase_noise_convention
     if base.engine == "gaussian":
         return [(e_n, witness) for _, witness, e_n in _gaussian_batch(points, convention)[0]]

@@ -122,9 +122,9 @@ def run_sweep(spec, workers=1):
     bit for bit each point's ``run_gaussian_protocol``, and one run at a
     time in sweep order for the fock engine.  Every point's unvaried fields
     are the base's own float objects, and each axis value one object, so the
-    call recomputes a stage's inputs only where a field they read changes
-    (``protocol._mode_a``).  `workers` is accepted for compatibility and
-    must be >= 1, but has no effect, so output cannot depend on it.
+    call reuses each stage's inputs by ``protocol._mode_a``'s rule.
+    `workers` is accepted for compatibility and must be >= 1, but has no
+    effect, so output cannot depend on it.
 
     The rows are rendered in one pass: one ``%`` on a template of
     "%.12g" cells, which formats every float as "{:.12g}".format does.
@@ -218,8 +218,7 @@ def preset(name):
 
     Bounded parameters (y, eta1) sweep their full domain; unbounded ones (x,
     N_D) sweep [0 or 1, 1.5x the entanglement-vanishing threshold], which
-    find_threshold's Brent search discovers when the preset is built (4 and 7
-    probes in 3 and 6 pipeline calls for fig3 and fig4, 14 fock runs for figA1).
+    find_threshold's Brent search discovers when the preset is built.
     """
     base = preset_base(name)
     if name == "fig2":

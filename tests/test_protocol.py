@@ -1045,7 +1045,7 @@ GRID_16x16x3 = dict(
 SEARCH_BASES = {"gaussian": pr.ProtocolConfig(), "fock": pr.ProtocolConfig(**FOCK_BASE)}
 
 
-def test_channel_coefficients_run_once_per_distinct_pair_in_a_call(monkeypatch):
+def test_storage_channel_runs_only_where_x_or_y_is_not_the_previous_points_object(monkeypatch):
     # the pipeline takes each storage channel from channel._channel
     calls = _count_helpers(monkeypatch, "_channel")
     for engine, base in SEARCH_BASES.items():
@@ -1062,15 +1062,62 @@ def test_channel_coefficients_run_once_per_distinct_pair_in_a_call(monkeypatch):
         assert [len(counts["_channel"]) for _, counts in calls] == [1] * len(calls), engine
 
 
-def test_storage_channel_and_squeezed_input_run_once_per_distinct_value_in_a_call(monkeypatch):
-    # and every stage input only where a field it reads changes: the grid
-    # varies (x, y) every third point and N_in at each, and every other field
-    # is the base's own object throughout the call
+def _new_objects(points, *indices):
+    """The fields at `indices` of each point where one of them is not the
+    previous point's object: where protocol._mode_a recomputes what reads
+    them."""
+    out, previous = [], None
+    for point in points:
+        fields = tuple(point[i] for i in indices)
+        if previous is None or any(a is not b for a, b in zip(fields, previous)):
+            out.append(fields)
+        previous = fields
+    return out
+
+
+def _same_objects(got, expected):
+    return len(got) == len(expected) and all(
+        all(a is b for a, b in zip(g, e)) for g, e in zip(got, expected)
+    )
+
+
+# a sweep whose innermost axis is x, and one whose innermost axis is r from
+# -0.0: each point's x, or r, is not the previous point's object
+X_SERIES = dict(
+    axis1=sw.AxisSpec("N_D", sw.log_grid(1.0, 1e5, 8)),
+    axis2=sw.AxisSpec("y", (0.05, 0.1, 0.5, 0.9)),
+    series=sw.AxisSpec("x", (0.0, 0.01, 0.05)),
+)
+R_SERIES = dict(
+    axis1=sw.AxisSpec("N_D", sw.log_grid(1.0, 1e5, 8)),
+    series=sw.AxisSpec("r", (-0.0, 0.5, 1.0)),
+)
+
+
+def test_stage_inputs_run_exactly_where_a_field_they_read_is_not_the_previous_points_object(
+    monkeypatch,
+):
+    # the grid varies (x, y) every third point and N_in at each, and every
+    # other field is the base's own object throughout the call
     names = ("_channel", "_tmsv_entries", "_loss_terms", "_phase_variance")
     calls = _count_helpers(monkeypatch, *names)
+    x, y, r = (pr._FLOAT_FIELDS.index(name) for name in ("x", "y", "r"))
+
+    def check(base, label):
+        # the storage channel runs at the (x, y) of exactly the points where
+        # x or y is a new object, the squeezed input at the r of exactly the
+        # points where r is, and nothing is taken from an earlier point
+        squeezed = base.engine == "gaussian"
+        for points, counts in calls:
+            assert _same_objects(counts["_channel"], _new_objects(points, x, y)), label
+            assert _same_objects(
+                counts["_tmsv_entries"], _new_objects(points, r) if squeezed else []
+            ), label
+
     for engine, base in SEARCH_BASES.items():
         del calls[:]
         sw.run_sweep(sw.SweepSpec(base=pr.ProtocolConfig(engine=engine), **GRID_16x16x3))
+        check(base, engine)
         squeezed = int(engine == "gaussian")  # the fock input is no squeezed state
         assert {name: len(args) for name, args in calls[0][1].items()} == {
             "_channel": 256, "_tmsv_entries": squeezed, "_loss_terms": 3, "_phase_variance": 256
@@ -1080,17 +1127,37 @@ def test_storage_channel_and_squeezed_input_run_once_per_distinct_value_in_a_cal
         # differ in eta1 alone, which one loss stage and the jitter read
         del calls[:]
         pr.find_threshold(base, "eta1", (0.0, 1.0))
+        check(base, engine)
         assert len(calls[0][0]) == 2
         counts = [{name: len(args) for name, args in c.items()} for _, c in calls]
         assert counts[0] == {
             "_channel": 1, "_tmsv_entries": squeezed, "_loss_terms": 4, "_phase_variance": 2
         }, engine
         assert all(c == {**counts[0], "_loss_terms": 3, "_phase_variance": 1} for c in counts[1:])
+        # an x series recomputes the channel at every point and an r series
+        # the squeezed input, although each call holds only three values of
+        # either; every point is its own single-point run
+        for label, grid, channels, squeezes in (
+            ("x series", X_SERIES, 96, squeezed), ("r series", R_SERIES, 1, 24 * squeezed)
+        ):
+            del calls[:]
+            sw.run_sweep(sw.SweepSpec(base=base, **grid))
+            check(base, (engine, label))
+            ((points, counts),) = calls
+            assert (len(counts["_channel"]), len(counts["_tmsv_entries"])) == (
+                channels, squeezes
+            ), (engine, label)
+            pairs = pr._evaluate(base, points)
+            singles = [pr._evaluate(base, [point])[0] for point in points]
+            assert [bits(pair) for pair in pairs] == [bits(pair) for pair in singles], label
+        # the r series' zero reaches the points as -0.0
+        assert {math.copysign(1.0, point[r]) for point in points if point[r] == 0.0} == {-1.0}
 
 
 def test_gaussian_batch_keeps_signed_zeros_of_shared_values():
     # r = -0.0 gives the correlation k = -0.0 and eta = -0.0 the amplitude
-    # -0.0, while 0.0 == -0.0 as a dict key; x = -0.0 flips no output bit
+    # -0.0, although -0.0 == 0.0, so no input may be reused by value; x = -0.0
+    # flips no output bit
     configs = [
         pr.ProtocolConfig(r=r, x=x, y=y, eta1=eta1, eta2=eta2, eta_c=eta_c)
         for r, x, y, eta1, eta2, eta_c in itertools.product(
