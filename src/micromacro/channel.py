@@ -30,7 +30,8 @@ VACUUM_VARIANCE = 0.5
 
 # numerical guard band (see gaussian.physicality_check / log_negativity)
 RADICAND_CLAMP = 1e-9
-# channel_coefficients takes f2^2 from its series where 1 - y^2 is below this
+# where 1 - y^2 is below this, channel_coefficients takes 1 - y^2, y^2 and
+# ln y from the exact 1 - y, and f2^2 from its series
 SERIES_BELOW = 1e-2
 
 
@@ -80,8 +81,12 @@ def channel_coefficients(x, y):
 
     The closure identity holds exactly in exact arithmetic; floating point
     leaves a defect below 1e-12 over the whole admissible domain.  Where
-    u = 1 - y^2 < SERIES_BELOW, f2's radicand comes from its series in u,
-    because the closed form cancels terms of order x down to x u^2.
+    u = 1 - y^2 < SERIES_BELOW, u, y^2 and ln y come from the exact
+    d = 1 - y, as u = d (1 + y), y^2 = 1 - u and ln y = log1p(-d): from
+    y * y and log(y) they would disagree by the rounding of y * y over u,
+    which breaks the closure near y = 1.  There f2's radicand comes from
+    its series in u, because the closed form cancels terms of order x down
+    to x u^2.
     """
     return ChannelCoefficients(x, y, *_coefficients(x, y))
 
@@ -97,11 +102,20 @@ def _coefficients(x, y):
         return 0.0, 0.0, 1.0, 0.0
     y2 = y * y
     one = 1.0 - y2
+    near_one = one < SERIES_BELOW
+    if near_one:
+        # 1 - y is exact here (Sterbenz's lemma)
+        d = 1.0 - y
+        one = d * (1.0 + y)
+        y2 = 1.0 - one
+        log_y = math.log1p(-d)
+    else:
+        log_y = math.log(y)
     c1 = one / (1.0 + x)
     c2 = y * math.sqrt(one / (1.0 + x))
-    log_term = 4.0 * x * y2 * math.log(y) / one  # <= 0 for y in (0, 1)
+    log_term = 4.0 * x * y2 * log_y / one  # <= 0 for y in (0, 1)
     rad1 = x * x + y2 - log_term
-    if one < SERIES_BELOW:
+    if near_one:
         # rad2 = x u^2 (1 + sum_{n>=2} 2 u^(n-2) / (n (n+1))); ten terms
         # leave a remainder below 1e-21 relative
         series = sum(2.0 * one ** (n - 2) / (n * (n + 1)) for n in range(2, 12))

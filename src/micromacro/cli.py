@@ -11,9 +11,18 @@ Config files are flat UTF-8 ``key = value`` text with ``#`` comments.  Keys
 are ProtocolConfig field names, plus (for sweeps) axis descriptors:
 ``axis1 = y`` with either ``axis1_values = 0.1,0.2,0.3`` or
 ``axis1_lo/axis1_hi/axis1_n`` (and optional ``axis1_scale = linear|log``),
-the same for ``axis2``, and ``series``/``series_values``.  Override
-precedence: ``--set key=value`` beats the config file, which beats the
-preset.  Exit codes: 0 success, 1 domain error, 2 usage error.
+the same for ``axis2``, and ``series``/``series_values``.
+
+Each command reads its inputs once as layers (``_layers``): the
+``--config`` file's mapping, then the ``--set key=value`` pairs'
+(``feasibility`` has none), both split before any key is read.  ``sweep``
+and ``threshold`` overlay them on the preset's config or the defaults,
+``feasibility`` on the preset's platform or on nothing; a later layer wins,
+and replaces an axis group whole.  Of several bad inputs the first reported
+is, in this order: a source that does not split (the file first), axis keys
+where none are taken, axis1's group, the config's keys (a preset's in field
+order, then as given), axis2's group, the series group.  Exit codes: 0
+success, 1 domain error, 2 usage error.
 
 ``run`` is the process entry (``micromacro`` and ``python -m micromacro.cli``);
 ``main`` is the in-process API.  ``run`` freezes the garbage collector when
@@ -42,18 +51,38 @@ _AXIS_SUFFIXES = ("", "_values", "_lo", "_hi", "_n", "_scale")
 AXIS_KEYS = tuple(p + s for p in _AXIS_PREFIXES for s in _AXIS_SUFFIXES)
 
 
-def parse_config_text(text):
-    """Parse flat ``key = value`` text (# comments, blank lines) to a str dict."""
+def _pairs(entries):
+    """The str dict of ``key = value`` entries, each split at its first '='
+    and stripped; an entry is (its text, the message of the ValueError that
+    an entry without '=' raises)."""
     mapping = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
+    for text, message in entries:
+        if "=" not in text:
+            raise ValueError(message)
+        key, value = text.split("=", 1)
         mapping[key.strip()] = value.strip()
     return mapping
+
+
+def parse_config_text(text):
+    """Parse flat ``key = value`` text (# comments, blank lines) to a str dict."""
+    return _pairs(
+        (line, f"line {lineno}: expected 'key = value', got {raw!r}")
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    )
+
+
+def _layers(path, pairs=None):
+    """A command's input layers, in overlay order: the mapping of the config
+    file at `path` (if any), then that of the ``--set`` `pairs`.  Both are
+    split before any key is read."""
+    layers = []
+    if path:
+        with open(path, encoding="utf-8") as handle:
+            layers.append(parse_config_text(handle.read()))
+    layers.append(_pairs((pair, f"--set expects key=value, got {pair!r}") for pair in pairs or ()))
+    return layers
 
 
 def _build_axis(prefix, mapping):
@@ -84,52 +113,34 @@ def _build_axis(prefix, mapping):
     raise ValueError(f"{prefix}_scale must be linear or log, got {scale!r}")
 
 
-def _split_keys(mapping):
-    axis = {k: v for k, v in mapping.items() if k in AXIS_KEYS}
-    config = {k: v for k, v in mapping.items() if k not in AXIS_KEYS}
-    return axis, config
-
-
-def _parse_set_pairs(pairs):
-    mapping = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ValueError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        mapping[key.strip()] = value.strip()
-    return mapping
-
-
-def _overlay(ns, base, axes=None):
-    """Config keys of `base` (a ProtocolConfig or None), overlaid by the config
-    file's and then --set's.
+def _overlay(keys, layers, axes=None):
+    """`keys` (config field -> value) overlaid by each of `layers` in turn.
 
     Axis keys are valid only where `axes` (prefix -> AxisSpec or None) is
-    given: per prefix, the last source that names any key of its group
-    replaces the whole group, and `axes` then holds that source's keys.
+    given: per prefix, the last layer that names any key of its group
+    replaces the whole group, and `axes` then holds that layer's keys.
     """
-    config_keys = pr.config_to_mapping(base) if base is not None else {}
-    for source in (_file_mapping(ns.config), _parse_set_pairs(ns.set)):
-        axis_keys, overlay = _split_keys(source)
+    for layer in layers:
+        axis_keys = [key for key in layer if key in AXIS_KEYS]
         if axis_keys and axes is None:
             raise ValueError(f"axis keys {sorted(axis_keys)} are not valid here")
-        config_keys.update(overlay)
         for prefix in _AXIS_PREFIXES:
-            group = {k: v for k, v in axis_keys.items() if k.startswith(prefix)}
+            group = {key: layer[key] for key in axis_keys if key.startswith(prefix)}
             if group:
                 axes[prefix] = group
-    return config_keys
+        keys.update((key, value) for key, value in layer.items() if key not in AXIS_KEYS)
+    return keys
 
 
-def _assemble_sweep_spec(ns):
-    # a preset's axes stay AxisSpecs unless a file or --set replaces their group
+def _cmd_sweep(ns):
+    # a preset's axes stay AxisSpecs unless a layer replaces their group
     axes = dict.fromkeys(_AXIS_PREFIXES)
-    base = None
+    keys = {}
     if ns.preset:
         built = sw.preset(ns.preset)
-        base = built.base
+        keys = dataclasses.asdict(built.base)
         axes.update(axis1=built.axis1, axis2=built.axis2, series=built.series)
-    config_keys = _overlay(ns, base, axes)
+    keys = _overlay(keys, _layers(ns.config, ns.set), axes)
 
     def axis(prefix):
         group = axes[prefix]
@@ -138,23 +149,15 @@ def _assemble_sweep_spec(ns):
     axis1 = axis("axis1")
     if axis1 is None:
         raise ValueError("sweep needs an axis1 (from a preset or axis1 keys)")
-    return sw.SweepSpec(
-        base=pr.config_from_mapping(config_keys),
+    # of several bad inputs the first in this order is reported: axis1, the
+    # config, axis2, the series
+    spec = sw.SweepSpec(
+        base=pr.config_from_mapping(keys),
         axis1=axis1,
         axis2=axis("axis2"),
         series=axis("series"),
     )
-
-
-def _file_mapping(path):
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
-
-
-def _cmd_sweep(ns):
-    csv_text, _ = sw.run_sweep(_assemble_sweep_spec(ns))
+    csv_text, _ = sw.run_sweep(spec)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(csv_text)
@@ -163,38 +166,30 @@ def _cmd_sweep(ns):
     return 0
 
 
-def _base_config_from(ns):
-    return pr.config_from_mapping(_overlay(ns, ns.preset and sw.preset_base(ns.preset)))
-
-
 def _cmd_threshold(ns):
-    value = pr.find_threshold(_base_config_from(ns), ns.param, (ns.lo, ns.hi), ns.tol)
+    keys = dataclasses.asdict(sw.preset_base(ns.preset)) if ns.preset else {}
+    base = pr.config_from_mapping(_overlay(keys, _layers(ns.config, ns.set)))
+    value = pr.find_threshold(base, ns.param, (ns.lo, ns.hi), ns.tol)
     print(f"{ns.param}_threshold = {value:.12g}")
     return 0
 
 
 def _cmd_feasibility(ns):
-    if not (ns.preset or ns.config):
-        print("feasibility needs --preset or --config", file=sys.stderr)
-        return 2
     fields = dataclasses.fields(pr.FeasibilityInput)
-    values = {}
-    for key, raw in _file_mapping(ns.config).items():
-        if key not in {field.name for field in fields}:
-            raise ValueError(f"unknown feasibility field {key!r}")
-        values[key] = pr._number(key, raw)
-    if ns.preset:
-        # the file's fields overlay the preset's
-        params = dataclasses.replace(pr.FEASIBILITY_PRESETS[ns.preset], **values)
-    else:
-        missing = [
-            field.name for field in fields
-            if field.default is dataclasses.MISSING and field.name not in values
-        ]
-        if missing:
-            raise ValueError(f"missing feasibility field {', '.join(map(repr, missing))}")
-        params = pr.FeasibilityInput(**values)
-    report = pr.feasibility(params)
+    # the file's fields overlay the preset's
+    values = dataclasses.asdict(pr.FEASIBILITY_PRESETS[ns.preset]) if ns.preset else {}
+    for layer in _layers(ns.config):
+        for key, raw in layer.items():
+            if key not in {field.name for field in fields}:
+                raise ValueError(f"unknown feasibility field {key!r}")
+            values[key] = pr._number(key, raw)
+    missing = [
+        field.name for field in fields
+        if field.default is dataclasses.MISSING and field.name not in values
+    ]
+    if missing:
+        raise ValueError(f"missing feasibility field {', '.join(map(repr, missing))}")
+    report = pr.feasibility(pr.FeasibilityInput(**values))
     print(f"G_rad_per_s = {report.G:.12g}")
     print(f"G_over_2pi_Hz = {report.G / (2.0 * math.pi):.12g}")
     print(f"x = {report.x:.12g}")
@@ -333,8 +328,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.command == "sweep" and not (ns.preset or ns.config):
-        print("sweep needs --preset or --config", file=sys.stderr)
+    if ns.command in ("sweep", "feasibility") and not (ns.preset or ns.config):
+        print(f"{ns.command} needs --preset or --config", file=sys.stderr)
         return 2
     try:
         return ns.handler(ns)

@@ -194,18 +194,13 @@ CONFIG_FIELDS = _FLOAT_FIELDS + _STR_FIELDS
 _point = operator.attrgetter(*_FLOAT_FIELDS)
 
 
-def config_to_mapping(config):
-    """Flat name -> value mapping of a config, field names as in ProtocolConfig."""
-    return {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
-
-
 def config_from_mapping(mapping):
     """Build a ProtocolConfig from string-or-native values over the defaults.
 
     Unknown keys raise KeyError; numeric fields accept anything float() accepts
     and raise ValueError naming the field otherwise.
     """
-    values = config_to_mapping(ProtocolConfig())
+    values = dataclasses.asdict(ProtocolConfig())
     for key, raw in mapping.items():
         if key in _STR_FIELDS:
             values[key] = str(raw).strip()

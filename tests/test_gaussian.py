@@ -7,6 +7,7 @@ random parameter draws.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -246,6 +247,24 @@ def test_channel_coefficients_closure_property():
         coeffs = ga.channel_coefficients(rng.uniform(0, 1), rng.uniform(0.01, 0.99))
         worst = max(worst, coeffs.closure_defect)
     assert worst < 1e-12, f"worst closure defect {worst}"
+
+
+def test_channel_coefficients_closure_up_to_y_one():
+    # Where 1 - y^2 < SERIES_BELOW the coefficients take 1 - y^2, y^2 and ln y
+    # from the exact 1 - y.  From y * y and log(y) the closure failed its
+    # 1e-10 check here, by 7.0e-10 at (0.5, 1 - 3.16e-9), and c1 was off by
+    # up to 3.7e-9 relative.  1 - y is drawn log-uniform in [1e-17, 3.2e-3],
+    # inside that branch.
+    rng = np.random.default_rng(2718)
+    worst = ga.channel_coefficients(0.5, 0.9999999968377223).closure_defect
+    for _ in range(2000):
+        x = float(10.0 ** rng.uniform(-6.0, 1.0))
+        y = 1.0 - float(10.0 ** rng.uniform(-17.0, -2.5))
+        coeffs = ga.channel_coefficients(x, y)
+        worst = max(worst, coeffs.closure_defect)
+        exact = float((1 - Fraction(y) ** 2) / (1 + Fraction(x)))
+        assert abs(coeffs.c1 - exact) <= 1e-15 * exact, (x, y, coeffs.c1, exact)
+    assert worst < 1e-15, f"worst closure defect {worst}"
 
 
 def test_channel_coefficients_weak_coupling_noise_ratio():

@@ -69,7 +69,7 @@ def test_config_rejects_squeezing_the_input_cannot_take():
 
 def test_config_mapping_round_trip():
     config = pr.ProtocolConfig(engine="fock", N_th=0.2, sigma=0.003)
-    mapping = pr.config_to_mapping(config)
+    mapping = dataclasses.asdict(config)
     rebuilt = pr.config_from_mapping({k: str(v) for k, v in mapping.items()})
     assert rebuilt == config
     for unknown in ("unknown_field", "fock_dims"):
@@ -245,7 +245,7 @@ def test_sweep_and_search_points_equal_constructed_configs(monkeypatch):
         axes = [sw.AxisSpec(f, sorted({getattr(c, f) for c in draws})) for f in fields]
         del seen[:]
         sw.run_sweep(sw.SweepSpec(base, *axes))
-        mapping = pr.config_to_mapping(base)
+        mapping = dataclasses.asdict(base)
         built = [
             pr.ProtocolConfig(**{**mapping, fields[0]: v1, fields[1]: v2, fields[2]: vs})
             for v2 in axes[1].values
@@ -679,6 +679,50 @@ def test_no_successful_run_warns_or_reads_non_finite():
     assert min(succeeded.values()) > 20, succeeded
 
 
+def domain_configs(n, seed):
+    """Seeded configs of the domain where every valid config runs: r uniform
+    in [0, 3]; N_D, x, N_in and N_th log-uniform in [1e-6, 1e6], x in [1e-6,
+    10]; sigma log-uniform in [1e-6, 0.1]; each eta uniform in [0, 1]; y
+    uniform in (0, 1] for half the configs and 1 - 10**u, u uniform in [-17,
+    0], for the other half, so that y reaches 1 - 1e-16 and 1 itself."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    configs = []
+    for i in range(n):
+        y = 1.0 - log_uniform(-17.0, 0.0) if i % 2 else 1.0 - float(rng.uniform(0.0, 1.0))
+        configs.append(pr.ProtocolConfig(
+            r=float(rng.uniform(0.0, 3.0)),
+            N_D=log_uniform(-6.0, 6.0),
+            y=y,
+            x=log_uniform(-6.0, 1.0),
+            N_in=log_uniform(-6.0, 6.0),
+            N_th=log_uniform(-6.0, 6.0),
+            sigma=log_uniform(-6.0, -1.0),
+            eta1=float(rng.uniform()),
+            eta2=float(rng.uniform()),
+            eta_c=float(rng.uniform()),
+            phase_noise_convention=pr.PHASE_NOISE_CONVENTIONS[int(rng.integers(2))],
+        ))
+    return configs
+
+
+def test_every_config_of_the_domain_runs_on_both_engines():
+    # Each config of domain_configs' domain returns a finite metric on both
+    # engines: a log-negativity in [0, 2r] and a concurrence in [0, 1].  The
+    # domain only ever widens.
+    near_one = 0
+    for config in domain_configs(4000, seed=20261020):
+        near_one += 1.0 - config.y * config.y < ch.SERIES_BELOW
+        for engine, top in (("gaussian", 2.0 * config.r), ("fock", 1.0)):
+            metric = pr.entanglement_metric(dataclasses.replace(config, engine=engine))
+            assert 0.0 <= metric <= top, (engine, config, metric)
+    # half the draws lie where the channel takes 1 - y^2 from 1 - y
+    assert near_one > 1000, near_one
+
+
 def test_gaussian_output_covariance_has_five_nonzero_entries():
     # Every stage on mode A acts on each quadrature separately and C only sees
     # loss, so the output keeps the two-mode squeezed vacuum's pattern: the
@@ -995,7 +1039,7 @@ def test_find_threshold_ends_for_tol_below_float_spacing(search, tol):
         "probes, evaluate = [], pr._evaluate\n"
         f"count = lambda ps: probes.extend(p[{pr._FLOAT_FIELDS.index(parameter)}] for p in ps)\n"
         "pr._evaluate = lambda base, ps: count(ps) or evaluate(base, ps)\n"
-        f"config = pr.config_from_mapping({pr.config_to_mapping(config)!r})\n"
+        f"config = pr.config_from_mapping({dataclasses.asdict(config)!r})\n"
         f"print(repr([pr.find_threshold(config, {parameter!r}, {bracket!r}, {tol!r}), probes]))\n"
     )
     src = os.path.dirname(os.path.dirname(pr.__file__))
@@ -1546,6 +1590,15 @@ def test_feasibility_input_validation():
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"^{name}={value} must be finite and > 0$"):
                 pr.FeasibilityInput(**dict(fields, **{name: value}))
+
+
+def test_feasibility_input_rejects_a_damping_rate_outside_the_float_range():
+    # omega_m and Q are each finite and > 0, but omega_m / Q underflows to
+    # 0.0 or overflows to inf
+    for omega_m, Q, rate in ((1e-300, 1e300, 0.0), (1e300, 1e-300, math.inf)):
+        message = f"^mechanical damping {rate} must be finite and > 0$"
+        with pytest.raises(ValueError, match=message):
+            pr.FeasibilityInput(omega_m=omega_m, kappa=1.0, g=1.0, tau=1.0, T=1.0, Q=Q)
 
 
 def test_find_threshold_rejects_a_parameter_that_is_not_a_float_field(monkeypatch):

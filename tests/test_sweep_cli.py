@@ -777,6 +777,103 @@ def test_cli_missing_config_file_is_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "feasibility"])
+def test_cli_names_the_missing_source(capsys, command):
+    assert cli.main([command]) == 2
+    assert capsys.readouterr() == ("", f"{command} needs --preset or --config\n")
+
+
+@pytest.mark.parametrize("command", [[], ["sweep"], ["threshold"], ["feasibility"], ["selftest"]])
+def test_cli_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        cli.main([*command, "--help"])
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(["usage: micromacro", *command])) and err == ""
+
+
+def test_cli_parallel_must_be_an_integer(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sweep", "--preset", "fig2", "--parallel", "abc"])
+    assert info.value.code == 2
+    assert "argument --parallel: 'abc' is not an integer >= 1" in capsys.readouterr().err
+
+
+def test_cli_log_scale_axis(tmp_path, capsys):
+    conf = tmp_path / "log.conf"
+    conf.write_text(
+        "axis1 = N_D\naxis1_lo = 1\naxis1_hi = 100\naxis1_n = 3\naxis1_scale = log\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["sweep", "--config", str(conf)]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(",")[0] for line in out.splitlines()] == ["N_D", "1", "10", "100"]
+    spec = sw.SweepSpec(pr.ProtocolConfig(), sw.AxisSpec("N_D", sw.log_grid(1.0, 100.0, 3)))
+    assert out == sw.run_sweep(spec)[0]
+
+
+@pytest.mark.parametrize(
+    "args, conf, error",
+    [
+        (["sweep", "--preset", "fig2", "--set", "axis1=y", "--set", "axis1_lo=0.1",
+          "--set", "axis1_hi=0.2", "--set", "axis1_n=2", "--set", "axis1_scale=cubic"], None,
+         "axis1_scale must be linear or log, got 'cubic'"),
+        (["sweep", "--preset", "fig2", "--set", "series_values=1,2"], None,
+         "['series_values'] given without 'series = <parameter>'"),
+        (["sweep", "--preset", "fig2", "--set", "r"], None, "--set expects key=value, got 'r'"),
+        (["threshold", "--preset", "fig5", "--set", "axis1_values=0.1", "--set", "axis1=y",
+          "--param", "eta1", "--lo", "0", "--hi", "1"], None,
+         "axis keys ['axis1', 'axis1_values'] are not valid here"),
+        (["threshold", "--param", "eta1", "--lo", "0", "--hi", "1"], "series = N_in\n",
+         "axis keys ['series'] are not valid here"),
+        (["sweep"], "sigma = 0\n", "sweep needs an axis1 (from a preset or axis1 keys)"),
+        # of several bad inputs the first is reported: axis1 is built first,
+        # then the config, then axis2 and the series
+        (["sweep", "--preset", "fig2", "--set", "r=abc", "--set", "axis1=y",
+          "--set", "axis1_lo=0"], None,
+         "axis 'axis1' needs axis1_values or axis1_hi"),
+        (["sweep", "--preset", "fig2", "--set", "r=abc", "--set", "axis2=x",
+          "--set", "axis2_lo=0"], None, "r='abc' is not a number"),
+        (["sweep", "--preset", "fig2", "--set", "r=abc", "--set", "series=N_in",
+          "--set", "series_lo=0"], None, "r='abc' is not a number"),
+        (["sweep", "--preset", "fig2", "--set", "axis2=x", "--set", "axis2_lo=0",
+          "--set", "series=N_in", "--set", "series_lo=0"], None,
+         "axis 'axis2' needs axis2_values or axis2_hi"),
+        # a preset's fields come first, in field order; without a preset the
+        # keys are checked in the order they are given
+        (["sweep", "--preset", "fig2", "--set", "foo=1", "--set", "r=abc"], None,
+         "r='abc' is not a number"),
+        (["sweep"], "axis1 = y\naxis1_values = 0.1\nfoo = 1\nr = abc\n",
+         "unknown config field 'foo'"),
+        (["sweep", "--set", "r=abc"], "axis1 = y\naxis1_values = 0.1\nfoo = 1\n",
+         "unknown config field 'foo'"),
+        # both sources are split before any key is read: the file first
+        (["sweep", "--preset", "fig2", "--set", "r"], "oops\n",
+         "line 1: expected 'key = value', got 'oops'"),
+        (["threshold", "--set", "r", "--param", "eta1", "--lo", "0", "--hi", "1"],
+         "axis1 = y\n", "--set expects key=value, got 'r'"),
+        (["threshold", "--set", "axis2=x", "--param", "eta1", "--lo", "0", "--hi", "1"],
+         "axis1 = y\n", "axis keys ['axis1'] are not valid here"),
+        (["feasibility", "--preset", "nanobeam"], "foo = 1\nT = cold\n",
+         "unknown feasibility field 'foo'"),
+        (["feasibility", "--preset", "nanobeam"], "T = cold\nfoo = 1\n",
+         "T='cold' is not a number"),
+    ],
+    ids=["bad-scale", "group-without-parameter", "set-without-equals", "threshold-axis-set",
+         "threshold-axis-file", "config-without-axis1", "axis1-before-config",
+         "config-before-axis2", "config-before-series", "axis2-before-series", "preset-field-order", "file-key-order", "file-before-set",
+         "file-split-first", "set-split-before-keys", "file-axis-keys-first",
+         "feasibility-unknown-first", "feasibility-number-first"],
+)
+def test_cli_input_errors(tmp_path, capsys, args, conf, error):
+    if conf is not None:
+        path = tmp_path / "input.conf"
+        path.write_text(conf, encoding="utf-8")
+        args = [*args, "--config", str(path)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 SELFTEST_CASES = (
     "channel coefficient closure (32x32 grid)",
     "ideal pipeline log-negativity = 2r",
