@@ -179,8 +179,9 @@ def _storage_added(channel, n_initial, n_bath):
 
 
 def _phase_variance(sigma, amp_sq):
-    """The P variance 2 amp_sq sigma^2 a phase jitter adds."""
-    return 2.0 * amp_sq * sigma * sigma
+    """The P variance 2 amp_sq sigma^2 a phase jitter adds.  The exact
+    doubling comes last, so sigma = 0 gives 0 where 2 amp_sq overflows."""
+    return amp_sq * sigma * sigma * 2.0
 
 
 def _ppt_witness(total, det_v):

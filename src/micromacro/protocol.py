@@ -404,35 +404,30 @@ def run_gaussian_protocol(config):
     return GaussianProtocolResult(log_negativity, nu_min, state, witness)
 
 
-def _pair_terms(t, n_x, n_p):
-    """The README's c and pair terms (P01, P23, P02 = P13, P03 = P12, P4) of the
-    channel X -> t X, P -> t P that adds noise variances n_x and n_p."""
+def _qubit_block(mode_a):
+    """The output's {0,1}^2 block over |a c> = 00, 01, 10, 11, an X-state, as
+    (entries, scale), the block being scale times the entries: products of
+    the pair terms of A's composed channel and of C's pure loss, whose terms
+    are closed forms in eta_c (README, "The Fock engine's closed form").
+    The entries' trace is 1 + P01 + P23 + P4, and the scale c_A / 2 is
+    (1/2)(1/sqrt(a_x))(1/sqrt(a_p)), which underflows where a_x a_p would
+    overflow.  `mode_a` is one point's item of the call's ``_mode_a``
+    without the squeezed input."""
+    n_x, n_p, t, _, (amplitude, power, _), _ = mode_a
     a_x = (1.0 + t * t) / 2.0 + n_x
     a_p = (1.0 + t * t) / 2.0 + n_p
     p, q = 1.0 / (4.0 * a_p), 1.0 / (4.0 * a_x)
     p01, p23 = 1.0 - 2.0 * t * t * (p + q), 1.0 - 2.0 * (p + q)
     p02, p03 = 2.0 * t * (p + q), 2.0 * t * (q - p)
-    return 1.0 / math.sqrt(a_x * a_p), p01, p23, p02, p03, p01 * p23 + p02 * p02 + p03 * p03
-
-
-def _qubit_block(mode_a):
-    """The output's unnormalized {0,1}^2 block over |a c> = 00, 01, 10, 11, an
-    X-state: each entry is two products of pair terms, P's of A's composed
-    channel and Q's of C's loss (README, "The Fock engine's closed form").
-    `mode_a` is one point's item of the call's ``_mode_a`` without the
-    squeezed input: A's added noises and gains, and C's loss terms."""
-    n_x, n_p, gain, _, (amplitude, _, added), _ = mode_a
-    c_a, p01, p23, p02, p03, p4 = _pair_terms(gain, n_x, n_p)
-    c_c, q01, q23, q02, q03, q4 = _pair_terms(amplitude, added, added)
-    scale = 0.5 * c_a * c_c
-    r14 = scale * (p03 * q02 + p02 * q03)
-    r23 = scale * (p03 * q03 + p02 * q02)
-    return [
-        [scale * (q01 + p01), 0.0, 0.0, r14],
-        [0.0, scale * (q4 + p01 * q23), r23, 0.0],
-        [0.0, r23, scale * (p23 * q01 + p4), 0.0],
-        [r14, 0.0, 0.0, scale * (p23 * q4 + p4 * q23)],
+    p4 = p01 * p23 + p02 * p02 + p03 * p03
+    r14, r23 = p03 * amplitude, p02 * amplitude
+    block = [
+        [1.0 - power + p01, 0.0, 0.0, r14],
+        [0.0, power, r23, 0.0],
+        [0.0, r23, p23 * (1.0 - power) + p4, 0.0],
+        [r14, 0.0, 0.0, p23 * power],
     ]
+    return block, 0.5 / math.sqrt(a_x) / math.sqrt(a_p)
 
 
 def run_fock_protocol(config):
@@ -442,8 +437,10 @@ def run_fock_protocol(config):
     (A, C), N_D enters only through the phase-noise variance and the
     undisplacement is the identity.  Mode A's stages (`_mode_a`) compose
     into one Gaussian channel (gain t, added noise n_x and n_p) and C is pure
-    loss, so `_qubit_block` gives the output's {0,1}^2 block exactly;
-    fock.qubit_project reads its weight and renormalizes it.  The witness is
+    loss, so `_qubit_block` gives the output's {0,1}^2 block exactly, as
+    entries and their scale; fock.qubit_project reads the entries' weight
+    and renormalizes them, and the scale times that weight is the
+    projection probability.  The witness is
     2 max(|rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)) of
     that X-state (Yu & Eberly), its roots clamped by channel._clamped_sqrt.
     """
@@ -457,14 +454,14 @@ def _fock_readout(mode_a):
     """run_fock_protocol's (concurrence, projection probability, witness) of
     one point's item of ``_mode_a``, without the squeezed input."""
     fk = _module(".fock")
-    block = fk.FockDensityMatrix((2, 2), _qubit_block(mode_a))
-    qubits, probability = fk.qubit_project(block)
+    block, scale = _qubit_block(mode_a)
+    qubits, weight = fk.qubit_project(fk.FockDensityMatrix((2, 2), block))
     rho = qubits.real.tolist()
     witness = 2.0 * max(
         abs(rho[1][2]) - ch._clamped_sqrt(rho[0][0] * rho[3][3], 1.0),
         abs(rho[0][3]) - ch._clamped_sqrt(rho[1][1] * rho[2][2], 1.0),
     )
-    return max(0.0, witness), probability, witness
+    return max(0.0, witness), scale * weight, witness
 
 
 def _evaluate(base, points):

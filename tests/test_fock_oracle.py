@@ -47,7 +47,8 @@ def _engine(config):
 def _qubit_block(config):
     """The engine's unnormalized {0,1}^2 block of one config."""
     (mode_a,) = pr._mode_a([pr._point(config)], config.phase_noise_convention, False)
-    return pr._qubit_block(mode_a)
+    block, scale = pr._qubit_block(mode_a)
+    return [[scale * entry for entry in row] for row in block]
 
 
 def _seeded_configs(seed, n, n_th_max=20.0, n_d_max=3e4):

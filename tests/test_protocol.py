@@ -144,6 +144,23 @@ def test_phase_noise_amplitude_conventions():
     ) < 1e-9
 
 
+@pytest.mark.parametrize("engine", pr.ENGINES)
+def test_zero_sigma_adds_no_jitter_where_twice_the_amplitude_overflows(engine):
+    # at N_D = 1e308 both conventions' 2 |alpha_eff|^2 overflows; sigma = 0
+    # still adds no variance (not inf * 0 = NaN), so every run and search is
+    # the N_D = 0 one
+    for convention in pr.PHASE_NOISE_CONVENTIONS:
+        config = pr.ProtocolConfig(
+            engine=engine, N_D=1e308, sigma=0.0, eta1=1.0, phase_noise_convention=convention
+        )
+        coeffs = ch.channel_coefficients(config.x, config.y)
+        assert 2.0 * pr.phase_noise_amplitude_sq(config, coeffs) == math.inf
+        dark = dataclasses.replace(config, N_D=0.0)
+        assert pr.entanglement_metric(config) == pr.entanglement_metric(dark) > 0.0
+        found = pr.find_threshold(config, "eta1", (0.0, 1.0))
+        assert found == pr.find_threshold(dark, "eta1", (0.0, 1.0)), convention
+
+
 def test_ideal_gaussian_pipeline_gives_two_r():
     for r in (0.1, 0.5, 1.0):
         result = pr.run_gaussian_protocol(pr.ProtocolConfig(r=r, **IDEAL))
@@ -679,12 +696,12 @@ def test_no_successful_run_warns_or_reads_non_finite():
     assert min(succeeded.values()) > 20, succeeded
 
 
-def domain_configs(n, seed):
+def domain_configs(n, seed, top=6.0):
     """Seeded configs of the domain where every valid config runs: r uniform
-    in [0, 3]; N_D, x, N_in and N_th log-uniform in [1e-6, 1e6], x in [1e-6,
-    10]; sigma log-uniform in [1e-6, 0.1]; each eta uniform in [0, 1]; y
-    uniform in (0, 1] for half the configs and 1 - 10**u, u uniform in [-17,
-    0], for the other half, so that y reaches 1 - 1e-16 and 1 itself."""
+    in [0, 3]; N_D, x, N_in and N_th log-uniform in [1e-6, 10**top], x in
+    [1e-6, 10]; sigma log-uniform in [1e-6, 0.1]; each eta uniform in [0, 1];
+    y uniform in (0, 1] for half the configs and 1 - 10**u, u uniform in
+    [-17, 0], for the other half, so that y reaches 1 - 1e-16 and 1 itself."""
     rng = np.random.default_rng(seed)
 
     def log_uniform(lo, hi):
@@ -695,11 +712,11 @@ def domain_configs(n, seed):
         y = 1.0 - log_uniform(-17.0, 0.0) if i % 2 else 1.0 - float(rng.uniform(0.0, 1.0))
         configs.append(pr.ProtocolConfig(
             r=float(rng.uniform(0.0, 3.0)),
-            N_D=log_uniform(-6.0, 6.0),
+            N_D=log_uniform(-6.0, top),
             y=y,
             x=log_uniform(-6.0, 1.0),
-            N_in=log_uniform(-6.0, 6.0),
-            N_th=log_uniform(-6.0, 6.0),
+            N_in=log_uniform(-6.0, top),
+            N_th=log_uniform(-6.0, top),
             sigma=log_uniform(-6.0, -1.0),
             eta1=float(rng.uniform()),
             eta2=float(rng.uniform()),
@@ -712,7 +729,7 @@ def domain_configs(n, seed):
 def test_every_config_of_the_domain_runs_on_both_engines():
     # Each config of domain_configs' domain returns a finite metric on both
     # engines: a log-negativity in [0, 2r] and a concurrence in [0, 1].  The
-    # domain only ever widens.
+    # fock engine's domain is wider.  The domains only ever widen.
     near_one = 0
     for config in domain_configs(4000, seed=20261020):
         near_one += 1.0 - config.y * config.y < ch.SERIES_BELOW
@@ -721,6 +738,18 @@ def test_every_config_of_the_domain_runs_on_both_engines():
             assert 0.0 <= metric <= top, (engine, config, metric)
     # half the draws lie where the channel takes 1 - y^2 from 1 - y
     assert near_one > 1000, near_one
+    # the fock engine's domain reaches N_D, N_in and N_th of 1e300, where
+    # a_x a_p overflows: the concurrence and the projection probability are
+    # finite and in [0, 1]
+    noisy = 0
+    for config in domain_configs(4000, seed=20261021, top=300.0):
+        result = pr.run_fock_protocol(dataclasses.replace(config, engine="fock"))
+        outputs = (result.concurrence, result.projection_probability)
+        assert all(0.0 <= value <= 1.0 for value in outputs), (config, outputs)
+        noisy += config.N_th > 1e15
+    # most draws have N_th above 1e15, where the scaled block's weight would
+    # fall below fock.qubit_project's 1e-12 floor
+    assert noisy > 3000, noisy
 
 
 def test_gaussian_output_covariance_has_five_nonzero_entries():
@@ -1304,7 +1333,7 @@ def test_numpy_zeros_run_as_python_zeros(engine):
 
 
 @pytest.mark.parametrize(
-    "engine, metric", [("gaussian", 0.11930577715770614), ("fock", 0.0723077661358335)]
+    "engine, metric", [("gaussian", 0.11930577715770614), ("fock", 0.07230776613583334)]
 )
 def test_a_numpy_float32_field_runs_as_its_python_float(engine, metric):
     # a config stores every float field as a Python float, so a float32

@@ -18,6 +18,20 @@ from micromacro import sweep as sw
 
 DATA = Path(__file__).parent / "data"
 FOCK_BASE = dict(engine="fock", N_th=0.3, sigma=0.0, eta_c=1.0)
+# the damping ratio at which _violate_closure breaks the storage channel
+BROKEN_X = 0.0123
+
+
+def _violate_closure(monkeypatch):
+    """Give the storage channel f1 = 1 at x = BROKEN_X, so its coefficients
+    violate closure there: an engine failure that no field check catches."""
+    core = ch._coefficients
+
+    def coefficients(x, y):
+        c1, c2, f1, f2 = core(x, y)
+        return (c1, c2, 1.0, f2) if x == BROKEN_X else (c1, c2, f1, f2)
+
+    monkeypatch.setattr(ch, "_coefficients", coefficients)
 
 
 def test_axis_spec_validation():
@@ -175,26 +189,27 @@ def test_run_sweep_deterministic_across_workers():
             sw.run_sweep(spec, workers=0)
 
 
-def test_run_sweep_reports_failing_coordinates():
+def test_run_sweep_reports_failing_coordinates(monkeypatch):
     spec = sw.SweepSpec(
         base=pr.ProtocolConfig(**FOCK_BASE),
         axis1=sw.AxisSpec("y", (0.5, 1.5)),  # y > 1 is rejected
     )
     with pytest.raises(RuntimeError, match=r"\(y=1.5\) failed: coupling parameter y=1.5"):
         sw.run_sweep(spec)
-    # an engine failure, not a config rejection: at N_th = 1e15 the qubit
-    # block's weight is below the projection's floor
+    # an engine failure, not a config rejection: the storage channel's
+    # coefficients violate closure at x = BROKEN_X
+    _violate_closure(monkeypatch)
     spec = sw.SweepSpec(
         base=pr.ProtocolConfig(**FOCK_BASE),
         axis1=sw.AxisSpec("y", (0.1, 0.5)),
-        series=sw.AxisSpec("N_th", (0.3, 1e15)),
+        series=sw.AxisSpec("x", (0.01, BROKEN_X)),
     )
     with pytest.raises(
         RuntimeError,
-        match=r"^sweep point \(y=0.1, N_th=1e\+15\) failed: qubit projection weight .* is degenerate$",
+        match=r"^sweep point \(y=0.1, x=0.0123\) failed: channel coefficients violate closure by .*$",
     ) as caught:
         sw.run_sweep(spec)
-    assert isinstance(caught.value.__cause__, ArithmeticError)
+    assert isinstance(caught.value.__cause__, ValueError)
 
 
 def test_gaussian_batch_reports_first_failing_coordinates():
@@ -226,9 +241,9 @@ def test_gaussian_batch_reports_first_failing_coordinates():
         ),
         (
             FOCK_BASE,
-            dict(axis1=("y", (0.1, 1.5)), series=("N_th", (0.3, 1e15))),
-            r"\(y=0.1, N_th=1e\+15\) failed: qubit projection weight .* is degenerate",
-            ArithmeticError,
+            dict(axis1=("y", (0.1, 1.5)), series=("x", (0.01, BROKEN_X))),
+            r"\(y=0.1, x=0.0123\) failed: channel coefficients violate closure by .*",
+            ValueError,
         ),
         # one point with two bad values: the first in field order is named,
         # though the batch checks the axis2 value first
@@ -241,7 +256,9 @@ def test_gaussian_batch_reports_first_failing_coordinates():
     ],
     ids=["gaussian-engine-before-field", "fock-engine-before-field", "two-bad-fields"],
 )
-def test_run_sweep_reports_the_first_failure_in_sweep_order(base, axes, message, cause):
+def test_run_sweep_reports_the_first_failure_in_sweep_order(monkeypatch, base, axes, message, cause):
+    # only the fock case sweeps x through BROKEN_X
+    _violate_closure(monkeypatch)
     spec = sw.SweepSpec(
         base=pr.ProtocolConfig(**base),
         **{role: sw.AxisSpec(*axis) for role, axis in axes.items()},
