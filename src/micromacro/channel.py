@@ -86,7 +86,9 @@ def channel_coefficients(x, y):
     y * y and log(y) they would disagree by the rounding of y * y over u,
     which breaks the closure near y = 1.  There f2's radicand comes from
     its series in u, because the closed form cancels terms of order x down
-    to x u^2.
+    to x u^2.  Where x * x overflows (x > 1.34e154), both radicands are
+    taken over x^2 and 1 + x over x, so every finite x runs; below that the
+    arithmetic is the closed forms' above.
     """
     return ChannelCoefficients(x, y, *_coefficients(x, y))
 
@@ -113,20 +115,33 @@ def _coefficients(x, y):
         log_y = math.log(y)
     c1 = one / (1.0 + x)
     c2 = y * math.sqrt(one / (1.0 + x))
-    log_term = 4.0 * x * y2 * log_y / one  # <= 0 for y in (0, 1)
-    rad1 = x * x + y2 - log_term
     if near_one:
         # rad2 = x u^2 (1 + sum_{n>=2} 2 u^(n-2) / (n (n+1))); ten terms
         # leave a remainder below 1e-21 relative
-        series = sum(2.0 * one ** (n - 2) / (n * (n + 1)) for n in range(2, 12))
-        rad2 = x * one * one * (1.0 + series)
+        series = 1.0 + sum(2.0 * one ** (n - 2) / (n * (n + 1)) for n in range(2, 12))
+    if x * x < math.inf:
+        log_term = 4.0 * x * y2 * log_y / one  # <= 0 for y in (0, 1)
+        rad1 = x * x + y2 - log_term
+        if near_one:
+            rad2 = x * one * one * series
+        else:
+            rad2 = x * (1.0 + y2) + x * one * one + log_term
+        divisor = 1.0 + x
     else:
-        rad2 = x * (1.0 + y2) + x * one * one + log_term
+        # x * x overflows (x > 1.34e154): both radicands over x^2 and 1 + x
+        # over x, with -log_term / x = 4 y^2 |ln y| / (1 - y^2) in [0, 2]
+        slope = -4.0 * y2 * log_y / one
+        rad1 = 1.0 + (y2 / x + slope) / x
+        if near_one:
+            rad2 = one * one * series / x
+        else:
+            rad2 = ((1.0 + y2) + one * one - slope) / x
+        divisor = (1.0 + x) / x
     for rad in (rad1, rad2):
         if rad < -RADICAND_CLAMP:
             raise ArithmeticError(f"negative radicand {rad} in channel coefficients")
-    f1 = math.sqrt(max(rad1, 0.0)) / (1.0 + x)
-    f2 = math.sqrt(max(rad2, 0.0)) / (1.0 + x)
+    f1 = math.sqrt(max(rad1, 0.0)) / divisor
+    f2 = math.sqrt(max(rad2, 0.0)) / divisor
     return c1, c2, f1, f2
 
 

@@ -13,11 +13,13 @@ builds its output through the class's checked constructor.  The operations
 take one state and scalar parameters, and reject an array parameter.  They
 check their arguments, apply the helpers of each stage (``_tmsv_entries``,
 ``_loss_terms``, ``_storage_channel`` and ``_storage_added``, ``_phase_variance``)
-to the 4x4 arrays and read out through ``_ppt_minors``.  The protocol
-pipeline applies the same helpers to the five nonzero covariance entries of
-each config (``protocol._mode_a``), stacks a call's covariances and reads
-them out through ``_ppt_minors`` and the per-point ``_ppt_readout``, which
-computes nu_- alone (``protocol._gaussian_batch``).  Those helpers,
+to the 4x4 arrays and read out through ``_ppt_minors``, whose blocks
+need not be diagonal.  The protocol pipeline applies the same helpers to
+the five nonzero covariance entries of each config (``protocol._mode_a``),
+takes Sigma from them in closed form, NumPy's determinant of a diagonal
+2x2 bit for bit, stacks a call's covariances for det V alone, and reads
+each point out through the per-point ``_ppt_readout``, which computes
+nu_- alone (``protocol._gaussian_batch``).  Those helpers,
 ``channel_coefficients`` and the constants live in :mod:`micromacro.channel`,
 which needs no NumPy; ``channel_coefficients``, ``ChannelCoefficients`` and
 the constants are re-exported here.

@@ -23,8 +23,10 @@ through one dispatch, ``_evaluate``, which takes a base config and its
 points: each point is the tuple of its ten float fields in
 ``_FLOAT_FIELDS`` order, and the engine and phase-noise convention are the
 base's.  A call's gaussian points run as one private batch
-(``_gaussian_batch``), fock points one at a time.  ``run_gaussian_protocol``
-and ``run_fock_protocol`` each take one config.
+(``_gaussian_batch``), which takes each point's Sigma from its five
+covariance entries in closed form and det V of the stacked covariances
+from NumPy, its one NumPy determinant; fock points run one at a time.
+``run_gaussian_protocol`` and ``run_fock_protocol`` each take one config.
 
 Both engines compose the per-point terms of :mod:`micromacro.channel`, which
 needs no NumPy.  ``_mode_a`` computes each stage's inputs (the squeezed
@@ -349,28 +351,66 @@ def _gaussian_batch(points, convention):
     these five Python floats with the helpers of the public operations, by
     the same IEEE operations in the same order as their 4x4 arithmetic,
     whose other entries only ever multiply or add zeros.  Mode A comes from
-    the call's ``_mode_a``, by its reuse rule.  The call's
-    covariances are then read out by the same determinants, and each
-    point's (Sigma, det V) pair, as Python floats, by the public operations'
-    per-point readout ``channel._ppt_readout``.  So every value is bit for
-    bit what the composed public operations give, signed zeros of the
-    covariance included, whatever else the call holds.
+    the call's ``_mode_a``, by its reuse rule.
+
+    Sigma = (det A + det B) - 2 det C comes from the five floats in closed
+    form, by NumPy's own determinant of a diagonal 2x2: LAPACK's LU keeps
+    the two entries as its pivots, and NumPy returns
+    sign * exp(log|d1| + log|d2|), with the libm log and exp that ``math``
+    calls, or 0.0 where a pivot is zero.  det B is recomputed only where b
+    or C's loss terms are new objects, det C only where k_x, k_p or C's loss
+    terms are, under ``_mode_a``'s rule.  det V of the stacked covariances,
+    after their finiteness check, is the call's one NumPy determinant.  Each
+    point's (Sigma, det V) pair, as Python floats, is read out by the public
+    operations' per-point ``channel._ppt_readout``.  So every value is bit
+    for bit what the composed public operations give, signed zeros of the
+    covariance included, whatever else the call holds.  An overflowing det A
+    is +inf, and NumPy reports its overflow, under the caller's
+    ``np.errstate``, before det V's, as the public operations' block
+    determinants do.
     """
-    np, ga = _module("numpy"), _module(".gaussian")
-    entries = []
+    np = _module("numpy")
+    entries, totals, overflowed = [], [], None
+    b0 = k_x0 = k_p0 = loss_c0 = None
     # a stage at eta = 1 or without noise leaves every entry bit for bit as
     # it is (1 a + 0 = a, 1 k = k), so none is skipped
-    for a_x, a_p, k_x, k_p, (amplitude, power, added), b in _mode_a(points, convention, True):
-        b, k_x, k_p = power * b + added, k_x * amplitude, k_p * amplitude
+    for a_x, a_p, k_x, k_p, loss_c, b in _mode_a(points, convention, True):
+        fresh_c, loss_c0 = loss_c is not loss_c0, loss_c
+        amplitude, power, added = loss_c
+        # b and the correlations stay below 1e17 (r < 20), so det B and
+        # det C cannot overflow; a variance is positive
+        if fresh_c or b is not b0:
+            b0, b_c = b, power * b + added
+            log_b = math.log(b_c)
+            det_b = math.exp(log_b + log_b)
+        if fresh_c or k_x is not k_x0 or k_p is not k_p0:
+            k_x0, k_p0 = k_x, k_p
+            c_x, c_p = k_x * amplitude, k_p * amplitude
+            if c_x and c_p:
+                det_c = math.exp(math.log(abs(c_x)) + math.log(abs(c_p)))
+                if (c_x < 0.0) != (c_p < 0.0):
+                    det_c = -det_c
+            else:  # LAPACK's zero pivot: NumPy's zero sign times exp(-inf)
+                det_c = 0.0
+        try:
+            det_a = math.exp(math.log(a_x) + math.log(a_p))
+        except OverflowError:  # NumPy's det gives +inf here
+            det_a = math.inf
+            overflowed = overflowed or (a_x, a_p)
+        totals.append((det_a + det_b) - 2.0 * det_c)
         # the zeros carry the 4x4 operations' signs: the storage channel's
         # -c1 makes the cross-blocks' zeros -0.0
-        entries += (a_x, 0.0, k_x, -0.0, 0.0, a_p, -0.0, k_p, k_x, -0.0, b, 0.0, -0.0, k_p, 0.0, b)
+        entries += (a_x, 0.0, c_x, -0.0, 0.0, a_p, -0.0, c_p,
+                    c_x, -0.0, b_c, 0.0, -0.0, c_p, 0.0, b_c)
     cov = np.fromiter(entries, float, len(entries)).reshape(-1, 4, 4)
     # valid points: only an overflow can make an entry non-finite
     if not np.isfinite(cov).all():
         raise ValueError("non-finite entry in mean or cov")
-    total, det_v = ga._ppt_minors(cov)
-    return list(map(ch._ppt_readout, total.tolist(), det_v.tolist())), cov
+    if overflowed:
+        # NumPy's det of the first overflowing A block warns, raises or
+        # keeps quiet as the caller's np.errstate and warning filters say
+        np.linalg.det(np.diag(overflowed))
+    return list(map(ch._ppt_readout, totals, np.linalg.det(cov).tolist())), cov
 
 
 def run_gaussian_protocol(config):
@@ -439,8 +479,8 @@ def run_fock_protocol(config):
     into one Gaussian channel (gain t, added noise n_x and n_p) and C is pure
     loss, so `_qubit_block` gives the output's {0,1}^2 block exactly, as
     entries and their scale; fock.qubit_project reads the entries' weight
-    and renormalizes them, and the scale times that weight is the
-    projection probability.  The witness is
+    and renormalizes them, and the scale times that weight, capped at 1, is
+    the projection probability.  The witness is
     2 max(|rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)) of
     that X-state (Yu & Eberly), its roots clamped by channel._clamped_sqrt.
     """
@@ -461,7 +501,11 @@ def _fock_readout(mode_a):
         abs(rho[1][2]) - ch._clamped_sqrt(rho[0][0] * rho[3][3], 1.0),
         abs(rho[0][3]) - ch._clamped_sqrt(rho[1][1] * rho[2][2], 1.0),
     )
-    return max(0.0, witness), scale * weight, witness
+    # near the vacuum the product of the two rounded factors can exceed 1
+    # by an ulp, as a probability cannot; min() written out, as in
+    # channel._clamped_sqrt
+    probability = scale * weight
+    return max(0.0, witness), 1.0 if 1.0 < probability else probability, witness
 
 
 def _evaluate(base, points):

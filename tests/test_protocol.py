@@ -645,6 +645,130 @@ def test_gaussian_readout_rejects_overflowed_determinants():
     assert isinstance(caught.value.__cause__, ArithmeticError)
 
 
+def minors_batch(points, convention):
+    """_gaussian_batch's readout as it was before Sigma's closed form, kept
+    as the test-only reference: the same covariances, read out through
+    ga._ppt_minors, NumPy's determinants of the stacked blocks."""
+    entries = []
+    for a_x, a_p, k_x, k_p, (amplitude, power, added), b in pr._mode_a(points, convention, True):
+        b, k_x, k_p = power * b + added, k_x * amplitude, k_p * amplitude
+        entries += (a_x, 0.0, k_x, -0.0, 0.0, a_p, -0.0, k_p, k_x, -0.0, b, 0.0, -0.0, k_p, 0.0, b)
+    cov = np.array(entries).reshape(-1, 4, 4)
+    if not np.isfinite(cov).all():
+        raise ValueError("non-finite entry in mean or cov")
+    total, det_v = ga._ppt_minors(cov)
+    return list(map(ch._ppt_readout, total.tolist(), det_v.tolist())), cov
+
+
+def _readout(batch, points, convention):
+    """A batch readout's rows in float.hex and covariances' bytes, or its
+    error, with the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rows, cov = batch(points, convention)
+            out = [[v.hex() for v in row] for row in rows], cov.tobytes()
+        except (ArithmeticError, ValueError) as exc:
+            out = type(exc), str(exc)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def test_gaussian_batch_sigma_in_closed_form_equals_the_block_determinants():
+    # Sigma from the five entries in closed form, with det B and det C reused
+    # under _mode_a's rule, reads every output, covariance, error and warning
+    # as NumPy's block determinants do, over the whole domain: r = 0 (a
+    # singular C), eta_c at 0 and 1, both conventions, and N_D, N_in and N_th
+    # up to 1e300, where the blocks and det V overflow.  Each batch varies one
+    # field over two values, each repeated, so some points reuse det B and
+    # det C and others recompute them.
+    rng = np.random.default_rng(20261021)
+
+    def value(name):
+        if name in ("N_D", "N_in", "N_th"):
+            return float(10.0 ** rng.uniform(-6.0, 300.0))
+        if name == "sigma":  # 1e154 makes the jitter overflow
+            return (0.0, float(10.0 ** rng.uniform(-6.0, -1.0)), 1e154)[int(rng.integers(3))]
+        if name == "r":
+            return (0.0, float(rng.uniform(0.0, 3.0)))[int(rng.integers(2))]
+        if name == "y":
+            return float(rng.uniform(0.01, 1.0))
+        return (0.0, 1.0, float(rng.uniform()))[int(rng.integers(3))]  # an eta
+
+    names = ("N_D", "N_in", "N_th", "sigma", "r", "y", "eta1", "eta2", "eta_c")
+    outcomes = {}
+    for _ in range(1500):
+        config = pr.ProtocolConfig(
+            **{name: value(name) for name in names},
+            phase_noise_convention=pr.PHASE_NOISE_CONVENTIONS[int(rng.integers(2))],
+        )
+        index = pr._FLOAT_FIELDS.index(names[int(rng.integers(len(names)))])
+        first, second = value(pr._FLOAT_FIELDS[index]), value(pr._FLOAT_FIELDS[index])
+        base, points = pr._point(config), []
+        for v in (first, first, second, second):
+            point = list(base)
+            point[index] = v
+            points.append(tuple(point))
+        convention = config.phase_noise_convention
+        got = _readout(pr._gaussian_batch, points, convention)
+        assert got == _readout(minors_batch, points, convention), (config, index)
+        (out, _), warned = got
+        kind = "ran" if isinstance(out, list) else out.__name__
+        outcomes[kind, bool(warned)] = outcomes.get((kind, bool(warned)), 0) + 1
+    # batches run, fail on a NaN radicand after an overflow, and fail the
+    # finiteness check, each often enough to check
+    assert outcomes["ran", False] > 200, outcomes
+    assert outcomes["ArithmeticError", True] > 200, outcomes
+    assert outcomes["ValueError", False] > 100, outcomes
+
+
+def test_an_overflowing_block_warns_once_then_fails_on_the_nan_radicand():
+    # At N_th = 1e156 and eta_c = 0, det A overflows and det V does not: a
+    # sweep and a search warn once and fail on Sigma's NaN radicand; with
+    # warnings as errors, they fail on the warning; NumPy's errstate governs
+    # the report, as it does for the block determinants of the public
+    # operations
+    base = pr.ProtocolConfig(N_th=1e156, eta_c=0.0)
+    spec = dataclasses.replace(sw.preset("fig2"), base=base)
+
+    def search():
+        return pr.find_threshold(base, "eta1", (0.0, 1.0))
+
+    # each run, its message's prefix, and the error a sweep wraps any failure in
+    runs = [
+        (lambda: sw.run_sweep(spec), r"^sweep point \(y=0.01, N_in=0\) failed: ", RuntimeError),
+        (search, "^", None),
+    ]
+    for run, prefix, wrapped in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            with pytest.raises(wrapped or ArithmeticError, match=prefix + "radicand nan below"):
+                run()
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "overflow encountered in det")
+        ], prefix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                wrapped or RuntimeWarning, match=prefix + "overflow encountered in det$"
+            ):
+                run()
+            with np.errstate(over="ignore"):
+                with pytest.raises(wrapped or ArithmeticError, match=prefix + "radicand nan below"):
+                    run()
+            with np.errstate(over="raise"):
+                with pytest.raises(
+                    wrapped or FloatingPointError, match=prefix + "overflow encountered in det$"
+                ):
+                    run()
+    # only A's block overflows: the search's one pipeline call warns once
+    # under "always" too, where an overflowing det V would warn again
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ArithmeticError):
+            search()
+    assert len(caught) == 1
+
+
 def extreme_configs(n, seed):
     """Seeded configs of both engines far outside the figures' domain: N_D,
     x, N_in and N_th log-uniform from 1e-6 up to 1e300, sigma log-uniform up
@@ -698,10 +822,13 @@ def test_no_successful_run_warns_or_reads_non_finite():
 
 def domain_configs(n, seed, top=6.0):
     """Seeded configs of the domain where every valid config runs: r uniform
-    in [0, 3]; N_D, x, N_in and N_th log-uniform in [1e-6, 10**top], x in
-    [1e-6, 10]; sigma log-uniform in [1e-6, 0.1]; each eta uniform in [0, 1];
-    y uniform in (0, 1] for half the configs and 1 - 10**u, u uniform in
-    [-17, 0], for the other half, so that y reaches 1 - 1e-16 and 1 itself."""
+    in [0, 3]; N_D, N_in and N_th log-uniform in [1e-6, 10**top]; x
+    log-uniform in [1e-6, 10] for half the configs and in [1e-6, 1e300] for
+    the other half, past 1.34e154 where x * x overflows; sigma log-uniform in
+    [1e-6, 0.1]; each eta uniform in [0, 1]; y uniform in (0, 1] for half the
+    configs and 1 - 10**u, u uniform in [-17, 0], for the other half, so
+    that y reaches 1 - 1e-16 and 1 itself.  The two halves of x and of y
+    cross, each quarter of the configs having its own pair."""
     rng = np.random.default_rng(seed)
 
     def log_uniform(lo, hi):
@@ -714,7 +841,7 @@ def domain_configs(n, seed, top=6.0):
             r=float(rng.uniform(0.0, 3.0)),
             N_D=log_uniform(-6.0, top),
             y=y,
-            x=log_uniform(-6.0, 1.0),
+            x=log_uniform(-6.0, 300.0 if i % 4 >= 2 else 1.0),
             N_in=log_uniform(-6.0, top),
             N_th=log_uniform(-6.0, top),
             sigma=log_uniform(-6.0, -1.0),
@@ -730,14 +857,17 @@ def test_every_config_of_the_domain_runs_on_both_engines():
     # Each config of domain_configs' domain returns a finite metric on both
     # engines: a log-negativity in [0, 2r] and a concurrence in [0, 1].  The
     # fock engine's domain is wider.  The domains only ever widen.
-    near_one = 0
+    near_one = huge_x = 0
     for config in domain_configs(4000, seed=20261020):
         near_one += 1.0 - config.y * config.y < ch.SERIES_BELOW
+        huge_x += config.x * config.x == math.inf
         for engine, top in (("gaussian", 2.0 * config.r), ("fock", 1.0)):
             metric = pr.entanglement_metric(dataclasses.replace(config, engine=engine))
             assert 0.0 <= metric <= top, (engine, config, metric)
-    # half the draws lie where the channel takes 1 - y^2 from 1 - y
+    # half the draws lie where the channel takes 1 - y^2 from 1 - y, and
+    # about a quarter where x * x overflows
     assert near_one > 1000, near_one
+    assert huge_x > 700, huge_x
     # the fock engine's domain reaches N_D, N_in and N_th of 1e300, where
     # a_x a_p overflows: the concurrence and the projection probability are
     # finite and in [0, 1]
@@ -747,9 +877,37 @@ def test_every_config_of_the_domain_runs_on_both_engines():
         outputs = (result.concurrence, result.projection_probability)
         assert all(0.0 <= value <= 1.0 for value in outputs), (config, outputs)
         noisy += config.N_th > 1e15
+        huge_x += config.x * config.x == math.inf
     # most draws have N_th above 1e15, where the scaled block's weight would
     # fall below fock.qubit_project's 1e-12 floor
     assert noisy > 3000, noisy
+    assert huge_x > 1400, huge_x
+
+
+@pytest.mark.parametrize("engine", pr.ENGINES)
+@pytest.mark.parametrize("x", [1.35e154, 1e300, sys.float_info.max])
+def test_configs_run_where_x_squared_overflows(engine, x):
+    # Past x = 1.34e154, x * x overflows: the channel takes its radicands
+    # over x^2, keeps its closure, and both engines run
+    config = pr.ProtocolConfig(engine=engine, x=x)
+    assert config.x * config.x == math.inf
+    for y in (1e-300, 0.1, 0.9, 1.0 - 1e-12, 1.0):
+        assert ch.channel_coefficients(x, y).closure_defect < 1e-15, y
+    metric = pr.entanglement_metric(config)
+    assert 0.0 <= metric <= (2.0 * config.r if engine == "gaussian" else 1.0), metric
+
+
+def test_channel_coefficients_are_continuous_where_x_squared_overflows():
+    # the two sides of the branch agree to a few ulp at the last x whose
+    # square is finite and the next float
+    below = math.sqrt(sys.float_info.max)
+    while below * below == math.inf:
+        below = math.nextafter(below, 0.0)
+    above = math.nextafter(below, math.inf)
+    assert below * below < math.inf == above * above
+    for y in (1e-300, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-12):
+        for low, high in zip(ch._coefficients(below, y), ch._coefficients(above, y)):
+            assert abs(high - low) <= 8.0 * math.ulp(low), (y, low, high)
 
 
 def test_gaussian_output_covariance_has_five_nonzero_entries():
