@@ -51,10 +51,6 @@ from .channel import (
 # numerical guard band (see GaussianTwoModeState)
 SYMMETRY_TOL = 1e-12
 
-# cov[..., _BLOCK_ROWS, _BLOCK_COLUMNS] stacks the 2x2 blocks A, B and C
-_BLOCK_ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
-_BLOCK_COLUMNS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
-
 # each mode's (own, other) slices of the (X_A, P_A, X_C, P_C) ordering
 _MODE_SLICES = {"A": (slice(0, 2), slice(2, 4)), "C": (slice(2, 4), slice(0, 2))}
 
@@ -234,8 +230,8 @@ def phase_noise(state, sigma, amp_sq, mode="A"):
 
 def _minors(cov):
     """det A, det B, det C and det V of one covariance, or of a stack of them."""
-    blocks = np.linalg.det(cov[..., _BLOCK_ROWS, _BLOCK_COLUMNS])
-    return blocks[..., 0], blocks[..., 1], blocks[..., 2], np.linalg.det(cov)
+    det = np.linalg.det
+    return det(cov[..., :2, :2]), det(cov[..., 2:, 2:]), det(cov[..., :2, 2:]), det(cov)
 
 
 def _ppt_minors(cov):

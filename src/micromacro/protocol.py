@@ -101,9 +101,11 @@ class ProtocolConfig:
     first field that fails.  A config is the validated type at the API
     boundary; inside the pipeline a point is the tuple of its ten float
     fields (``_point``).  Sweeps and threshold searches build no config per
-    point: each new value passes its field's check once (``_checked``) and
-    is written into the valid base config's tuple, which so equals the tuple
-    of the constructor's config for the same fields.
+    point: each axis value and each bracket end passes its field's check
+    once (``_checked``), and a point is the valid base config's tuple with
+    checked values, or a search's probes between its checked ends, written
+    in.  It so equals the tuple of the constructor's config for the same
+    fields.
     """
 
     r: float = 0.5
@@ -556,11 +558,13 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     search are taken on u = sigma^2 (width, step floor and midpoint stay in
     sigma), and an N_D or sigma search converges after one secant step.  The
     two bracket ends run as one ``_evaluate`` call, bit-identical to two
-    single runs.  Each probe is `config`'s float tuple with the probed value
-    written in after it passes the parameter's field check, so no config is
-    built per probe and a bracket end outside the field's domain raises
-    ProtocolConfig's ValueError.  Deterministic: no randomness, fixed
-    iteration pattern.
+    single runs.  Both ends pass the parameter's field check once, before
+    the first run, so an end outside the field's domain raises
+    ProtocolConfig's ValueError.  Every later probe lies between them, so
+    inside the field's domain, which is an interval (for sigma, sqrt is
+    monotone); it is written unchecked into `config`'s float tuple, as a
+    sweep writes its checked axis values, and no config is built per probe.
+    Deterministic: no randomness, fixed iteration pattern.
 
     Raises
     ------
@@ -577,11 +581,13 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
         raise ValueError(f"bracket [{lo}, {hi}] must be increasing")
     if math.isnan(tol):
         raise ValueError("tol=nan must be a number")
+    for end in (lo, hi):
+        _checked(parameter, end)
     square = parameter == "sigma"  # steps on u = sigma^2, where the witness is linear
     point, index = list(_point(config)), _FLOAT_FIELDS.index(parameter)
 
     def probe(v):
-        point[index] = _checked(parameter, v)
+        point[index] = v
         return tuple(point)
 
     def coord(v):

@@ -98,10 +98,6 @@ class SweepSpec:
             raise ValueError(f"sweep parameters {names} must be distinct")
 
 
-def _metric_name(config):
-    return "log_negativity" if config.engine == "gaussian" else "concurrence"
-
-
 _format = "{:.12g}".format
 
 
@@ -170,7 +166,7 @@ def run_sweep(spec, workers=1):
     # a row is its axis2 and axis1 values, then the results of its series
     n_keys = len(axes) - (spec.series is not None)
     n_series = len(spec.series.values) if spec.series is not None else 1
-    metric = _metric_name(spec.base)
+    metric = "log_negativity" if spec.base.engine == "gaussian" else "concurrence"
     header = [axis.parameter for axis in axes[:n_keys]]
     if spec.series is not None:
         header.extend(
@@ -188,21 +184,12 @@ def run_sweep(spec, workers=1):
     return ",".join(header) + "\n" + rows, ()
 
 
-def _threshold_axis(base, parameter, bracket, n, tol, scale="linear"):
-    """Axis from 0 (or bracket lo) to 1.5x the entanglement-vanishing threshold."""
-    critical = pr.find_threshold(base, parameter, bracket, tol=tol)
-    if scale == "log":
-        return AxisSpec(parameter, log_grid(bracket[0], 1.5 * critical, n))
-    return AxisSpec(parameter, linear_grid(0.0, 1.5 * critical, n))
-
-
 def preset_base(name):
     """Base ProtocolConfig of a named preset, without building its axes."""
-    base = pr.ProtocolConfig()
     if name in ("fig2", "fig3", "fig4", "fig5"):
-        return base
+        return pr.ProtocolConfig()
     if name == "figA1":
-        return dataclasses.replace(base, engine="fock", eta_c=1.0)
+        return pr.ProtocolConfig(engine="fock", eta_c=1.0)
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
@@ -214,42 +201,28 @@ def preset(name):
     axis), one column per phase-noise sigma.  fig4: metric vs damping ratio x,
     one column per bath occupation N_th.  fig5: metric vs input transmission
     eta1, one column per output transmission eta2.  figA1: the fock-engine
-    analogue of fig3 (concurrence vs N_D per sigma).
+    analogue of fig3 (concurrence vs N_D per sigma), on a 12-value axis.
 
-    Bounded parameters (y, eta1) sweep their full domain; unbounded ones (x,
-    N_D) sweep [0 or 1, 1.5x the entanglement-vanishing threshold], which
-    find_threshold's Brent search discovers when the preset is built.
+    Bounded parameters (y, eta1) sweep their full domain.  Unbounded ones
+    sweep up to 1.5x the entanglement-vanishing threshold, which
+    find_threshold's Brent search finds when the preset is built: N_D on a
+    log grid from 1, searched at sigma = 0.005, and x on a linear grid
+    from 0.
     """
     base = preset_base(name)
     if name == "fig2":
-        return SweepSpec(
-            base=base,
-            axis1=AxisSpec("y", linear_grid(0.01, 0.99, 50)),
-            series=AxisSpec("N_in", (0.0, 1.0, 10.0)),
-        )
-    if name == "fig3":
+        axis1 = AxisSpec("y", linear_grid(0.01, 0.99, 50))
+        series = AxisSpec("N_in", (0.0, 1.0, 10.0))
+    elif name in ("fig3", "figA1"):
         probe = dataclasses.replace(base, sigma=0.005)
-        return SweepSpec(
-            base=base,
-            axis1=_threshold_axis(probe, "N_D", (1.0, 1e7), 40, scale="log", tol=1.0),
-            series=AxisSpec("sigma", (0.005, 0.01, 0.02)),
-        )
-    if name == "fig4":
-        return SweepSpec(
-            base=base,
-            axis1=_threshold_axis(base, "x", (1e-6, 1.0), 40, tol=1e-5),
-            series=AxisSpec("N_th", (1.0, 10.0, 100.0)),
-        )
-    if name == "fig5":
-        return SweepSpec(
-            base=base,
-            axis1=AxisSpec("eta1", linear_grid(0.0, 1.0, 50)),
-            series=AxisSpec("eta2", (0.6, 0.8, 1.0)),
-        )
-    if name == "figA1":
-        probe = dataclasses.replace(base, sigma=0.005)
-        return SweepSpec(
-            base=base,
-            axis1=_threshold_axis(probe, "N_D", (1.0, 1e7), 12, scale="log", tol=1.0),
-            series=AxisSpec("sigma", (0.005, 0.01, 0.02)),
-        )
+        critical = pr.find_threshold(probe, "N_D", (1.0, 1e7), tol=1.0)
+        axis1 = AxisSpec("N_D", log_grid(1.0, 1.5 * critical, 40 if name == "fig3" else 12))
+        series = AxisSpec("sigma", (0.005, 0.01, 0.02))
+    elif name == "fig4":
+        critical = pr.find_threshold(base, "x", (1e-6, 1.0), tol=1e-5)
+        axis1 = AxisSpec("x", linear_grid(0.0, 1.5 * critical, 40))
+        series = AxisSpec("N_th", (1.0, 10.0, 100.0))
+    else:  # fig5
+        axis1 = AxisSpec("eta1", linear_grid(0.0, 1.0, 50))
+        series = AxisSpec("eta2", (0.6, 0.8, 1.0))
+    return SweepSpec(base=base, axis1=axis1, series=series)

@@ -10,6 +10,7 @@ stacks they replaced; both are kept below as test-only references.
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -394,6 +395,44 @@ def test_each_channel_builds_one_density_matrix(monkeypatch):
         built.clear()
         call()
         assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: fk.FockDensityMatrix((1,), [[1.0]]),
+            ValueError,
+            "every mode needs >= 2 levels, got (1,)",
+        ),
+        (lambda: fk.thermal_weights(-1.0, 4), ValueError, "thermal occupation -1.0 must be >= 0"),
+        (
+            lambda: fk.linear_channel_apply(
+                fk.single_photon_entangled_input(0.0, (4, 4)),
+                ga.channel_coefficients(0.01, 0.1),
+                -1.0,
+                0.0,
+            ),
+            ValueError,
+            "thermal occupations must be >= 0",
+        ),
+        (
+            lambda: fk.phase_noise_average(fk.single_photon_entangled_input(0.0, (4, 4)), -1.0),
+            ValueError,
+            "variance -1.0 must be >= 0",
+        ),
+        # rho rho~ = diag(0.09, -0.05, -0.05, 0.09)
+        (
+            lambda: fk.wootters_difference(np.diag([0.3, -0.1, 0.5, 0.3])),
+            ArithmeticError,
+            "eigenvalue -0.05 too negative in concurrence",
+        ),
+    ],
+    ids=["one-level", "thermal-weights", "storage-n-initial", "phase-variance", "wootters"],
+)
+def test_inputs_rejected_with_their_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_linear_channel_rejects_closure_violation():

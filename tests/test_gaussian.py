@@ -155,6 +155,33 @@ def test_state_holds_exactly_one_state(mean_shape, cov_shape, message):
         ga.GaussianTwoModeState(np.zeros(mean_shape), np.zeros(cov_shape))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: ga.phase_noise(ga.vacuum_state(), -0.1, 1.0),
+            "phase jitter sigma=-0.1 must be finite and >= 0",
+        ),
+        (
+            lambda: ga.phase_noise(ga.vacuum_state(), 0.1, -1.0),
+            "amplitude photon number -1.0 must be finite and >= 0",
+        ),
+        (
+            lambda: ga.component_variance(1.5, 1.0),
+            "Fock index n=1.5 must be a non-negative integer",
+        ),
+        (
+            lambda: ga.component_variance(1, -1.0),
+            "displacement photon number -1.0 must be >= 0",
+        ),
+    ],
+    ids=["phase-sigma", "phase-amp-sq", "component-n", "component-n-displaced"],
+)
+def test_scalar_inputs_rejected_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_each_operation_builds_one_checked_state(monkeypatch):
     # every operation's output, and the single pipeline run's, passes the
     # class's checks exactly once; an identity stage returns its input

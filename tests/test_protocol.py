@@ -92,8 +92,8 @@ def _rejection(build):
 
 @pytest.mark.parametrize("field", pr._FLOAT_FIELDS)
 def test_derived_configs_reject_what_the_constructor_rejects(field):
-    # A sweep checks each axis value once and a threshold search each probe,
-    # then builds points without checking: both must reject a bad value
+    # A sweep checks each axis value once and a threshold search each bracket
+    # end, then builds points without checking: both must reject a bad value
     # with the constructor's message, whatever axis carries it.
     assert set(OUT_OF_DOMAIN) == set(pr._FLOAT_FIELDS)
     base = pr.ProtocolConfig(N_th=0.3)
@@ -1148,6 +1148,23 @@ def test_find_threshold_fig3_displacement_search_takes_three_pipeline_calls(monk
     monkeypatch.setattr(pr, "_evaluate", lambda b, p: batches.append(p) or evaluate(b, p))
     pr.find_threshold(pr.ProtocolConfig(sigma=0.005), "N_D", (1.0, 1e7), tol=1.0)
     assert (len(probes), len(batches)) == (4, 3), [c.N_D for c in probes]
+
+
+@pytest.mark.parametrize("engine", pr.ENGINES)
+def test_a_search_checks_its_two_bracket_ends_once(engine, monkeypatch):
+    # Both ends pass their field's check before the first run; every later
+    # probe lies between them, so it is written into the point unchecked.
+    checked, check = [], pr._checked
+    monkeypatch.setattr(pr, "_checked", lambda name, v: checked.append((name, v)) or check(name, v))
+    probes = _count_runs(monkeypatch)
+    base = pr.ProtocolConfig(engine=engine, eta_c=1.0, sigma=0.005)
+    for parameter, bracket, tol in (
+        ("N_D", (1.0, 1e7), 1.0), ("sigma", (0.0, 0.1), 1e-6), ("eta1", (0.0, 1.0), 1e-5)
+    ):
+        del checked[:], probes[:]
+        pr.find_threshold(base, parameter, bracket, tol)
+        assert checked == [(parameter, end) for end in bracket], parameter
+        assert len(probes) > 2, (parameter, len(probes))
 
 
 @pytest.mark.parametrize("convention", pr.PHASE_NOISE_CONVENTIONS)
