@@ -17,8 +17,9 @@ builds no ``ChannelCoefficients``, and adds each point's noise with
 ``_storage_added``.  The public Gaussian operations
 (:mod:`micromacro.gaussian`) apply the helpers to 4x4 arrays, and the
 protocol pipeline composes them per config for both engines, in one
-per-call generator (``protocol._mode_a``).  Nothing here imports NumPy, so
-the CLI's feasibility report and argument handling never load it.
+generator per sweep or threshold search (``protocol._mode_a``).  Nothing
+here imports NumPy, so the CLI's feasibility report and argument handling
+never load it.
 """
 
 from __future__ import annotations

@@ -15,33 +15,41 @@ and quantifying the surviving entanglement.  Two engines implement it:
   (Weedbrook et al., RMP 84, 621 (2012)).
 
 Both engines evaluate in the displaced frame and compose mode A's stages in
-one per-call generator (``_mode_a``).  The macroscopic displacement never
-touches the simulated state and enters only through the phase-noise
-variance picked up by the bright beam, proportional to N_D sigma^2.
-``entanglement_metric``, ``find_threshold`` and sweeps reach the engines
-through one dispatch, ``_evaluate``, which takes a base config and its
-points: each point is the tuple of its ten float fields in
-``_FLOAT_FIELDS`` order, and the engine and phase-noise convention are the
-base's.  A call's gaussian points run as one private batch
+one generator (``_mode_a``).  The macroscopic displacement never touches
+the simulated state and enters only through the phase-noise variance
+picked up by the bright beam, proportional to N_D sigma^2.
+``entanglement_metric`` and sweeps reach the engines through one dispatch,
+``_evaluate``, which takes a base config and its points: each point is the
+tuple of its ten float fields in ``_FLOAT_FIELDS`` order, and the engine
+and phase-noise convention are the base's.  ``find_threshold`` feeds every
+probe, its bracket ends included, through one pipeline stream
+(``_stream``), which runs the lists of points it is given through one
+``_mode_a``.  A call's gaussian points run as one private batch
 (``_gaussian_batch``), which takes each point's Sigma from its five
-covariance entries in closed form and det V of the stacked covariances
-from NumPy, its one NumPy determinant; fock points run one at a time.
-``run_gaussian_protocol`` and ``run_fock_protocol`` each take one config.
+covariance entries in closed form, checks their finiteness on the Sigmas,
+and takes det V of the stacked covariances from NumPy, its one NumPy
+determinant; fock points run one at a time.  ``run_gaussian_protocol`` and
+``run_fock_protocol`` each take one config.
 
 Both engines compose the per-point terms of :mod:`micromacro.channel`, which
 needs no NumPy.  ``_mode_a`` computes each stage's inputs (the squeezed
 input, the three loss stages' terms, and the storage channel with its phase
-jitter) and composes them, reusing them only from the previous point by the
-one rule its docstring states.  NumPy and each engine module load on a
-run's first use (``_module``), so configs, feasibility and threshold
-bookkeeping load neither, and a gaussian run never loads the fock engine.
+jitter) and composes them, reusing them only from the previous point (in
+a search, the previous probe) by the one rule its docstring states, so a
+search on N_D, sigma or eta1 computes its storage channel and squeezed
+input once.  NumPy and each
+engine module load on a run's first use (``_module``), so configs,
+feasibility and threshold bookkeeping load neither, and a gaussian run
+never loads the fock engine.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import importlib
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -229,9 +237,17 @@ def phase_noise_amplitude_sq(config, coeffs):
 
 
 def _amplitude_sq(convention, N_D, y, eta1, c1):
-    """phase_noise_amplitude_sq of one point's values and its channel's c1."""
+    """phase_noise_amplitude_sq of one point's values and its channel's c1.
+
+    Where 1 - y^2 < channel.SERIES_BELOW, ``paper_literal`` takes it from
+    the exact 1 - y as d (1 + y), as channel._coefficients does: 1 - y * y
+    would carry the rounding of y * y, 1e-9 relative at 1 - y = 1e-9."""
     if convention == "paper_literal":
-        return N_D * (1.0 - y**2) ** 2
+        one = 1.0 - y**2
+        if one < ch.SERIES_BELOW:
+            # 1 - y is exact here (Sterbenz's lemma)
+            one = (1.0 - y) * (1.0 + y)
+        return N_D * one**2
     return eta1 * c1**2 * N_D
 
 
@@ -266,11 +282,12 @@ def _mode_a(points, convention, squeezed):
     unchanged inputs, is recomputed exactly where a field it reads is not
     the same object as at the previous point, and nothing is kept from
     earlier points; each point adds the storage channel's noise of its N_in
-    and N_th (``channel._storage_added``).  Sweeps write axis values into the
-    base's tuple and a search writes only its probe, so every unvaried field
-    is the base's own float object.  The test keys on no value: equal but
-    distinct floats, such as -0.0, 0.0 and NumPy zeros, each get their own
-    terms.  The squeezed input is taken before the channel, so a point's
+    and N_th (``channel._storage_added``).  `points` may be drawn as the
+    caller goes (``_stream``), so the previous point of a search's probe is
+    its previous probe.  Sweeps write axis values into the base's tuple and
+    a search writes only its probe, so every unvaried field is the base's
+    own float object.  The test keys on no value: equal but distinct
+    floats, such as -0.0, 0.0 and NumPy zeros, each get their own terms.  The squeezed input is taken before the channel, so a point's
     first error is the same whatever the call holds, and the points are
     composed one at a time, so a caller's own per-point error comes before
     any later point's."""
@@ -341,19 +358,19 @@ class FockProtocolResult:
     witness: float
 
 
-def _gaussian_batch(points, convention):
+def _gaussian_batch(mode_a, reused):
     """Each gaussian point's (nu_min, witness, log_negativity), as Python
-    floats, and the (n, 4, 4) array of their output covariances.  `points`
-    are float tuples (``_point``) of valid configs that share the phase-noise
-    `convention`.
+    floats, and the (n, 4, 4) array of their output covariances.  `mode_a`
+    holds the points' items of one ``_mode_a`` with the squeezed input, and
+    `reused` is the list of the det B and det C terms that the stream's
+    previous batch left, nine Nones for a new stream; the call updates it.
 
     Every stage on mode A acts on each quadrature separately and mode C only
     sees loss, so the covariance keeps the form [[a_x, 0, k_x, 0],
     [0, a_p, 0, k_p], [k_x, 0, b, 0], [0, k_p, 0, b]].  Each point propagates
     these five Python floats with the helpers of the public operations, by
     the same IEEE operations in the same order as their 4x4 arithmetic,
-    whose other entries only ever multiply or add zeros.  Mode A comes from
-    the call's ``_mode_a``, by its reuse rule.
+    whose other entries only ever multiply or add zeros.
 
     Sigma = (det A + det B) - 2 det C comes from the five floats in closed
     form, by NumPy's own determinant of a diagonal 2x2: LAPACK's LU keeps
@@ -361,22 +378,27 @@ def _gaussian_batch(points, convention):
     sign * exp(log|d1| + log|d2|), with the libm log and exp that ``math``
     calls, or 0.0 where a pivot is zero.  det B is recomputed only where b
     or C's loss terms are new objects, det C only where k_x, k_p or C's loss
-    terms are, under ``_mode_a``'s rule.  det V of the stacked covariances,
-    after their finiteness check, is the call's one NumPy determinant.  Each
-    point's (Sigma, det V) pair, as Python floats, is read out by the public
+    terms are, under ``_mode_a``'s rule, across the stream's batches.  The
+    entries b and C's correlations stay finite, so a covariance has a
+    non-finite entry exactly where its a_x or a_p is non-finite, and Sigma
+    is non-finite there and where det A overflowed: one sum of the Sigmas
+    vouches for every entry of the batch, and only where it is non-finite
+    are the entries checked one by one.  det V of the stacked covariances,
+    after that check, is the call's one NumPy determinant.  Each point's
+    (Sigma, det V) pair, as Python floats, is read out by the public
     operations' per-point ``channel._ppt_readout``.  So every value is bit
     for bit what the composed public operations give, signed zeros of the
-    covariance included, whatever else the call holds.  An overflowing det A
-    is +inf, and NumPy reports its overflow, under the caller's
+    covariance included, whatever else the stream holds.  An overflowing
+    det A is +inf, and NumPy reports its overflow, under the caller's
     ``np.errstate``, before det V's, as the public operations' block
     determinants do.
     """
     np = _module("numpy")
     entries, totals, overflowed = [], [], None
-    b0 = k_x0 = k_p0 = loss_c0 = None
+    b0, loss_c0, b_c, det_b, k_x0, k_p0, c_x, c_p, det_c = reused
     # a stage at eta = 1 or without noise leaves every entry bit for bit as
     # it is (1 a + 0 = a, 1 k = k), so none is skipped
-    for a_x, a_p, k_x, k_p, loss_c, b in _mode_a(points, convention, True):
+    for a_x, a_p, k_x, k_p, loss_c, b in mode_a:
         fresh_c, loss_c0 = loss_c is not loss_c0, loss_c
         amplitude, power, added = loss_c
         # b and the correlations stay below 1e17 (r < 20), so det B and
@@ -404,10 +426,11 @@ def _gaussian_batch(points, convention):
         # -c1 makes the cross-blocks' zeros -0.0
         entries += (a_x, 0.0, c_x, -0.0, 0.0, a_p, -0.0, c_p,
                     c_x, -0.0, b_c, 0.0, -0.0, c_p, 0.0, b_c)
-    cov = np.fromiter(entries, float, len(entries)).reshape(-1, 4, 4)
-    # valid points: only an overflow can make an entry non-finite
-    if not np.isfinite(cov).all():
+    reused[:] = b0, loss_c0, b_c, det_b, k_x0, k_p0, c_x, c_p, det_c
+    # a sum of floats is finite only where every term is
+    if not math.isfinite(sum(totals)) and not all(map(math.isfinite, entries)):
         raise ValueError("non-finite entry in mean or cov")
+    cov = np.fromiter(entries, float, len(entries)).reshape(-1, 4, 4)
     if overflowed:
         # NumPy's det of the first overflowing A block warns, raises or
         # keeps quiet as the caller's np.errstate and warning filters say
@@ -439,9 +462,8 @@ def run_gaussian_protocol(config):
         )
     if config.engine != "gaussian":
         raise ValueError(f"gaussian pipeline called with engine={config.engine!r}")
-    ((nu_min, witness, log_negativity),), cov = _gaussian_batch(
-        [_point(config)], config.phase_noise_convention
-    )
+    mode_a = _mode_a([_point(config)], config.phase_noise_convention, True)
+    ((nu_min, witness, log_negativity),), cov = _gaussian_batch(mode_a, [None] * 9)
     state = _module(".gaussian").GaussianTwoModeState(_module("numpy").zeros(4), cov[0])
     return GaussianProtocolResult(log_negativity, nu_min, state, witness)
 
@@ -510,22 +532,51 @@ def _fock_readout(mode_a):
     return max(0.0, witness), 1.0 if 1.0 < probability else probability, witness
 
 
+def _metrics(gaussian, mode_a, reused):
+    """Each point's (metric, witness) as Python floats, from its items of a
+    ``_mode_a``: `gaussian` ones as one ``_gaussian_batch`` with `reused`,
+    fock ones one at a time."""
+    if gaussian:
+        return [(e_n, witness) for _, witness, e_n in _gaussian_batch(mode_a, reused)[0]]
+    return [(c, witness) for c, _, witness in map(_fock_readout, mode_a)]
+
+
 def _evaluate(base, points):
-    """Each point's (metric, witness) as Python floats.
+    """Each point's (metric, witness) as Python floats: the one dispatch of
+    sweeps and entanglement_metric.
 
     `base` is a valid ProtocolConfig that sets the engine and the
     phase-noise convention; `points` are float tuples in ``_FLOAT_FIELDS``
     order (``_point``) whose every value has passed its field's check, as
-    the base's own tuple does.  Gaussian points run as one
-    ``_gaussian_batch`` call, fock points one at a time, each bit for bit
-    the config's run_gaussian_protocol or run_fock_protocol.  Both engines
-    take each point's mode A from one ``_mode_a`` per call, by its reuse
-    rule."""
-    convention = base.phase_noise_convention
-    if base.engine == "gaussian":
-        return [(e_n, witness) for _, witness, e_n in _gaussian_batch(points, convention)[0]]
-    readouts = map(_fock_readout, _mode_a(points, convention, False))
-    return [(c, witness) for c, _, witness in readouts]
+    the base's own tuple does.  The points run through one ``_mode_a``, by
+    its reuse rule: gaussian points as one ``_gaussian_batch``, fock points
+    one at a time, each bit for bit the config's run_gaussian_protocol or
+    run_fock_protocol."""
+    gaussian = base.engine == "gaussian"
+    mode_a = _mode_a(points, base.phase_noise_convention, gaussian)
+    return _metrics(gaussian, mode_a, [None] * 9)
+
+
+def _stream(base):
+    """A threshold search's pipeline: a function that takes a list of
+    points, as ``_evaluate`` does, and returns their (metric, witness)
+    pairs, every call's points going through one ``_mode_a``.
+
+    A call queues its list, and the generator draws exactly its points, so
+    the reuse rule runs from each call's first point back to the previous
+    call's last, and ``_gaussian_batch`` carries det B and det C from one
+    call to the next.  Each point is bit for bit what ``_evaluate`` gives
+    for it alone."""
+    gaussian = base.engine == "gaussian"
+    queue, reused = collections.deque(), [None] * 9
+    points_in = itertools.chain.from_iterable(iter(queue.popleft, None))
+    mode_a = _mode_a(points_in, base.phase_noise_convention, gaussian)
+
+    def evaluate(points):
+        queue.append(points)
+        return _metrics(gaussian, itertools.islice(mode_a, len(points)), reused)
+
+    return evaluate
 
 
 def entanglement_metric(config):
@@ -556,14 +607,18 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     J. Phys. B 37, L21 (2004)), and sigma enters both engines only through
     the phase-noise variance 2 |alpha_eff|^2 sigma^2.  So the steps of a sigma
     search are taken on u = sigma^2 (width, step floor and midpoint stay in
-    sigma), and an N_D or sigma search converges after one secant step.  The
-    two bracket ends run as one ``_evaluate`` call, bit-identical to two
-    single runs.  Both ends pass the parameter's field check once, before
-    the first run, so an end outside the field's domain raises
-    ProtocolConfig's ValueError.  Every later probe lies between them, so
-    inside the field's domain, which is an interval (for sigma, sqrt is
-    monotone); it is written unchecked into `config`'s float tuple, as a
-    sweep writes its checked axis values, and no config is built per probe.
+    sigma), and an N_D or sigma search converges after one secant step.
+    Every probe runs through the search's one pipeline stream (``_stream``),
+    so a stage input that no probe varies is computed once per search, and
+    the gaussian det B and det C once where the probes leave them; the two
+    bracket ends run as its first call, one batch, and each later probe
+    alone.  Every result is bit-identical to one single run per probe.
+    Both ends pass the parameter's field check once, before the first run,
+    so an end outside the field's domain raises ProtocolConfig's
+    ValueError.  Every later probe lies between them, so inside the field's
+    domain, which is an interval (for sigma, sqrt is monotone); it is
+    written unchecked into `config`'s float tuple, as a sweep writes its
+    checked axis values, and no config is built per probe.
     Deterministic: no randomness, fixed iteration pattern.
 
     Raises
@@ -596,9 +651,11 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     def value(u):
         return math.sqrt(u) if square else u
 
+    evaluate = _stream(config)
+
     def signed(*values):
         out = []
-        for metric, witness in _evaluate(config, [probe(v) for v in values]):
+        for metric, witness in evaluate([probe(v) for v in values]):
             entangled = metric > ZERO_METRIC_TOL
             magnitude = max(float(witness if entangled else -witness), _TINY)
             out.append(magnitude if entangled else -magnitude)
