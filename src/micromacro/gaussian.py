@@ -17,9 +17,10 @@ to the 4x4 arrays and read out through ``_ppt_minors``, whose blocks
 need not be diagonal.  The protocol pipeline applies the same helpers to
 the five nonzero covariance entries of each config (``protocol._mode_a``),
 takes Sigma from them in closed form, NumPy's determinant of a diagonal
-2x2 bit for bit, stacks a call's covariances for det V alone, and reads
-each point out through the per-point ``_ppt_readout``, which computes
-nu_- alone (``protocol._gaussian_batch``).  Those helpers,
+2x2 bit for bit (``protocol._gaussian_entries``), stacks a stream call's
+covariances for det V alone, and reads each point out through the
+per-point ``_ppt_readout``, which computes nu_- alone
+(``protocol._gaussian_readout``).  Those helpers,
 ``channel_coefficients`` and the constants live in :mod:`micromacro.channel`,
 which needs no NumPy; ``channel_coefficients``, ``ChannelCoefficients`` and
 the constants are re-exported here.

@@ -17,19 +17,17 @@ and quantifying the surviving entanglement.  Two engines implement it:
 Both engines evaluate in the displaced frame and compose mode A's stages in
 one generator (``_mode_a``).  The macroscopic displacement never touches
 the simulated state and enters only through the phase-noise variance
-picked up by the bright beam, proportional to N_D sigma^2.
-``entanglement_metric`` and sweeps reach the engines through one dispatch,
-``_evaluate``, which takes a base config and its points: each point is the
-tuple of its ten float fields in ``_FLOAT_FIELDS`` order, and the engine
-and phase-noise convention are the base's.  ``find_threshold`` feeds every
-probe, its bracket ends included, through one pipeline stream
-(``_stream``), which runs the lists of points it is given through one
-``_mode_a``.  A call's gaussian points run as one private batch
-(``_gaussian_batch``), which takes each point's Sigma from its five
-covariance entries in closed form, checks their finiteness on the Sigmas,
-and takes det V of the stacked covariances from NumPy, its one NumPy
-determinant; fock points run one at a time.  ``run_gaussian_protocol`` and
-``run_fock_protocol`` each take one config.
+picked up by the bright beam, proportional to N_D sigma^2.  Sweeps,
+threshold searches and ``entanglement_metric`` reach the engines through
+one pipeline stream (``_stream``), which runs the lists of points it is
+given, each the tuple of ten float fields in ``_FLOAT_FIELDS`` order,
+through one ``_mode_a``.  A call's gaussian points pass one at a time
+through ``_gaussian_entries``, which takes each point's Sigma from its five
+covariance entries in closed form, and are read out as one batch
+(``_gaussian_readout``), which checks their finiteness on the Sigmas and
+takes det V of the stacked covariances, its one NumPy determinant; fock
+points run one at a time (``_fock_readout``).  ``run_gaussian_protocol``
+and ``run_fock_protocol`` chain the same stages on one config.
 
 Both engines compose the per-point terms of :mod:`micromacro.channel`, which
 needs no NumPy.  ``_mode_a`` computes each stage's inputs (the squeezed
@@ -37,10 +35,9 @@ input, the three loss stages' terms, and the storage channel with its phase
 jitter) and composes them, reusing them only from the previous point (in
 a search, the previous probe) by the one rule its docstring states, so a
 search on N_D, sigma or eta1 computes its storage channel and squeezed
-input once.  NumPy and each
-engine module load on a run's first use (``_module``), so configs,
-feasibility and threshold bookkeeping load neither, and a gaussian run
-never loads the fock engine.
+input once.  NumPy and each engine module load on a run's first use
+(``_module``), so configs, feasibility and threshold bookkeeping load
+neither, and a gaussian run never loads the fock engine.
 """
 
 from __future__ import annotations
@@ -283,14 +280,15 @@ def _mode_a(points, convention, squeezed):
     the same object as at the previous point, and nothing is kept from
     earlier points; each point adds the storage channel's noise of its N_in
     and N_th (``channel._storage_added``).  `points` may be drawn as the
-    caller goes (``_stream``), so the previous point of a search's probe is
-    its previous probe.  Sweeps write axis values into the base's tuple and
-    a search writes only its probe, so every unvaried field is the base's
-    own float object.  The test keys on no value: equal but distinct
-    floats, such as -0.0, 0.0 and NumPy zeros, each get their own terms.  The squeezed input is taken before the channel, so a point's
-    first error is the same whatever the call holds, and the points are
-    composed one at a time, so a caller's own per-point error comes before
-    any later point's."""
+    caller goes (``_stream``), so the previous point of a stream call's
+    first point, such as a search's probe, is the previous call's last.
+    Sweeps write axis values into the base's tuple and a search writes only
+    its probe, so every unvaried field is the base's own float object.  The
+    test keys on no value: equal but distinct floats, such as -0.0, 0.0 and
+    NumPy zeros, each get their own terms.  The squeezed input is taken
+    before the channel, so a point's first error is the same whatever the
+    call holds, and the points are composed one at a time, so a caller's own
+    per-point error comes before any later point's."""
     r0 = N_D0 = y0 = x0 = sigma0 = eta10 = eta20 = eta_c0 = b = None
     # the start and loss eta1 treat X and P alike, so one variance a serves
     # both until the jitter; the fock engine starts from the identity channel
@@ -358,12 +356,11 @@ class FockProtocolResult:
     witness: float
 
 
-def _gaussian_batch(mode_a, reused):
-    """Each gaussian point's (nu_min, witness, log_negativity), as Python
-    floats, and the (n, 4, 4) array of their output covariances.  `mode_a`
-    holds the points' items of one ``_mode_a`` with the squeezed input, and
-    `reused` is the list of the det B and det C terms that the stream's
-    previous batch left, nine Nones for a new stream; the call updates it.
+def _gaussian_entries(mode_a):
+    """Each gaussian point's Sigma and the 16 entries of its output
+    covariance, in row order, as Python floats: the per-point stage of the
+    gaussian readout, drawn from its items of one ``_mode_a`` with the
+    squeezed input.
 
     Every stage on mode A acts on each quadrature separately and mode C only
     sees loss, so the covariance keeps the form [[a_x, 0, k_x, 0],
@@ -376,26 +373,13 @@ def _gaussian_batch(mode_a, reused):
     form, by NumPy's own determinant of a diagonal 2x2: LAPACK's LU keeps
     the two entries as its pivots, and NumPy returns
     sign * exp(log|d1| + log|d2|), with the libm log and exp that ``math``
-    calls, or 0.0 where a pivot is zero.  det B is recomputed only where b
-    or C's loss terms are new objects, det C only where k_x, k_p or C's loss
-    terms are, under ``_mode_a``'s rule, across the stream's batches.  The
-    entries b and C's correlations stay finite, so a covariance has a
-    non-finite entry exactly where its a_x or a_p is non-finite, and Sigma
-    is non-finite there and where det A overflowed: one sum of the Sigmas
-    vouches for every entry of the batch, and only where it is non-finite
-    are the entries checked one by one.  det V of the stacked covariances,
-    after that check, is the call's one NumPy determinant.  Each point's
-    (Sigma, det V) pair, as Python floats, is read out by the public
-    operations' per-point ``channel._ppt_readout``.  So every value is bit
-    for bit what the composed public operations give, signed zeros of the
-    covariance included, whatever else the stream holds.  An overflowing
-    det A is +inf, and NumPy reports its overflow, under the caller's
-    ``np.errstate``, before det V's, as the public operations' block
-    determinants do.
+    calls, or 0.0 where a pivot is zero.  An overflowing det A is +inf, as
+    NumPy's det gives it.  det B is recomputed only where b or C's loss
+    terms are new objects, det C only where k_x, k_p or C's loss terms are,
+    under ``_mode_a``'s rule; the generator keeps them, so a stream carries
+    them from one call to the next.
     """
-    np = _module("numpy")
-    entries, totals, overflowed = [], [], None
-    b0, loss_c0, b_c, det_b, k_x0, k_p0, c_x, c_p, det_c = reused
+    b0 = loss_c0 = k_x0 = k_p0 = None
     # a stage at eta = 1 or without noise leaves every entry bit for bit as
     # it is (1 a + 0 = a, 1 k = k), so none is skipped
     for a_x, a_p, k_x, k_p, loss_c, b in mode_a:
@@ -420,21 +404,46 @@ def _gaussian_batch(mode_a, reused):
             det_a = math.exp(math.log(a_x) + math.log(a_p))
         except OverflowError:  # NumPy's det gives +inf here
             det_a = math.inf
-            overflowed = overflowed or (a_x, a_p)
-        totals.append((det_a + det_b) - 2.0 * det_c)
         # the zeros carry the 4x4 operations' signs: the storage channel's
         # -c1 makes the cross-blocks' zeros -0.0
-        entries += (a_x, 0.0, c_x, -0.0, 0.0, a_p, -0.0, c_p,
-                    c_x, -0.0, b_c, 0.0, -0.0, c_p, 0.0, b_c)
-    reused[:] = b0, loss_c0, b_c, det_b, k_x0, k_p0, c_x, c_p, det_c
+        yield (det_a + det_b) - 2.0 * det_c, (a_x, 0.0, c_x, -0.0, 0.0, a_p, -0.0, c_p,
+                                              c_x, -0.0, b_c, 0.0, -0.0, c_p, 0.0, b_c)
+
+
+def _gaussian_readout(rows):
+    """Each point's (nu_min, witness, log_negativity), as Python floats, and
+    the (n, 4, 4) array of their output covariances, from `rows` of
+    ``_gaussian_entries``: the batch stage of the gaussian readout.
+
+    The entries b and C's correlations stay finite, so a covariance has a
+    non-finite entry exactly where its a_x or a_p is non-finite, and Sigma
+    is non-finite there and where det A overflowed: one sum of the Sigmas
+    vouches for every entry of the batch, and only where it is non-finite
+    are the entries checked one by one.  Past that check a Sigma is +inf
+    exactly where its det A overflowed, and NumPy reports the first such
+    overflow, under the caller's ``np.errstate``, before det V's, as the
+    public operations' block determinants do.  det V of the stacked
+    covariances is the batch's one NumPy determinant, and each point's
+    (Sigma, det V) pair, as Python floats, is read out by the public
+    operations' per-point ``channel._ppt_readout``.  So every value is bit
+    for bit what the composed public operations give, signed zeros of the
+    covariance included, whatever else the stream holds.
+    """
+    np = _module("numpy")
+    totals, entries = [], []
+    for total, point in rows:
+        totals.append(total)
+        entries += point
     # a sum of floats is finite only where every term is
-    if not math.isfinite(sum(totals)) and not all(map(math.isfinite, entries)):
-        raise ValueError("non-finite entry in mean or cov")
+    if not math.isfinite(sum(totals)):
+        if not all(map(math.isfinite, entries)):
+            raise ValueError("non-finite entry in mean or cov")
+        if math.inf in totals:
+            # NumPy's det of the first overflowing A block warns, raises or
+            # keeps quiet as the caller's np.errstate and warning filters say
+            first = 16 * totals.index(math.inf)
+            np.linalg.det(np.diag((entries[first], entries[first + 5])))
     cov = np.fromiter(entries, float, len(entries)).reshape(-1, 4, 4)
-    if overflowed:
-        # NumPy's det of the first overflowing A block warns, raises or
-        # keeps quiet as the caller's np.errstate and warning filters say
-        np.linalg.det(np.diag(overflowed))
     return list(map(ch._ppt_readout, totals, np.linalg.det(cov).tolist())), cov
 
 
@@ -450,7 +459,8 @@ def run_gaussian_protocol(config):
     mean is zero.
 
     `config` must be one ProtocolConfig with engine == "gaussian"; a list or
-    a tuple of configs raises TypeError.  The run is ``_gaussian_batch`` on
+    a tuple of configs raises TypeError.  The run chains the stages of a
+    stream (``_mode_a``, ``_gaussian_entries``, ``_gaussian_readout``) on
     the config's one point, so every field is bit for bit what the composed
     public operations give and what a sweep or a search reads for the same
     config.
@@ -463,7 +473,7 @@ def run_gaussian_protocol(config):
     if config.engine != "gaussian":
         raise ValueError(f"gaussian pipeline called with engine={config.engine!r}")
     mode_a = _mode_a([_point(config)], config.phase_noise_convention, True)
-    ((nu_min, witness, log_negativity),), cov = _gaussian_batch(mode_a, [None] * 9)
+    ((nu_min, witness, log_negativity),), cov = _gaussian_readout(_gaussian_entries(mode_a))
     state = _module(".gaussian").GaussianTwoModeState(_module("numpy").zeros(4), cov[0])
     return GaussianProtocolResult(log_negativity, nu_min, state, witness)
 
@@ -532,49 +542,33 @@ def _fock_readout(mode_a):
     return max(0.0, witness), 1.0 if 1.0 < probability else probability, witness
 
 
-def _metrics(gaussian, mode_a, reused):
-    """Each point's (metric, witness) as Python floats, from its items of a
-    ``_mode_a``: `gaussian` ones as one ``_gaussian_batch`` with `reused`,
-    fock ones one at a time."""
-    if gaussian:
-        return [(e_n, witness) for _, witness, e_n in _gaussian_batch(mode_a, reused)[0]]
-    return [(c, witness) for c, _, witness in map(_fock_readout, mode_a)]
-
-
-def _evaluate(base, points):
-    """Each point's (metric, witness) as Python floats: the one dispatch of
-    sweeps and entanglement_metric.
-
-    `base` is a valid ProtocolConfig that sets the engine and the
-    phase-noise convention; `points` are float tuples in ``_FLOAT_FIELDS``
-    order (``_point``) whose every value has passed its field's check, as
-    the base's own tuple does.  The points run through one ``_mode_a``, by
-    its reuse rule: gaussian points as one ``_gaussian_batch``, fock points
-    one at a time, each bit for bit the config's run_gaussian_protocol or
-    run_fock_protocol."""
-    gaussian = base.engine == "gaussian"
-    mode_a = _mode_a(points, base.phase_noise_convention, gaussian)
-    return _metrics(gaussian, mode_a, [None] * 9)
-
-
 def _stream(base):
-    """A threshold search's pipeline: a function that takes a list of
-    points, as ``_evaluate`` does, and returns their (metric, witness)
-    pairs, every call's points going through one ``_mode_a``.
+    """The pipeline of sweeps, threshold searches and entanglement_metric:
+    a function that takes a list of points and returns their (metric,
+    witness) pairs as Python floats, every call's points going through one
+    ``_mode_a``.  `base` is a valid ProtocolConfig that sets the engine and
+    the phase-noise convention; points are float tuples in
+    ``_FLOAT_FIELDS`` order (``_point``) whose every value has passed its
+    field's check, as the base's own tuple does.
 
-    A call queues its list, and the generator draws exactly its points, so
+    A call queues its list, and the generators draw exactly its points, so
     the reuse rule runs from each call's first point back to the previous
-    call's last, and ``_gaussian_batch`` carries det B and det C from one
-    call to the next.  Each point is bit for bit what ``_evaluate`` gives
-    for it alone."""
+    call's last, and ``_gaussian_entries`` carries det B and det C from one
+    call to the next.  Each point is bit for bit the config's
+    run_gaussian_protocol or run_fock_protocol, however the calls split
+    the points."""
     gaussian = base.engine == "gaussian"
-    queue, reused = collections.deque(), [None] * 9
+    queue = collections.deque()
     points_in = itertools.chain.from_iterable(iter(queue.popleft, None))
     mode_a = _mode_a(points_in, base.phase_noise_convention, gaussian)
+    stage = _gaussian_entries(mode_a) if gaussian else mode_a
 
     def evaluate(points):
         queue.append(points)
-        return _metrics(gaussian, itertools.islice(mode_a, len(points)), reused)
+        drawn = itertools.islice(stage, len(points))
+        if gaussian:
+            return [(e_n, witness) for _, witness, e_n in _gaussian_readout(drawn)[0]]
+        return [(c, witness) for c, _, witness in map(_fock_readout, drawn)]
 
     return evaluate
 
@@ -585,7 +579,7 @@ def entanglement_metric(config):
     Log-negativity for the gaussian engine, concurrence of the projected qubit
     pair for the fock engine.  Both are exactly zero for separable outputs.
     """
-    return _evaluate(config, [_point(config)])[0][0]
+    return _stream(config)([_point(config)])[0][0]
 
 
 def find_threshold(config, parameter, bracket, tol=1e-5):
@@ -608,10 +602,11 @@ def find_threshold(config, parameter, bracket, tol=1e-5):
     the phase-noise variance 2 |alpha_eff|^2 sigma^2.  So the steps of a sigma
     search are taken on u = sigma^2 (width, step floor and midpoint stay in
     sigma), and an N_D or sigma search converges after one secant step.
-    Every probe runs through the search's one pipeline stream (``_stream``),
-    so a stage input that no probe varies is computed once per search, and
-    the gaussian det B and det C once where the probes leave them; the two
-    bracket ends run as its first call, one batch, and each later probe
+    Every probe runs through the search's one pipeline stream (``_stream``,
+    which sweeps and entanglement_metric run through too), so a stage input
+    that no probe varies is computed once per search, and the gaussian det B
+    and det C (``_gaussian_entries``) once where the probes leave them; the
+    two bracket ends run as its first call, one batch, and each later probe
     alone.  Every result is bit-identical to one single run per probe.
     Both ends pass the parameter's field check once, before the first run,
     so an end outside the field's domain raises ProtocolConfig's

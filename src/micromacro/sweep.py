@@ -112,13 +112,13 @@ def run_sweep(spec, workers=1):
     Each axis value passes its field's ProtocolConfig check once, and no
     config is built per point: each point is the base's float tuple
     (``protocol._point``) with its axis values written in.  All points are
-    evaluated by one ``protocol._evaluate`` call on the calling thread, which
-    takes the engine and phase-noise convention from the base: one private
-    batch readout (``protocol._gaussian_batch``) for the gaussian engine,
-    bit for bit each point's ``run_gaussian_protocol``, and one run at a
-    time in sweep order for the fock engine.  Every point's unvaried fields
-    are the base's own float objects, and each axis value one object, so the
-    call reuses each stage's inputs by ``protocol._mode_a``'s rule.
+    evaluated by one call of a new pipeline stream (``protocol._stream``) on
+    the calling thread, which takes the engine and phase-noise convention
+    from the base: one batch readout for the gaussian engine, bit for bit
+    each point's ``run_gaussian_protocol``, and one run at a time in sweep
+    order for the fock engine.  Every point's unvaried fields are the base's
+    own float objects, and each axis value one object, so the call reuses
+    each stage's inputs by ``protocol._mode_a``'s rule.
     `workers` is accepted for compatibility and must be >= 1, but has no
     effect, so output cannot depend on it.
 
@@ -127,10 +127,11 @@ def run_sweep(spec, workers=1):
 
     Where a check or that call raises, the points are re-run one at a time
     in sweep order, each point's ten fields checked in ``_FLOAT_FIELDS``
-    order (ProtocolConfig's order) before it is evaluated alone, so no
-    config is built on failure either.  The first failing point is re-raised
-    with its sweep coordinates (axis1, axis2, series) prepended and the
-    error as its cause; if no point fails alone, the batch's error is.
+    order (ProtocolConfig's order) before it runs alone through a stream of
+    its own, so no config is built on failure either.  The first failing
+    point is re-raised with its sweep coordinates (axis1, axis2, series)
+    prepended and the error as its cause; if no point fails alone, the
+    batch's error is.
     """
     if workers < 1:
         raise ValueError(f"workers={workers} must be >= 1")
@@ -149,14 +150,14 @@ def run_sweep(spec, workers=1):
         for axis in axes:
             for value in axis.values:
                 pr._checked(axis.parameter, value)
-        results = [metric for metric, _ in pr._evaluate(spec.base, points)]
+        results = [metric for metric, _ in pr._stream(spec.base)(points)]
     except Exception:
         named = [a.parameter for a in (spec.axis1, spec.axis2, spec.series) if a is not None]
         for values, point in zip(coordinates, points):
             try:
                 for name, value in zip(pr._FLOAT_FIELDS, point):
                     pr._checked(name, value)
-                pr._evaluate(spec.base, [point])
+                pr._stream(spec.base)([point])
             except Exception as exc:
                 value_of = dict(zip((axis.parameter for axis in axes), values))
                 coords = ", ".join(f"{name}={_format(value_of[name])}" for name in named)

@@ -208,7 +208,7 @@ def test_engine_dispatch_errors():
 
 @pytest.mark.parametrize("configs", [list, tuple], ids=["list", "tuple"])
 def test_run_gaussian_protocol_takes_one_config(configs):
-    # many points run through _evaluate; the public run takes exactly one
+    # many points run through a pipeline stream; the public run takes exactly one
     batch = configs([pr.ProtocolConfig(), pr.ProtocolConfig(y=0.5)])
     message = rf"^run_gaussian_protocol takes one ProtocolConfig, got {configs.__name__};"
     with pytest.raises(TypeError, match=message):
@@ -256,18 +256,14 @@ def bits(point):
 
 def _spy_runs(monkeypatch, spy):
     """Route every pipeline call through spy(base, points, evaluate),
-    evaluate being the call itself on the points: the calls of
-    protocol._evaluate, which sweeps and entanglement_metric make, and of
-    each search's protocol._stream."""
-    evaluate, stream = pr._evaluate, pr._stream
+    evaluate being the call itself on the points: the calls of the
+    protocol._stream of each sweep, search and entanglement_metric."""
+    stream = pr._stream
 
     def spied(base):
         run = stream(base)
         return lambda points: spy(base, points, run)
 
-    monkeypatch.setattr(
-        pr, "_evaluate", lambda base, points: spy(base, points, lambda ps: evaluate(base, ps))
-    )
     monkeypatch.setattr(pr, "_stream", spied)
 
 
@@ -336,17 +332,17 @@ def test_a_sweep_builds_no_config_per_point(monkeypatch):
         axis2=sw.AxisSpec("x", sw.linear_grid(0.0, 0.05, 16)),
         series=sw.AxisSpec("N_in", (0.0, 1.0, 10.0)),
     )
-    built, counts, evaluate = [], [], pr._evaluate
+    built, counts, stream = [], [], pr._stream
     check = pr.ProtocolConfig.__post_init__
     monkeypatch.setattr(
         pr.ProtocolConfig, "__post_init__", lambda self: built.append(1) or check(self)
     )
 
-    def counted(base, points):
-        counts.append((len(points), alive()))
-        return evaluate(base, points)
+    def counted(base):
+        run = stream(base)
+        return lambda points: counts.append((len(points), alive())) or run(points)
 
-    monkeypatch.setattr(pr, "_evaluate", counted)
+    monkeypatch.setattr(pr, "_stream", counted)
     gc.collect()  # configs that earlier tests left in cycles
     before = alive()
     sw.run_sweep(spec)
@@ -463,17 +459,16 @@ def test_sweep_points_keep_signed_zeros_of_axis_values(engine, monkeypatch):
 
 
 def batch_readout(points, convention):
-    """protocol._gaussian_batch's rows and covariances of `points`, as the
-    one batch of a new stream."""
-    return pr._gaussian_batch(pr._mode_a(points, convention, True), [None] * 9)
+    """protocol._gaussian_readout's rows and covariances of `points`, as the
+    one call of a new stream."""
+    return pr._gaussian_readout(pr._gaussian_entries(pr._mode_a(points, convention, True)))
 
 
 def gaussian_batch(configs):
     """E_N, nu_min, witness and output covariance of each config in one
     gaussian call per phase-noise convention, as arrays with one entry per
-    config: E_N and the witness as _evaluate returns them, nu_min and the
-    covariances from the private batch readout that _evaluate reads them
-    from."""
+    config: E_N and the witness as a new stream returns them, nu_min and the
+    covariances from the batch readout that the stream reads them from."""
     evaluated, readouts = [None] * len(configs), [None] * len(configs)
     cov = np.empty((len(configs), 4, 4))
     for convention in pr.PHASE_NOISE_CONVENTIONS:
@@ -481,7 +476,7 @@ def gaussian_batch(configs):
         if not index:
             continue
         points = [pr._point(configs[i]) for i in index]
-        pairs = pr._evaluate(configs[index[0]], points)
+        pairs = pr._stream(configs[index[0]])(points)
         rows, cov[index] = batch_readout(points, convention)
         for i, pair, row in zip(index, pairs, rows):
             evaluated[i], readouts[i] = pair, row
@@ -658,7 +653,7 @@ def test_gaussian_pipeline_errors_are_unchanged():
 
 def test_gaussian_readout_rejects_overflowed_determinants():
     # At N_th = 1e200 and 1e300 the determinants overflow and the PPT
-    # radicand is NaN.  The batch (_evaluate), single runs,
+    # radicand is NaN.  The batch (a stream's call), single runs,
     # entanglement_metric and the public operations share one readout, and
     # all of them raise there instead of reading E_N = 0.0 off a NaN nu_min.
     configs = [
@@ -667,7 +662,7 @@ def test_gaussian_readout_rejects_overflowed_determinants():
     message = "^radicand nan below clamp band$"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ArithmeticError, match=message):
-            pr._evaluate(configs[0], [pr._point(c) for c in configs])
+            pr._stream(configs[0])([pr._point(c) for c in configs])
         for config in configs:
             with pytest.raises(ArithmeticError, match=message):
                 pr.run_gaussian_protocol(config)
@@ -690,7 +685,7 @@ def test_gaussian_readout_rejects_overflowed_determinants():
 
 
 def minors_batch(points, convention):
-    """_gaussian_batch's readout as it was before Sigma's closed form, kept
+    """The gaussian readout as it was before Sigma's closed form, kept
     as the test-only reference: the same covariances, read out through
     ga._ppt_minors, NumPy's determinants of the stacked blocks."""
     entries = []
@@ -764,9 +759,12 @@ def test_gaussian_batch_sigma_in_closed_form_equals_the_block_determinants():
         assert got == _readout(minors_batch, points, convention), (config, index)
         (out, cov), warned = got
         if isinstance(out, list) and not warned:
-            # a stream's second batch carries the first's det B and det C
-            mode_a, reused = pr._mode_a(points, convention, True), [None] * 9
-            halves = [pr._gaussian_batch(itertools.islice(mode_a, 2), reused) for _ in range(2)]
+            # a stream's second call carries the first's det B and det C
+            run = pr._stream(config)
+            pairs = run(points[:2]) + run(points[2:])
+            assert [[e.hex(), w.hex()] for e, w in pairs] == [[e, w] for _, w, e in out]
+            stage = pr._gaussian_entries(pr._mode_a(points, convention, True))
+            halves = [pr._gaussian_readout(itertools.islice(stage, 2)) for _ in range(2)]
             assert [[v.hex() for v in row] for rows, _ in halves for row in rows] == out
             assert b"".join(c.tobytes() for _, c in halves) == cov
         kind = "ran" if isinstance(out, list) else out.__name__
@@ -864,7 +862,7 @@ def test_no_successful_run_warns_or_reads_non_finite():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                ((metric, witness),) = pr._evaluate(config, [pr._point(config)])
+                ((metric, witness),) = pr._stream(config)([pr._point(config)])
             except (ArithmeticError, ValueError):
                 continue
             outputs = [metric, witness]
@@ -1265,7 +1263,7 @@ def test_find_threshold_batched_ends_match_single_runs(monkeypatch):
             sigma=rng.uniform(0.0, 0.01), eta1=rng.uniform(0.7, 1.0),
         )
         ends = [dataclasses.replace(config, **{parameter: end}) for end in bracket]
-        batch = pr._evaluate(config, [pr._point(end) for end in ends])
+        batch = pr._stream(config)([pr._point(end) for end in ends])
         for i, end in enumerate(ends):
             single = pr.run_gaussian_protocol(end)
             assert batch[i][0] == single.log_negativity, (parameter, i)
@@ -1388,10 +1386,9 @@ def test_find_threshold_ends_for_tol_below_float_spacing(search, tol):
 
 
 def _count_helpers(monkeypatch, *names):
-    """Per protocol._evaluate call (one per sweep and per
-    entanglement_metric) and per search (its protocol._stream), its points
-    and the arguments of each call of the named channel helpers they make,
-    as [(points, {name: [args]})]."""
+    """Per protocol._stream (one per sweep, search and
+    entanglement_metric), its points and the arguments of each call of the
+    named channel helpers they make, as [(points, {name: [args]})]."""
     calls = []
     for name in names:
         helper = getattr(ch, name)
@@ -1401,18 +1398,13 @@ def _count_helpers(monkeypatch, *names):
             return helper(*args)
 
         monkeypatch.setattr(ch, name, counted)
-    evaluate, stream = pr._evaluate, pr._stream
-
-    def tracked(base, points):
-        calls.append((points, {name: [] for name in names}))
-        return evaluate(base, points)
+    stream = pr._stream
 
     def tracked_stream(base):
         points, run = [], stream(base)
         calls.append((points, {name: [] for name in names}))
         return lambda batch: points.extend(batch) or run(batch)
 
-    monkeypatch.setattr(pr, "_evaluate", tracked)
     monkeypatch.setattr(pr, "_stream", tracked_stream)
     return calls
 
@@ -1547,8 +1539,8 @@ def test_stage_inputs_run_exactly_where_a_field_they_read_is_not_the_previous_po
             assert (len(counts["_channel"]), len(counts["_tmsv_entries"])) == (
                 channels, squeezes
             ), (engine, label)
-            pairs = pr._evaluate(base, points)
-            singles = [pr._evaluate(base, [point])[0] for point in points]
+            pairs = pr._stream(base)(points)
+            singles = [pr._stream(base)([point])[0] for point in points]
             assert [bits(pair) for pair in pairs] == [bits(pair) for pair in singles], label
         # the r series' zero reaches the points as -0.0
         assert {math.copysign(1.0, point[r]) for point in points if point[r] == 0.0} == {-1.0}
@@ -1584,12 +1576,18 @@ def test_gaussian_batch_keeps_signed_zeros_of_shared_values():
         ]
         assert any(batch.cov[i].tobytes() != batch.cov[j].tobytes() for i, j in twins), name
     # a call reuses a stage's inputs where its fields are the previous
-    # point's objects, so equal but distinct values must each get their own
+    # point's objects, so equal but distinct values must each get their own;
+    # one stream fed the points as uneven calls carries those inputs, and
+    # the gaussian det B and det C, from each call's last point to the next
+    # call's first
     for engine, base in SEARCH_BASES.items():
         points = _neighbour_points(base, 400, seed=20261020)
-        pairs = pr._evaluate(base, points)
-        singles = [pr._evaluate(base, [point])[0] for point in points]
+        pairs = pr._stream(base)(points)
+        singles = [pr._stream(base)([point])[0] for point in points]
+        run = pr._stream(base)
+        split = run(points[:1]) + run(points[1:3]) + run(points[3:])
         assert [bits(pair) for pair in pairs] == [bits(pair) for pair in singles], engine
+        assert [bits(pair) for pair in split] == [bits(pair) for pair in pairs], engine
     # each field's neighbours are the same object, equal but distinct, or
     # unequal, and the zeros of ZERO_FIELDS come in both signs and types
     for i, name in enumerate(pr._FLOAT_FIELDS):
@@ -1655,7 +1653,7 @@ def test_numpy_zeros_run_as_python_zeros(engine):
         numpy = [dataclasses.replace(base, **{name: numpy_float(zero)}) for zero in (0.0, -0.0)]
         for config, twin in zip(numpy, plain):
             assert _outputs(config) == _outputs(twin), (name, config)
-        pairs = pr._evaluate(base, [pr._point(c) for c in numpy + plain])
+        pairs = pr._stream(base)([pr._point(c) for c in numpy + plain])
         assert [bits(pair) for pair in pairs[:2]] == [bits(pair) for pair in pairs[2:]], name
 
 
@@ -1687,7 +1685,7 @@ def test_pipeline_builds_no_channel_coefficients(monkeypatch):
         sw.run_sweep(sw.SweepSpec(base=base, **GRID_16x16x3))
         pr.find_threshold(base, "eta1", (0.0, 1.0))
         points = [pr._point(dataclasses.replace(base, y=y)) for y in (0.1, 0.5, 1.0, 0.1)]
-        assert len(pr._evaluate(base, points)) == 4
+        assert len(pr._stream(base)(points)) == 4
         pr.entanglement_metric(base)
 
 

@@ -290,14 +290,19 @@ def test_run_sweep_reports_a_warning_raised_as_error():
 def test_run_sweep_reraises_a_batch_error_that_no_point_repeats(monkeypatch):
     # where every point runs alone without error, the batch's own error is
     # re-raised unchanged
-    evaluate = pr._evaluate
+    stream = pr._stream
 
-    def batch_fails(base, points):
-        if len(points) > 1:
-            raise ArithmeticError("batch only")
-        return evaluate(base, points)
+    def batch_fails(base):
+        run = stream(base)
 
-    monkeypatch.setattr(pr, "_evaluate", batch_fails)
+        def evaluate(points):
+            if len(points) > 1:
+                raise ArithmeticError("batch only")
+            return run(points)
+
+        return evaluate
+
+    monkeypatch.setattr(pr, "_stream", batch_fails)
     spec = sw.SweepSpec(base=pr.ProtocolConfig(), axis1=sw.AxisSpec("y", (0.1, 0.5)))
     with pytest.raises(ArithmeticError, match="^batch only$"):
         sw.run_sweep(spec)
