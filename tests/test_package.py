@@ -42,11 +42,18 @@ def _env(**extra):
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+def _process(*args, **env):
+    """The exit code, stdout and stderr bytes of a fresh interpreter run with
+    `args` that imports micromacro from SRC."""
+    proc = subprocess.run([sys.executable, *args], capture_output=True, env=_env(**env))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def _fresh(code):
     """stdout of `code` in a fresh interpreter that imports micromacro from SRC."""
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_env()
-    ).stdout
+    returncode, out, err = _process("-c", code)
+    assert returncode == 0, err.decode()
+    return out.decode()
 
 
 def test_submodules_resolve_after_a_bare_import():
@@ -92,23 +99,57 @@ def test_cli_command_loads_only_its_engine(argv, numpy, fock):
     assert out.split() == ["0", str(numpy), str(fock)]
 
 
-def test_run_freezes_the_collector_on_every_way_out():
-    # run() is the process entry: it returns main's exit code and freezes the
-    # collector also when main raises, as argparse's SystemExit does
-    out = _fresh(
-        "import contextlib, gc, io\n"
+def test_run_ends_the_process_on_every_way_out():
+    # run() is the process entry. It runs main with the collector off; on a
+    # return it runs the atexit handlers, flushes stdout and stderr, and ends
+    # the process with main's exit code. stdout is block-buffered here, so
+    # the flush has the CSV to write.
+    code, out, err = _process(
+        "-c",
+        "import atexit, gc\n"
         "from micromacro import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.run(['feasibility', '--preset', 'nanobeam'])\n"
-        "print(code, gc.get_freeze_count() > 0)\n"
-        "gc.unfreeze()\n"
-        "try:\n"
-        "    with contextlib.redirect_stderr(io.StringIO()):\n"
-        "        cli.run(['bogus-command'])\n"
-        "except SystemExit as exc:\n"
-        "    print(exc.code, gc.get_freeze_count() > 0)\n"
+        "atexit.register(lambda: print('atexit ran, collector on:', gc.isenabled()))\n"
+        "cli.run(['sweep', '--preset', 'fig5'])\n"
+        "print('not reached')\n",
+        PYTHONUNBUFFERED="",
     )
-    assert out.split() == ["0", "True", "2", "True"]
+    assert (code, err) == (0, b"")
+    csv = (ROOT / "tests" / "data" / "fig5.csv").read_bytes()
+    assert out == csv + b"atexit ran, collector on: False\n"
+    code, out, err = _process(
+        "-c",
+        "from micromacro import cli\n"
+        "cli.run(['sweep', '--preset', 'fig2', '--set', 'r=25'])\n",
+    )
+    assert (code, out) == (1, b"")
+    assert len(err.splitlines()) == 1 and err.startswith(b"error: ")
+    # argparse's SystemExit leaves through the normal exit, collector frozen
+    code, out, err = _process(
+        "-c",
+        "import gc\n"
+        "from micromacro import cli\n"
+        "try:\n"
+        "    cli.run(['bogus-command'])\n"
+        "except SystemExit:\n"
+        "    print(gc.get_freeze_count() > 0)\n"
+        "    raise\n"
+    )
+    assert (code, out.split()) == (2, [b"True"])
+    assert b"invalid choice: 'bogus-command'" in err
+    # a failed flush exits 120, as CPython's own shutdown does: the normal
+    # exit's flush fails again and reports it
+    code, out, err = _process(
+        "-c",
+        "import io, sys\n"
+        "from micromacro import cli\n"
+        "class BrokenPipe(io.StringIO):\n"
+        "    def flush(self):\n"
+        "        raise BrokenPipeError(32, 'Broken pipe')\n"
+        "sys.stdout = BrokenPipe()\n"
+        "cli.run(['feasibility', '--preset', 'nanobeam'])\n"
+    )
+    assert (code, out) == (120, b"")
+    assert err.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize(
@@ -123,22 +164,18 @@ def test_run_freezes_the_collector_on_every_way_out():
     ids=["sweep", "threshold", "feasibility", "domain-error", "usage-error"],
 )
 def test_main_leaves_the_collector_alone(argv, code, capsys):
-    before = gc.get_freeze_count()
+    before = gc.get_freeze_count(), gc.isenabled()
     try:
         assert cli.main(argv) == code
     except SystemExit as exc:
         assert exc.code == code
-    assert gc.get_freeze_count() == before
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def _module_process(*argv):
     """The exit code, stdout and stderr bytes of `python -m micromacro.cli argv`,
     with warnings raised as errors."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "micromacro.cli", *argv],
-        capture_output=True, env=_env(PYTHONWARNINGS="error"),
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    return _process("-m", "micromacro.cli", *argv, PYTHONWARNINGS="error")
 
 
 @pytest.mark.parametrize("name", ["fig2", "figA1"])
